@@ -37,7 +37,7 @@ func main() {
 	flag.Parse()
 
 	elems := int(*bytes / 4)
-	var s *collective.Schedule
+	var cls *collective.ClassSchedule
 	var err error
 	switch *alg {
 	case "wrht":
@@ -47,10 +47,10 @@ func main() {
 		plan, err = core.BuildPlan(*nodes, optical.DefaultParams().Wavelengths, opts)
 		if err == nil {
 			fmt.Printf("plan: %s\n", plan)
-			s, err = plan.Schedule(elems)
+			cls, err = plan.ClassSchedule(elems)
 		}
 	case "o-ring":
-		s, err = collective.RingAllReduce(*nodes, elems)
+		cls, err = collective.RingAllReduceClassed(*nodes, elems)
 	default:
 		err = fmt.Errorf("unknown -alg %q", *alg)
 	}
@@ -63,7 +63,7 @@ func main() {
 	if *mode == "async" {
 		simOpts.Mode = opticalsim.Async
 	}
-	res, err := opticalsim.Run(s, simOpts)
+	res, err := opticalsim.Run(cls, simOpts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wrhtviz:", err)
 		os.Exit(1)
@@ -77,6 +77,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wrhtviz: TIMELINE INVALID:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("%s, %s mode: total %.4g ms\n", s.Algorithm, res.Mode, res.TotalSec*1e3)
+	fmt.Printf("%s, %s mode: total %.4g ms\n", cls.Algorithm, res.Mode, res.TotalSec*1e3)
 	fmt.Print(opticalsim.RenderTimeline(res.Events, *width, *rows))
 }

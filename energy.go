@@ -72,11 +72,11 @@ func EventLevelTime(cfg Config, alg Algorithm, bytes int64, async bool) (Result,
 		return Result{}, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
 	}
 	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	cs, _, err := buildCompactSchedule(cfg, alg, elems)
+	cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	defer cs.Release()
+	defer cls.Release() // session-free: the transient schedule is ours to recycle
 	opts := opticalsim.DefaultOptions()
 	opts.Params = cfg.Optical
 	opts.BytesPerElem = cfg.BytesPerElem
@@ -86,7 +86,7 @@ func EventLevelTime(cfg Config, alg Algorithm, bytes int64, async bool) (Result,
 	if async {
 		opts.Mode = opticalsim.Async
 	}
-	r, err := opticalsim.RunCompact(cs, opts)
+	r, err := opticalsim.Run(cls, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -94,7 +94,7 @@ func EventLevelTime(cfg Config, alg Algorithm, bytes int64, async bool) (Result,
 		Algorithm: alg,
 		Substrate: fmt.Sprintf("optical-ring(w=%d,%s)", cfg.Optical.Wavelengths, r.Mode),
 		Seconds:   r.TotalSec,
-		Steps:     cs.NumSteps(),
+		Steps:     cls.NumSteps(),
 	}, nil
 }
 

@@ -351,7 +351,7 @@ func simulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, cache *fabr
 			return FabricResult{}, err
 		}
 	}
-	res, err := fabric.SimulateWith(cfg.Optical.Wavelengths, inner, pol, fp,
+	res, err := fabric.Simulate(cfg.Optical.Wavelengths, inner, pol, fp,
 		fabric.SchedOpts{Rec: rec, Proc: proc, Cancel: cancel})
 	if err != nil {
 		return FabricResult{}, err

@@ -732,6 +732,14 @@ func (b *ClassScheduleBuilder) buildClasses(st *classStep, o int) {
 	b.clsOrder = b.clsOrder[:0]
 }
 
+// Classes fingerprints the boxed schedule into classed form, through a
+// transient compact schedule that goes back to the pool.
+func (s *Schedule) Classes() *ClassSchedule {
+	cs := s.Compact()
+	defer cs.Release()
+	return cs.Classes()
+}
+
 // Classes derives the symmetry-aware pricing fingerprint of the compact
 // schedule: per step it detects the smallest block-major rotational orbit
 // (falling back to full materialization when there is none or when the

@@ -67,10 +67,10 @@ func TestClassesFingerprintRoundTrip(t *testing.T) {
 				}
 				cs := s.Compact()
 				cls := cs.Classes()
-				if got, want := cls.TotalTransfers(), cs.TotalTransfers(); got != want {
+				if got, want := cls.TotalTransfers(), s.TotalTransfers(); got != want {
 					t.Fatalf("%s n=%d: classed transfers %d, want %d", name, n, got, want)
 				}
-				if got, want := cls.TotalTrafficElems(), cs.TotalTrafficElems(); got != want {
+				if got, want := cls.TotalTrafficElems(), s.TotalTrafficElems(); got != want {
 					t.Fatalf("%s n=%d: classed traffic %d, want %d", name, n, got, want)
 				}
 				if !reflect.DeepEqual(normalize(cls.Expand()), normalize(s)) {

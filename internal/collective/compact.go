@@ -11,11 +11,10 @@ import (
 
 // CompactSchedule is the columnar (struct-of-arrays) form of a Schedule:
 // every transfer field lives in one flat backing slice, and steps are
-// half-open ranges of transfer indices. The representation is what the hot
-// simulate path consumes — pricing a step walks contiguous arrays instead of
-// chasing one heap object per transfer — and what the cross-run schedule
-// cache stores. Build one with a ScheduleBuilder (directly, on planners) or
-// with Schedule.Compact (conversion); Expand goes back to the boxed form.
+// half-open ranges of transfer indices. It is the builder's internal
+// format: Schedule.Compact lowers a boxed schedule into it, and Classes
+// fingerprints it into the ClassSchedule that pricing consumes; Expand goes
+// back to the boxed form.
 //
 // A CompactSchedule is immutable after Finish and safe for concurrent
 // readers. Release returns its arrays to the builder pool; callers must not
@@ -42,10 +41,6 @@ type CompactSchedule struct {
 // NumSteps returns the number of synchronous steps.
 func (c *CompactSchedule) NumSteps() int { return len(c.labels) }
 
-// Nodes returns the node count (the boxed Schedule's N field as a method,
-// so energy accounting can accept either representation).
-func (c *CompactSchedule) Nodes() int { return c.N }
-
 // StepBounds returns the half-open flat-index range of step s.
 func (c *CompactSchedule) StepBounds(s int) (lo, hi int) {
 	return int(c.stepOff[s]), int(c.stepOff[s+1])
@@ -53,9 +48,6 @@ func (c *CompactSchedule) StepBounds(s int) (lo, hi int) {
 
 // StepLabel returns step s's label.
 func (c *CompactSchedule) StepLabel(s int) string { return c.labels[s] }
-
-// TotalTransfers returns the number of point-to-point transfers.
-func (c *CompactSchedule) TotalTransfers() int { return len(c.src) }
 
 // Transfer materializes the transfer at flat index i.
 func (c *CompactSchedule) Transfer(i int) Transfer {
@@ -68,15 +60,6 @@ func (c *CompactSchedule) Transfer(i int) Transfer {
 		Dir:    c.dir[i],
 		Width:  int(c.width[i]),
 	}
-}
-
-// TotalTrafficElems returns the total number of elements moved.
-func (c *CompactSchedule) TotalTrafficElems() int64 {
-	var n int64
-	for _, l := range c.ln {
-		n += int64(l)
-	}
-	return n
 }
 
 // Expand converts back to the boxed representation.

@@ -56,52 +56,6 @@ func RingAllReduce(n, elems int) (*Schedule, error) {
 	return s, nil
 }
 
-// RingAllReduceCompact is RingAllReduce built directly in columnar form —
-// the hot simulate path's entry point, skipping the boxed per-step slices
-// entirely (property tests enforce Expand-equality with RingAllReduce).
-func RingAllReduceCompact(n, elems int) (*CompactSchedule, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("collective: ring all-reduce needs n >= 2, got %d", n)
-	}
-	if elems < 0 {
-		return nil, fmt.Errorf("collective: negative elems %d", elems)
-	}
-	chunks := tensor.Chunks(elems, n)
-	b := NewScheduleBuilder("ring", n, elems)
-	b.Grow(2*(n-1), 2*(n-1)*n)
-
-	// Reduce-scatter: in step t, node i sends chunk (i-t) mod n to node i+1,
-	// which accumulates it. After n-1 steps node i fully owns chunk (i+1) mod n.
-	for t := 0; t < n-1; t++ {
-		b.StartStep(fmt.Sprintf("reduce-scatter %d/%d", t+1, n-1))
-		for i := 0; i < n; i++ {
-			c := ((i-t)%n + n) % n
-			b.Add(Transfer{
-				Src: i, Dst: (i + 1) % n,
-				Region: chunks[c],
-				Op:     OpReduce,
-				Routed: true, Dir: ring.CW,
-			})
-		}
-	}
-
-	// All-gather: in step t, node i sends chunk (i+1-t) mod n to node i+1,
-	// which overwrites it.
-	for t := 0; t < n-1; t++ {
-		b.StartStep(fmt.Sprintf("all-gather %d/%d", t+1, n-1))
-		for i := 0; i < n; i++ {
-			c := ((i+1-t)%n + n) % n
-			b.Add(Transfer{
-				Src: i, Dst: (i + 1) % n,
-				Region: chunks[c],
-				Op:     OpCopy,
-				Routed: true, Dir: ring.CW,
-			})
-		}
-	}
-	return b.Finish(), nil
-}
-
 // RingAllReduceClassed is RingAllReduce emitted directly in the
 // symmetry-aware classed form, without materializing per-node transfers:
 // every step is one orbit transfer (node 0 → node 1, CW) replicated N times

@@ -81,7 +81,7 @@ type Schedule struct {
 // NumSteps returns the number of synchronous steps.
 func (s *Schedule) NumSteps() int { return len(s.Steps) }
 
-// Nodes returns N (as a method, so code generic over boxed and compact
+// Nodes returns N (as a method, so code generic over boxed and classed
 // schedules — e.g. energy accounting — can accept either).
 func (s *Schedule) Nodes() int { return s.N }
 

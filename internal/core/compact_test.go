@@ -5,55 +5,6 @@ import (
 	"testing"
 )
 
-// TestCompactScheduleMatchesBoxed: the direct columnar lowering produces
-// exactly the boxed lowering, across plan shapes (policies, striping,
-// wrap-avoidance, explicit and automatic group sizes).
-func TestCompactScheduleMatchesBoxed(t *testing.T) {
-	cases := []struct {
-		n, w int
-		opts Options
-	}{
-		{8, 4, Options{M: 3, Policy: A2AFormula}},
-		{8, 4, Options{M: 3, Policy: A2AGreedy}},
-		{24, 8, Options{M: 5, Policy: A2AFormula, Striping: true}},
-		{24, 8, Options{M: 5, Policy: A2AFormula, AvoidWrap: true}},
-		{30, 16, Options{M: 0, Policy: A2AFormula, Striping: true, Cost: DefaultCostParams()}},
-		{64, 8, Options{M: 9, Policy: A2AGreedy, Striping: true}},
-		{7, 3, Options{M: 2, Policy: A2AFormula}},
-	}
-	for _, c := range cases {
-		p, err := BuildPlan(c.n, c.w, c.opts)
-		if err != nil {
-			t.Fatalf("n=%d w=%d: %v", c.n, c.w, err)
-		}
-		for _, elems := range []int{0, 1, 100} {
-			boxed, err := p.Schedule(elems)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := p.CompactSchedule(elems)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back := cs.Expand()
-			// Expand reconstructs empty steps as nil transfer slices.
-			for i := range boxed.Steps {
-				if len(boxed.Steps[i].Transfers) == 0 {
-					boxed.Steps[i].Transfers = nil
-				}
-				if len(back.Steps[i].Transfers) == 0 {
-					back.Steps[i].Transfers = nil
-				}
-			}
-			if !reflect.DeepEqual(back, boxed) {
-				t.Fatalf("n=%d w=%d m=%d elems=%d: compact lowering diverges from boxed",
-					c.n, c.w, p.M, elems)
-			}
-			cs.Release()
-		}
-	}
-}
-
 // TestClassScheduleMatchesBoxed: the direct classed lowering — uniform
 // levels as certified orbit steps, ragged levels and the all-to-all
 // materialized — expands to exactly the boxed lowering, across plan shapes.
@@ -131,13 +82,13 @@ func TestClassScheduleCertifiesUniformLevels(t *testing.T) {
 	}
 }
 
-// TestCompactScheduleRejectsNegativeElems mirrors Schedule's validation.
-func TestCompactScheduleRejectsNegativeElems(t *testing.T) {
+// TestClassScheduleRejectsNegativeElems mirrors Schedule's validation.
+func TestClassScheduleRejectsNegativeElems(t *testing.T) {
 	p, err := BuildPlan(8, 4, Options{M: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CompactSchedule(-1); err == nil {
+	if _, err := p.ClassSchedule(-1); err == nil {
 		t.Fatal("negative elems accepted")
 	}
 }

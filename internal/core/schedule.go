@@ -9,92 +9,14 @@ import (
 	"wrht/internal/wdm"
 )
 
-// CompactSchedule lowers the plan directly to the columnar IR — the form the
-// simulate fast path consumes — with the exact same steps, labels, and
-// transfer order as Schedule. Tests enforce that CompactSchedule(e).Expand()
-// deep-equals Schedule(e) for every plan shape.
-func (p *Plan) CompactSchedule(elems int) (*collective.CompactSchedule, error) {
-	if elems < 0 {
-		return nil, fmt.Errorf("core: negative elems %d", elems)
-	}
-	b := collective.NewScheduleBuilder(fmt.Sprintf("wrht(m=%d,%v)", p.M, p.Policy), p.N, elems)
-	steps, transfers := p.NumSteps(), 0
-	for _, lvl := range p.ReduceLevels {
-		for _, g := range lvl.Groups {
-			transfers += 2 * (len(g.Members) - 1) // reduce + mirrored broadcast
-		}
-	}
-	if r := len(p.A2AReps); r > 1 {
-		transfers += r * (r - 1)
-	}
-	b.Grow(steps, transfers)
-	full := tensor.Region{Offset: 0, Len: elems}
-
-	// Reduce stage.
-	for li, lvl := range p.ReduceLevels {
-		b.StartStep(fmt.Sprintf("reduce level %d", li+1))
-		for _, g := range lvl.Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				b.Add(collective.Transfer{
-					Src: mem, Dst: g.Rep,
-					Region: full,
-					Op:     collective.OpReduce,
-					Routed: true,
-					Dir:    dirToward(mem, g.Rep),
-					Width:  p.TreeStripe,
-				})
-			}
-		}
-	}
-
-	// All-to-all among the final representatives.
-	if p.A2AReps != nil {
-		b.StartStep(fmt.Sprintf("all-to-all among %d reps", len(p.A2AReps)))
-		for _, d := range p.a2aDemands() {
-			b.Add(collective.Transfer{
-				Src: d.Arc.Src, Dst: d.Arc.Dst,
-				Region: full,
-				Op:     collective.OpReduce,
-				Routed: true,
-				Dir:    d.Arc.Dir,
-				Width:  p.A2AStripe,
-			})
-		}
-	}
-
-	// Broadcast stage: mirror of the reduce stage.
-	for li := len(p.ReduceLevels) - 1; li >= 0; li-- {
-		b.StartStep(fmt.Sprintf("broadcast level %d", li+1))
-		for _, g := range p.ReduceLevels[li].Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				b.Add(collective.Transfer{
-					Src: g.Rep, Dst: mem,
-					Region: full,
-					Op:     collective.OpCopy,
-					Routed: true,
-					Dir:    dirToward(mem, g.Rep).Opposite(),
-					Width:  p.TreeStripe,
-				})
-			}
-		}
-	}
-	return b.Finish(), nil
-}
-
 // ClassSchedule lowers the plan directly to the symmetry-aware classed IR.
 // A reduce/broadcast level whose groups are uniform — equal sizes, members
 // and representative translated by a fixed stride — becomes one orbit step
 // (group 0's transfers, replicated #groups times at the stride); ragged
 // levels and the all-to-all step are materialized. Steps, labels, and
 // transfer order (under ClassSchedule.ForEachTransfer) are identical to
-// CompactSchedule, and classed pricing of the result is bit-identical to
-// the compact path — tests enforce both.
+// Schedule, and classed pricing of the result is bit-identical to the boxed
+// path — tests enforce both.
 func (p *Plan) ClassSchedule(elems int) (*collective.ClassSchedule, error) {
 	if elems < 0 {
 		return nil, fmt.Errorf("core: negative elems %d", elems)

@@ -12,7 +12,7 @@ import (
 )
 
 // Schedule is the accounting view of a collective schedule; both
-// *collective.Schedule and *collective.CompactSchedule satisfy it, so the
+// *collective.Schedule and *collective.ClassSchedule satisfy it, so the
 // estimators accept either representation.
 type Schedule interface {
 	// TotalTrafficElems is the total number of elements moved.

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wrht/internal/faults"
 	"wrht/internal/obs"
 )
 
@@ -68,11 +69,11 @@ func stripVolatile(r Result) Result {
 
 func assertEquivalent(t *testing.T, name string, budget int, jobs []Job, delay float64) {
 	t.Helper()
-	inc, err := Simulate(budget, jobs, Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay})
+	inc, err := Simulate(budget, jobs, Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay}, faults.Plan{}, SchedOpts{})
 	if err != nil {
 		t.Fatalf("%s: incremental: %v", name, err)
 	}
-	full, err := Simulate(budget, jobs, Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay, fullSolve: true})
+	full, err := Simulate(budget, jobs, Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay, fullSolve: true}, faults.Plan{}, SchedOpts{})
 	if err != nil {
 		t.Fatalf("%s: full solve: %v", name, err)
 	}
@@ -144,7 +145,7 @@ func TestElasticIncrementalPerfettoByteIdentical(t *testing.T) {
 	run := func(full bool) []byte {
 		rec := obs.New()
 		pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: 2e-6, fullSolve: full}
-		if _, err := SimulateObserved(64, churnLikeMix(), pol, rec, "equiv"); err != nil {
+		if _, err := Simulate(64, churnLikeMix(), pol, faults.Plan{}, SchedOpts{Rec: rec, Proc: "equiv"}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -176,7 +177,7 @@ func TestElasticIncrementalSkipsTiers(t *testing.T) {
 			Runtime:        perfectScaling(4),
 		})
 	}
-	res, err := Simulate(16, jobs, Policy{Kind: ElasticReallocate})
+	res, err := Simulate(16, jobs, Policy{Kind: ElasticReallocate}, faults.Plan{}, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

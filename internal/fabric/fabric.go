@@ -42,7 +42,6 @@ import (
 	"math"
 
 	"wrht/internal/faults"
-	"wrht/internal/obs"
 	"wrht/internal/sim"
 )
 
@@ -461,39 +460,32 @@ const (
 	stFailed = 7
 )
 
-// Simulate co-schedules the jobs on a fabric of `budget` wavelengths under
-// the policy and returns per-job and aggregate statistics plus the full
-// event trace. The simulation is deterministic.
-func Simulate(budget int, jobs []Job, pol Policy) (Result, error) {
-	return SimulateObserved(budget, jobs, pol, nil, "")
-}
-
-// SimulateObserved is Simulate with a flight recorder attached: the run
-// becomes one recorder process (named proc — give each simulation a unique
-// name so concurrent runs stay on disjoint tracks), every job an
-// instant/span track (arrive/start/preempt/reconfig/finish markers plus
-// run/settle segments), queue depth and lit wavelengths counter tracks, and
-// each wavelength index an occupancy lane labeled with the holding job.
-// The recorder is write-only — scheduling decisions never read it — so
-// results are bit-identical to Simulate; a nil recorder costs one branch
-// per event.
-func SimulateObserved(budget int, jobs []Job, pol Policy, rec *obs.Recorder, proc string) (Result, error) {
-	return SimulateWith(budget, jobs, pol, faults.Plan{}, SchedOpts{Rec: rec, Proc: proc})
-}
-
 // cancelCheckEvery is how many executed events separate two cancellation
 // polls of SchedOpts.Cancel — coarse enough to be free on the hot path,
 // fine enough that a deadline kills a runaway co-simulation in well under a
 // millisecond of wall time.
 const cancelCheckEvery = 1024
 
-// SimulateWith is the generalized one-fabric entry point behind Simulate,
-// SimulateObserved, and SimulateFaults: an optional failure plan injected
-// on the run's private engine plus the full SchedOpts surface (recorder,
-// cancellation hook). An empty plan leaves every result bit-identical to
-// the fault-free path; a cancellation abandons the run at an event boundary
-// and returns the hook's error.
-func SimulateWith(budget int, jobs []Job, pol Policy, plan faults.Plan, opt SchedOpts) (Result, error) {
+// Simulate co-schedules the jobs on a fabric of `budget` wavelengths under
+// the policy and returns per-job and aggregate statistics plus the full
+// event trace. The simulation is deterministic.
+//
+// A non-empty failure plan is injected on the run's private engine; an
+// empty plan leaves every result bit-identical to the fault-free path.
+// Fabric outage events are rejected — whole-fabric recovery needs a fleet
+// (internal/fleet) — and so are wavelength faults under StaticPartition
+// (shares are position-fixed; there is no pool to shrink).
+//
+// opt.Rec attaches a flight recorder: the run becomes one recorder process
+// (named opt.Proc — give each simulation a unique name so concurrent runs
+// stay on disjoint tracks), every job an instant/span track
+// (arrive/start/preempt/reconfig/finish markers plus run/settle segments),
+// queue depth and lit wavelengths counter tracks, and each wavelength index
+// an occupancy lane labeled with the holding job. The recorder is
+// write-only — scheduling decisions never read it — and a nil recorder
+// costs one branch per event. opt.Cancel abandons the run at an event
+// boundary and returns the hook's error.
+func Simulate(budget int, jobs []Job, pol Policy, plan faults.Plan, opt SchedOpts) (Result, error) {
 	var evs []faults.Event
 	if !plan.Empty() {
 		if err := plan.Validate(1); err != nil {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"wrht/internal/faults"
 )
 
 // perfectScaling returns a Runtime pricing `work` wavelength-seconds with
@@ -18,7 +20,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
 
 func mustSimulate(t *testing.T, budget int, jobs []Job, pol Policy) Result {
 	t.Helper()
-	res, err := Simulate(budget, jobs, pol)
+	res, err := Simulate(budget, jobs, pol, faults.Plan{}, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +372,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"all rejected", 8, []Job{{Name: "a", MinWavelengths: 5, Runtime: perfectScaling(1)}}, Policy{Kind: StaticPartition}},
 	}
 	for _, tc := range cases {
-		if _, err := Simulate(tc.budget, tc.jobs, tc.pol); err == nil {
+		if _, err := Simulate(tc.budget, tc.jobs, tc.pol, faults.Plan{}, SchedOpts{}); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -378,11 +380,11 @@ func TestSimulateValidation(t *testing.T) {
 
 func TestRuntimeErrorsPropagate(t *testing.T) {
 	bad := func(w int) (float64, error) { return 0, errTest }
-	if _, err := Simulate(8, []Job{{Name: "a", Runtime: bad}}, Policy{Kind: FirstFitShare}); err == nil {
+	if _, err := Simulate(8, []Job{{Name: "a", Runtime: bad}}, Policy{Kind: FirstFitShare}, faults.Plan{}, SchedOpts{}); err == nil {
 		t.Fatal("runtime error swallowed")
 	}
 	negative := func(w int) (float64, error) { return -1, nil }
-	if _, err := Simulate(8, []Job{{Name: "a", Runtime: negative}}, Policy{Kind: FirstFitShare}); err == nil {
+	if _, err := Simulate(8, []Job{{Name: "a", Runtime: negative}}, Policy{Kind: FirstFitShare}, faults.Plan{}, SchedOpts{}); err == nil {
 		t.Fatal("non-positive runtime accepted")
 	}
 }
@@ -752,7 +754,7 @@ func TestElasticDoesNotStarveBlockedHighPriority(t *testing.T) {
 func TestElasticValidation(t *testing.T) {
 	ok := []Job{{Name: "a", Runtime: perfectScaling(1)}}
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := Simulate(8, ok, Policy{Kind: ElasticReallocate, ReconfigDelaySec: bad}); err == nil {
+		if _, err := Simulate(8, ok, Policy{Kind: ElasticReallocate, ReconfigDelaySec: bad}, faults.Plan{}, SchedOpts{}); err == nil {
 			t.Errorf("reconfig delay %v accepted", bad)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wrht/internal/faults"
 	"wrht/internal/obs"
 )
 
@@ -23,12 +24,12 @@ func churnJobs() []Job {
 // lane occupancy, and totals.
 func TestSimulateObservedBitIdentical(t *testing.T) {
 	pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: 1e-3}
-	want, err := Simulate(8, churnJobs(), pol)
+	want, err := Simulate(8, churnJobs(), pol, faults.Plan{}, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	got, err := SimulateObserved(8, churnJobs(), pol, rec, "fabric test")
+	got, err := Simulate(8, churnJobs(), pol, faults.Plan{}, SchedOpts{Rec: rec, Proc: "fabric test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +80,15 @@ func TestSimulateObservedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSimulateObservedNilRecorder: the observed entry point with a nil
-// recorder is exactly Simulate.
+// TestSimulateObservedNilRecorder: a nil recorder — even with a process
+// name set — is inert: the run is exactly a recorded run.
 func TestSimulateObservedNilRecorder(t *testing.T) {
 	pol := Policy{Kind: PriorityPreempt}
-	want, err := Simulate(8, churnJobs(), pol)
+	want, err := Simulate(8, churnJobs(), pol, faults.Plan{}, SchedOpts{Rec: obs.New(), Proc: "fabric test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimulateObserved(8, churnJobs(), pol, nil, "")
+	got, err := Simulate(8, churnJobs(), pol, faults.Plan{}, SchedOpts{Proc: "fabric test"})
 	if err != nil {
 		t.Fatal(err)
 	}

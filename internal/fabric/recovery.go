@@ -11,9 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"wrht/internal/faults"
-	"wrht/internal/obs"
 )
 
 // Resubmit carries one outage-evicted job out of the scheduler so the
@@ -627,15 +624,4 @@ func (s *scheduler) emitFault(kind EventKind, width int) {
 		s.rec.Instant(s.faultTk, kind.String(), now, int64(width))
 		s.rec.Sample(s.darkTk, now, float64(s.darkTarget))
 	}
-}
-
-// SimulateFaults is SimulateObserved with a failure plan injected on the
-// run's private engine. An empty plan routes straight to SimulateObserved,
-// so results stay bit-identical to the fault-free path. Fabric outage
-// events are rejected here — whole-fabric recovery needs a fleet
-// (internal/fleet) — and wavelength faults are rejected under
-// StaticPartition (shares are position-fixed; there is no pool to shrink).
-func SimulateFaults(budget int, jobs []Job, pol Policy, plan faults.Plan,
-	rec *obs.Recorder, proc string) (Result, error) {
-	return SimulateWith(budget, jobs, pol, plan, SchedOpts{Rec: rec, Proc: proc})
 }

@@ -91,7 +91,7 @@ func TestJobFaultCheckpointReplay(t *testing.T) {
 			Name: "solo", MaxWavelengths: 1, CheckpointEverySec: tc.ckpt,
 			Runtime: perfectScaling(1.0),
 		}}
-		res, err := SimulateFaults(1, jobs, Policy{Kind: FirstFitShare}, plan, nil, "")
+		res, err := Simulate(1, jobs, Policy{Kind: FirstFitShare}, plan, SchedOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -125,7 +125,7 @@ func TestWavelengthDarkElasticShrinkRestore(t *testing.T) {
 			{Name: "a", MaxWavelengths: 4, Runtime: perfectScaling(4)},
 			{Name: "b", ArrivalSec: 1e-9, MaxWavelengths: 4, Runtime: perfectScaling(4)},
 		}
-		res, err := SimulateFaults(4, jobs, Policy{Kind: ElasticReallocate}, plan, nil, "")
+		res, err := Simulate(4, jobs, Policy{Kind: ElasticReallocate}, plan, SchedOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestDarkEvictionParkRetry(t *testing.T) {
 		{TimeSec: 0.3, Kind: faults.WavelengthUp, Count: 1},
 	}}
 	jobs := []Job{{Name: "wide", MinWavelengths: 2, MaxWavelengths: 2, Runtime: perfectScaling(2)}}
-	res, err := SimulateFaults(2, jobs, Policy{Kind: FirstFitShare}, plan, nil, "")
+	res, err := Simulate(2, jobs, Policy{Kind: FirstFitShare}, plan, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDarkRetryBudgetExhausted(t *testing.T) {
 		Retry:    faults.Retry{MaxRetries: 3},
 	}
 	jobs := []Job{{Name: "wide", MinWavelengths: 2, MaxWavelengths: 2, Runtime: perfectScaling(2)}}
-	res, err := SimulateFaults(2, jobs, Policy{Kind: FirstFitShare}, plan, nil, "")
+	res, err := Simulate(2, jobs, Policy{Kind: FirstFitShare}, plan, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +296,11 @@ func TestOutageCheckpointResume(t *testing.T) {
 func TestOutageRejectedWithoutFleet(t *testing.T) {
 	jobs := []Job{{Name: "a", Runtime: perfectScaling(1)}}
 	plan := faults.Plan{Scripted: []faults.Event{{TimeSec: 0.1, Kind: faults.FabricDown}}}
-	if _, err := SimulateFaults(2, jobs, Policy{Kind: FirstFitShare}, plan, nil, ""); err == nil {
+	if _, err := Simulate(2, jobs, Policy{Kind: FirstFitShare}, plan, SchedOpts{}); err == nil {
 		t.Fatal("fabric outage accepted without a fleet")
 	}
 	plan = faults.Plan{Scripted: []faults.Event{{TimeSec: 0.1, Kind: faults.WavelengthDown}}}
-	if _, err := SimulateFaults(2, jobs, Policy{Kind: StaticPartition}, plan, nil, ""); err == nil {
+	if _, err := Simulate(2, jobs, Policy{Kind: StaticPartition}, plan, SchedOpts{}); err == nil {
 		t.Fatal("wavelength fault accepted under StaticPartition")
 	}
 }
@@ -314,7 +314,7 @@ func TestGeneratedFaultPlanDeterministic(t *testing.T) {
 			WavelengthMTBFSec: 0.3, WavelengthMTTRSec: 0.1,
 			JobFaultMTBFSec: 0.5,
 		}
-		res, err := SimulateFaults(8, heavyMix(), Policy{Kind: ElasticReallocate, ReconfigDelaySec: 1e-3}, plan, nil, "")
+		res, err := Simulate(8, heavyMix(), Policy{Kind: ElasticReallocate, ReconfigDelaySec: 1e-3}, plan, SchedOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

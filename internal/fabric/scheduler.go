@@ -58,8 +58,8 @@ type SchedOpts struct {
 // (internal/fleet). Submit jobs (before or during the run, with arrivals
 // not in the engine's past), drive the engine, then Finalize.
 //
-// Simulate / SimulateObserved remain the one-fabric entry points; they are
-// thin wrappers over this API.
+// Simulate remains the one-fabric entry point; it is a thin wrapper over
+// this API.
 type Scheduler struct {
 	s *scheduler
 }
@@ -245,7 +245,7 @@ type scheduler struct {
 	// decision instead of a cascade of transient ones.
 	solvePending bool
 
-	// ownEng marks a scheduler created by Simulate/SimulateObserved (it
+	// ownEng marks a scheduler created by Simulate (it
 	// owns the engine, so engine-wide counters are recorded at Finalize;
 	// fleet runs record them once at the fleet layer instead).
 	ownEng bool

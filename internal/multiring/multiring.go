@@ -215,39 +215,37 @@ func (t TimeBreakdown) TotalSec() float64 {
 	return t.IntraReduceSec + t.InterSec + t.IntraBroadcastSec
 }
 
-// Time prices the hierarchy: the intra phases run on one rack's ring (all
-// racks in parallel), the inter phase on an electrical cluster of K leader
-// uplinks.
-func (p *Plan) Time(elems int, op optical.Params, ep electrical.Params) (TimeBreakdown, error) {
-	intraReduce := &collective.Schedule{
-		Algorithm: "intra-reduce", N: p.NodesPerRack, Elems: elems,
-		Steps: p.intraReduceSteps(elems),
-	}
-	intraBcast := &collective.Schedule{
-		Algorithm: "intra-broadcast", N: p.NodesPerRack, Elems: elems,
-		Steps: p.intraBroadcastSteps(elems),
-	}
+// Time prices the hierarchy for elems elements of bytesPerElem bytes each:
+// the intra phases run on one rack's ring (all racks in parallel), the
+// inter phase on an electrical cluster of K leader uplinks.
+func (p *Plan) Time(elems, bytesPerElem int, op optical.Params, ep electrical.Params) (TimeBreakdown, error) {
 	optOpts := runner.DefaultOpticalOptions()
 	optOpts.Params = op
+	optOpts.BytesPerElem = bytesPerElem
+	intra := func(algorithm string, steps []collective.Step) (float64, error) {
+		cls := (&collective.Schedule{Algorithm: algorithm, N: p.NodesPerRack, Elems: elems, Steps: steps}).Classes()
+		defer cls.Release()
+		r, err := runner.RunOpticalClassedObserved(cls, optOpts, nil, "")
+		return r.TotalSec, err
+	}
 	var out TimeBreakdown
-	r1, err := runner.RunOptical(intraReduce, optOpts)
+	var err error
+	if out.IntraReduceSec, err = intra("intra-reduce", p.intraReduceSteps(elems)); err != nil {
+		return out, err
+	}
+	if out.IntraBroadcastSec, err = intra("intra-broadcast", p.intraBroadcastSteps(elems)); err != nil {
+		return out, err
+	}
+	s, err := p.InterSchedule(elems)
 	if err != nil {
 		return out, err
 	}
-	r3, err := runner.RunOptical(intraBcast, optOpts)
+	inter := s.Classes()
+	defer inter.Release()
+	r, err := runner.RunElectricalClassedObserved(inter, runner.ElectricalOptions{Params: ep, BytesPerElem: bytesPerElem}, nil, "")
 	if err != nil {
 		return out, err
 	}
-	inter, err := p.InterSchedule(elems)
-	if err != nil {
-		return out, err
-	}
-	r2, err := runner.RunElectrical(inter, runner.ElectricalOptions{Params: ep})
-	if err != nil {
-		return out, err
-	}
-	out.IntraReduceSec = r1.TotalSec
-	out.InterSec = r2.TotalSec
-	out.IntraBroadcastSec = r3.TotalSec
+	out.InterSec = r.TotalSec
 	return out, nil
 }

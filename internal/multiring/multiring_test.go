@@ -71,7 +71,7 @@ func TestTimeBreakdownPositiveAndComposes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const elems = 1 << 20
-	tb, err := p.Time(elems, optical.DefaultParams(), electrical.DefaultParams())
+	tb, err := p.Time(elems, 4, optical.DefaultParams(), electrical.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestHierarchyCompetitiveAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	const elems = 32 << 20 // 128 MB
-	tb, err := p.Time(elems, optical.DefaultParams(), electrical.DefaultParams())
+	tb, err := p.Time(elems, 4, optical.DefaultParams(), electrical.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,17 +108,12 @@ type lowered struct {
 	stripe [][]int
 }
 
-// Run simulates the schedule and returns the transfer timeline.
-func Run(s *collective.Schedule, opts Options) (Result, error) {
-	cs := s.Compact()
-	defer cs.Release()
-	return RunCompact(cs, opts)
-}
-
-// RunCompact is Run on the columnar schedule representation (the fast path:
-// no per-transfer boxing anywhere between the schedule and the event slab).
-func RunCompact(cs *collective.CompactSchedule, opts Options) (Result, error) {
-	if err := cs.Validate(); err != nil {
+// Run simulates the classed schedule and returns the transfer timeline.
+// Every step is lowered transfer by transfer (ClassSchedule.ForEachTransfer)
+// into flat columns, so no per-transfer boxing happens between the schedule
+// and the event slab.
+func Run(cls *collective.ClassSchedule, opts Options) (Result, error) {
+	if err := cls.Validate(); err != nil {
 		return Result{}, err
 	}
 	if err := opts.Params.Validate(); err != nil {
@@ -133,7 +128,7 @@ func RunCompact(cs *collective.CompactSchedule, opts Options) (Result, error) {
 	if opts.DefaultWidth == 0 {
 		opts.DefaultWidth = 1
 	}
-	topo, err := ring.New(cs.N)
+	topo, err := ring.New(cls.N)
 	if err != nil {
 		return Result{}, err
 	}
@@ -144,45 +139,46 @@ func RunCompact(cs *collective.CompactSchedule, opts Options) (Result, error) {
 
 	// Lower schedule transfers and assign wavelengths per step (the same
 	// per-step conflict structure both modes use; Async only relaxes time).
-	numSteps := cs.NumSteps()
+	numSteps := cls.NumSteps()
 	low := &lowered{
 		numSteps: numSteps,
 		stepOff:  make([]int32, 1, numSteps+1),
 	}
-	total := cs.TotalTransfers()
+	total := cls.TotalTransfers()
 	low.step = make([]int32, 0, total)
 	low.arc = make([]ring.Arc, 0, total)
 	low.bytes = make([]int64, 0, total)
 	low.stripe = make([][]int, 0, total)
 	ws := wdm.NewWorkspace(topo)
 	var demands []wdm.Demand
+	var step int32
+	lower := func(tr collective.Transfer) {
+		bytes := int64(tr.Region.Len) * int64(opts.BytesPerElem)
+		if bytes == 0 {
+			return
+		}
+		arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
+		if !tr.Routed {
+			arc = topo.ShortestArc(tr.Src, tr.Dst)
+		}
+		width := tr.Width
+		if width < 1 {
+			width = opts.DefaultWidth
+		}
+		if width > opts.Params.Wavelengths {
+			width = opts.Params.Wavelengths
+		}
+		low.step = append(low.step, step)
+		low.arc = append(low.arc, arc)
+		low.bytes = append(low.bytes, bytes)
+		low.stripe = append(low.stripe, nil)
+		demands = append(demands, wdm.Demand{Arc: arc, Width: width})
+	}
 	for si := 0; si < numSteps; si++ {
-		lo, hi := cs.StepBounds(si)
 		stepStart := len(low.step)
 		demands = demands[:0]
-		for i := lo; i < hi; i++ {
-			tr := cs.Transfer(i)
-			bytes := int64(tr.Region.Len) * int64(opts.BytesPerElem)
-			if bytes == 0 {
-				continue
-			}
-			arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
-			if !tr.Routed {
-				arc = topo.ShortestArc(tr.Src, tr.Dst)
-			}
-			width := tr.Width
-			if width < 1 {
-				width = opts.DefaultWidth
-			}
-			if width > opts.Params.Wavelengths {
-				width = opts.Params.Wavelengths
-			}
-			low.step = append(low.step, int32(si))
-			low.arc = append(low.arc, arc)
-			low.bytes = append(low.bytes, bytes)
-			low.stripe = append(low.stripe, nil)
-			demands = append(demands, wdm.Demand{Arc: arc, Width: width})
-		}
+		step = int32(si)
+		cls.ForEachTransfer(si, lower)
 		if len(demands) > 0 {
 			rounds, err := ws.Rounds(demands, opts.Params.Wavelengths, opts.Assigner, wdm.AsGiven)
 			if err != nil {
@@ -201,7 +197,7 @@ func RunCompact(cs *collective.CompactSchedule, opts Options) (Result, error) {
 	case Barrier:
 		return runBarrier(topo, fabric, opts, low)
 	case Async:
-		return runAsync(topo, fabric, opts, cs.N, low)
+		return runAsync(topo, fabric, opts, cls.N, low)
 	default:
 		return Result{}, fmt.Errorf("opticalsim: unknown mode %v", opts.Mode)
 	}

@@ -17,6 +17,13 @@ func almost(a, b, rel float64) bool {
 	return math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
 }
 
+// runBoxed simulates a boxed schedule through its classed fingerprint.
+func runBoxed(s *collective.Schedule, opts Options) (Result, error) {
+	cls := s.Classes()
+	defer cls.Release()
+	return Run(cls, opts)
+}
+
 func wrhtSchedule(t *testing.T, n, w, m int, elems int) *collective.Schedule {
 	t.Helper()
 	plan, err := core.BuildPlan(n, w, core.Options{M: m, Policy: core.A2AFormula, Striping: true})
@@ -41,7 +48,7 @@ func TestBarrierMatchesStepModel(t *testing.T) {
 	}
 	schedules = append(schedules, ringS, wrhtSchedule(t, 64, 64, 3, 64<<10))
 	for _, s := range schedules {
-		simRes, err := Run(s, DefaultOptions())
+		simRes, err := runBoxed(s, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +90,11 @@ func TestAsyncNeverSlowerThanBarrier(t *testing.T) {
 		b.Mode = Barrier
 		a := opts
 		a.Mode = Async
-		rb, err := Run(s, b)
+		rb, err := runBoxed(s, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra, err := Run(s, a)
+		ra, err := runBoxed(s, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +113,7 @@ func TestAsyncCompletesAllTransfers(t *testing.T) {
 	s := wrhtSchedule(t, 128, 64, 5, 16<<10)
 	opts := DefaultOptions()
 	opts.Mode = Async
-	res, err := Run(s, opts)
+	res, err := runBoxed(s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +149,13 @@ func TestAsyncExploitsImbalance(t *testing.T) {
 
 	b := opts
 	b.Mode = Barrier
-	rb, err := Run(s, b)
+	rb, err := runBoxed(s, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := opts
 	a.Mode = Async
-	ra, err := Run(s, a)
+	ra, err := runBoxed(s, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +209,11 @@ func TestReduceComputeExtendsCriticalPath(t *testing.T) {
 	fast.Mode = Async
 	slow := fast
 	slow.ReduceGBps = 1 // 1 GB/s reduction: very slow
-	rf, err := Run(s, fast)
+	rf, err := runBoxed(s, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Run(s, slow)
+	rs, err := runBoxed(s, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,17 +229,17 @@ func TestRunValidation(t *testing.T) {
 	}
 	bad := DefaultOptions()
 	bad.BytesPerElem = -1
-	if _, err := Run(s, bad); err == nil {
+	if _, err := runBoxed(s, bad); err == nil {
 		t.Fatal("negative BytesPerElem accepted")
 	}
 	bad = DefaultOptions()
 	bad.ReduceGBps = -1
-	if _, err := Run(s, bad); err == nil {
+	if _, err := runBoxed(s, bad); err == nil {
 		t.Fatal("negative ReduceGBps accepted")
 	}
 	bad = DefaultOptions()
 	bad.Mode = Mode(42)
-	if _, err := Run(s, bad); err == nil {
+	if _, err := runBoxed(s, bad); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -268,11 +275,11 @@ func TestAsyncWrhtBeatsBarrierAtUnevenShapes(t *testing.T) {
 	optsB.Params.StepControlNs = 0
 	optsA := optsB
 	optsA.Mode = Async
-	rb, err := Run(s, optsB)
+	rb, err := runBoxed(s, optsB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := Run(s, optsA)
+	ra, err := runBoxed(s, optsA)
 	if err != nil {
 		t.Fatal(err)
 	}

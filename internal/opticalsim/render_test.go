@@ -48,7 +48,7 @@ func TestRenderTimelineRowCap(t *testing.T) {
 
 func TestRenderFromRealSimulation(t *testing.T) {
 	s := wrhtSchedule(t, 16, 4, 3, 4096)
-	res, err := Run(s, DefaultOptions())
+	res, err := runBoxed(s, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

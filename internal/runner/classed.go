@@ -11,25 +11,21 @@ import (
 	"wrht/internal/wdm"
 )
 
-// RunOpticalClassed is RunOpticalCompact on the symmetry-aware classed
-// schedule form: steps carrying a verified rotational-symmetry certificate
+// RunOpticalClassedObserved prices the symmetry-aware classed schedule on
+// the WDM ring. Steps carrying a verified rotational-symmetry certificate
 // are priced from one representative per equivalence class (plus one orbit
 // wavelength assignment, memoized by shape), turning the hot path from
 // O(transfers) to O(classes) per step; steps without a certificate — and
 // every step when the assigner is not First Fit or fabric replay is
 // requested — are materialized and priced by the exact per-transfer path.
-// Results are bit-identical to RunOpticalCompact on the materialized
-// schedule (golden and property tests enforce this).
-func RunOpticalClassed(cls *collective.ClassSchedule, opts OpticalOptions) (Result, error) {
-	return RunOpticalClassedObserved(cls, opts, nil, "")
-}
-
-// RunOpticalClassedObserved is RunOpticalClassed with a flight recorder
-// attached: each step is recorded as a span (duration, wavelengths,
+// Results are bit-identical to RunOptical on the expanded schedule (golden
+// and property tests enforce this).
+//
+// A non-nil recorder records each step as a span (duration, wavelengths,
 // transfers, classes, rounds) on a per-run process named proc, plus a "λ
 // used" counter track and symmetric-vs-materialized step counters. The
-// recorder never influences pricing — results are bit-identical to the
-// unobserved path — and a nil recorder costs one branch per step.
+// recorder never influences pricing, and a nil recorder costs one branch
+// per step.
 func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOptions, rec *obs.Recorder, proc string) (Result, error) {
 	if err := cls.Validate(); err != nil {
 		return Result{}, err
@@ -177,20 +173,15 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 	return res, nil
 }
 
-// RunElectricalClassed is RunElectricalCompact on the classed schedule:
-// steps certified as partial permutations on the default non-blocking
-// cluster are priced through the class-level fluid solver (one
-// representative flow per class, bit-identical by the symmetry of max-min
-// fairness); everything else — including every step on a custom Network —
-// is materialized and priced by the exact per-flow path.
-func RunElectricalClassed(cls *collective.ClassSchedule, opts ElectricalOptions) (Result, error) {
-	return RunElectricalClassedObserved(cls, opts, nil, "")
-}
-
-// RunElectricalClassedObserved is RunElectricalClassed with a flight
-// recorder attached (see RunOpticalClassedObserved for the contract): each
-// step records a span on process proc plus classed-vs-exact flow-solver
-// counters. A nil recorder costs one branch per step.
+// RunElectricalClassedObserved prices the classed schedule on the
+// electrical substrate: steps certified as partial permutations on the
+// default non-blocking cluster are priced through the class-level fluid
+// solver (one representative flow per class, bit-identical by the symmetry
+// of max-min fairness); everything else — including every step on a custom
+// Network — is materialized and priced by the exact per-flow path. Results
+// are bit-identical to RunElectrical on the expanded schedule. A non-nil
+// recorder gets a span per step on process proc plus classed-vs-exact
+// flow-solver counters (see RunOpticalClassedObserved for the contract).
 func RunElectricalClassedObserved(cls *collective.ClassSchedule, opts ElectricalOptions, rec *obs.Recorder, proc string) (Result, error) {
 	if err := cls.Validate(); err != nil {
 		return Result{}, err

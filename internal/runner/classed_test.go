@@ -72,21 +72,20 @@ func classedGoldenCases(t *testing.T) []*collective.Schedule {
 }
 
 // TestRunOpticalClassedGoldenEquality: classed optical pricing — certificate
-// fast path and verified fallback alike — is bit-identical to the compact
-// path, across assignment policies and stripe-width defaults.
+// fast path and verified fallback alike — is bit-identical to the boxed
+// oracle, across assignment policies and stripe-width defaults.
 func TestRunOpticalClassedGoldenEquality(t *testing.T) {
 	for _, s := range classedGoldenCases(t) {
-		cs := s.Compact()
-		cls := cs.Classes()
+		cls := s.Classes()
 		for _, policy := range []wdm.Policy{wdm.FirstFit, wdm.BestFit} {
 			for _, dw := range []int{1, 4, 64} {
 				opts := DefaultOpticalOptions()
 				opts.Assigner = policy
 				opts.DefaultWidth = dw
-				want, errWant := RunOpticalCompact(cs, opts)
-				got, errGot := RunOpticalClassed(cls, opts)
+				want, errWant := RunOptical(s, opts)
+				got, errGot := RunOpticalClassedObserved(cls, opts, nil, "")
 				if (errWant == nil) != (errGot == nil) {
-					t.Fatalf("%s (policy=%v dw=%d): error divergence: compact=%v classed=%v",
+					t.Fatalf("%s (policy=%v dw=%d): error divergence: boxed=%v classed=%v",
 						s.Algorithm, policy, dw, errWant, errGot)
 				}
 				if errWant != nil {
@@ -99,28 +98,26 @@ func TestRunOpticalClassedGoldenEquality(t *testing.T) {
 			}
 		}
 		cls.Release()
-		cs.Release()
 	}
 }
 
 // TestRunElectricalClassedGoldenEquality: classed electrical pricing — the
 // class-level fluid solve on permutation steps, the per-flow fallback
-// everywhere else — is bit-identical to the compact path on the default
+// everywhere else — is bit-identical to the boxed oracle on the default
 // cluster and on a custom ring network (where the quotient never applies).
 func TestRunElectricalClassedGoldenEquality(t *testing.T) {
 	for _, s := range classedGoldenCases(t) {
-		cs := s.Compact()
-		cls := cs.Classes()
+		cls := s.Classes()
 		nets := []*electrical.Network{nil}
 		if ringNet, err := electrical.NewRingNetwork(s.N, 100); err == nil {
 			nets = append(nets, ringNet)
 		}
 		for _, nw := range nets {
 			opts := ElectricalOptions{Params: electrical.DefaultParams(), Network: nw}
-			want, errWant := RunElectricalCompact(cs, opts)
-			got, errGot := RunElectricalClassed(cls, opts)
+			want, errWant := RunElectrical(s, opts)
+			got, errGot := RunElectricalClassedObserved(cls, opts, nil, "")
 			if (errWant == nil) != (errGot == nil) {
-				t.Fatalf("%s: error divergence: compact=%v classed=%v", s.Algorithm, errWant, errGot)
+				t.Fatalf("%s: error divergence: boxed=%v classed=%v", s.Algorithm, errWant, errGot)
 			}
 			if errWant != nil {
 				continue
@@ -131,24 +128,22 @@ func TestRunElectricalClassedGoldenEquality(t *testing.T) {
 			}
 		}
 		cls.Release()
-		cs.Release()
 	}
 }
 
 // TestRunOpticalClassedFabricReplay: with fabric validation requested the
 // classed runner materializes every step; results (and the reservation
-// ledger's accept/reject behavior) match the compact path exactly.
+// ledger's accept/reject behavior) match the boxed oracle exactly.
 func TestRunOpticalClassedFabricReplay(t *testing.T) {
 	for _, s := range goldenSchedules(t) {
-		cs := s.Compact()
-		cls := cs.Classes()
+		cls := s.Classes()
 		opts := DefaultOpticalOptions()
 		opts.ValidateFabric = true
-		want, err := RunOpticalCompact(cs, opts)
+		want, err := RunOptical(s, opts)
 		if err != nil {
-			t.Fatalf("%s: compact: %v", s.Algorithm, err)
+			t.Fatalf("%s: boxed: %v", s.Algorithm, err)
 		}
-		got, err := RunOpticalClassed(cls, opts)
+		got, err := RunOpticalClassedObserved(cls, opts, nil, "")
 		if err != nil {
 			t.Fatalf("%s: classed: %v", s.Algorithm, err)
 		}
@@ -156,7 +151,6 @@ func TestRunOpticalClassedFabricReplay(t *testing.T) {
 			t.Fatalf("%s: classed fabric-replay result diverges\n got %+v\nwant %+v", s.Algorithm, got, want)
 		}
 		cls.Release()
-		cs.Release()
 	}
 }
 
@@ -170,16 +164,15 @@ func TestRunClassedRingDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs := boxed.Compact()
 			cls, err := collective.RingAllReduceClassed(n, elems)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oWant, err := RunOpticalCompact(cs, DefaultOpticalOptions())
+			oWant, err := RunOptical(boxed, DefaultOpticalOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			oGot, err := RunOpticalClassed(cls, DefaultOpticalOptions())
+			oGot, err := RunOpticalClassedObserved(cls, DefaultOpticalOptions(), nil, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +180,11 @@ func TestRunClassedRingDirect(t *testing.T) {
 				t.Fatalf("n=%d elems=%d: classed ring optical diverges", n, elems)
 			}
 			eOpts := ElectricalOptions{Params: electrical.DefaultParams()}
-			eWant, err := RunElectricalCompact(cs, eOpts)
+			eWant, err := RunElectrical(boxed, eOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eGot, err := RunElectricalClassed(cls, eOpts)
+			eGot, err := RunElectricalClassedObserved(cls, eOpts, nil, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +192,6 @@ func TestRunClassedRingDirect(t *testing.T) {
 				t.Fatalf("n=%d elems=%d: classed ring electrical diverges", n, elems)
 			}
 			cls.Release()
-			cs.Release()
 		}
 	}
 }

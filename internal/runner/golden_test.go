@@ -40,9 +40,11 @@ func goldenSchedules(t *testing.T) []*collective.Schedule {
 	return out
 }
 
-// TestRunOpticalCompactGoldenEquality: the compact fast path is bit-identical
-// to the historical boxed path — total, per-step durations, wavelength
-// metrics — including with fabric replay validation on.
+// TestRunOpticalCompactGoldenEquality: pricing the compact form's class
+// fingerprint (Schedule.Compact().Classes(), the lowering RD, HD, binomial,
+// and pipelined schedules take) through the classed runner is bit-identical
+// to the boxed oracle — total, per-step durations, wavelength metrics —
+// including with fabric replay validation on.
 func TestRunOpticalCompactGoldenEquality(t *testing.T) {
 	for _, s := range goldenSchedules(t) {
 		for _, validate := range []bool{false, true} {
@@ -52,16 +54,16 @@ func TestRunOpticalCompactGoldenEquality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: boxed: %v", s.Algorithm, err)
 			}
-			cs := s.Compact()
-			got, err := RunOpticalCompact(cs, opts)
+			cls := s.Classes()
+			got, err := RunOpticalClassedObserved(cls, opts, nil, "")
 			if err != nil {
-				t.Fatalf("%s: compact: %v", s.Algorithm, err)
+				t.Fatalf("%s: classed: %v", s.Algorithm, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s (validate=%v): compact optical result diverges\n got %+v\nwant %+v",
+				t.Fatalf("%s (validate=%v): classed optical result diverges\n got %+v\nwant %+v",
 					s.Algorithm, validate, got, want)
 			}
-			cs.Release()
+			cls.Release()
 		}
 	}
 }
@@ -80,16 +82,16 @@ func TestRunElectricalCompactGoldenEquality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: boxed: %v", s.Algorithm, err)
 			}
-			cs := s.Compact()
-			got, err := RunElectricalCompact(cs, opts)
+			cls := s.Classes()
+			got, err := RunElectricalClassedObserved(cls, opts, nil, "")
 			if err != nil {
-				t.Fatalf("%s: compact: %v", s.Algorithm, err)
+				t.Fatalf("%s: classed: %v", s.Algorithm, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: compact electrical result diverges\n got %+v\nwant %+v",
+				t.Fatalf("%s: classed electrical result diverges\n got %+v\nwant %+v",
 					s.Algorithm, got, want)
 			}
-			cs.Release()
+			cls.Release()
 		}
 	}
 }

@@ -14,15 +14,14 @@ import (
 // samples, and run counters for every schedule priced.
 func TestObservedPricingBitIdentical(t *testing.T) {
 	for _, s := range classedGoldenCases(t) {
-		cs := s.Compact()
-		cls := cs.Classes()
+		cls := s.Classes()
 
 		optOpts := DefaultOpticalOptions()
 		rec := obs.New()
-		want, errWant := RunOpticalClassed(cls, optOpts)
+		want, errWant := RunOpticalClassedObserved(cls, optOpts, nil, "")
 		got, errGot := RunOpticalClassedObserved(cls, optOpts, rec, "price optical "+s.Algorithm)
 		if (errWant == nil) != (errGot == nil) {
-			t.Fatalf("%s: optical error divergence: plain=%v observed=%v", s.Algorithm, errWant, errGot)
+			t.Fatalf("%s: optical error divergence: unobserved=%v observed=%v", s.Algorithm, errWant, errGot)
 		}
 		if errWant == nil {
 			if !reflect.DeepEqual(got, want) {
@@ -51,10 +50,10 @@ func TestObservedPricingBitIdentical(t *testing.T) {
 
 		elecOpts := ElectricalOptions{Params: electrical.DefaultParams()}
 		erec := obs.New()
-		ewant, errWant := RunElectricalClassed(cls, elecOpts)
+		ewant, errWant := RunElectricalClassedObserved(cls, elecOpts, nil, "")
 		egot, errGot := RunElectricalClassedObserved(cls, elecOpts, erec, "price electrical "+s.Algorithm)
 		if (errWant == nil) != (errGot == nil) {
-			t.Fatalf("%s: electrical error divergence: plain=%v observed=%v", s.Algorithm, errWant, errGot)
+			t.Fatalf("%s: electrical error divergence: unobserved=%v observed=%v", s.Algorithm, errWant, errGot)
 		}
 		if errWant == nil {
 			if !reflect.DeepEqual(egot, ewant) {
@@ -73,23 +72,26 @@ func TestObservedPricingBitIdentical(t *testing.T) {
 		}
 
 		cls.Release()
-		cs.Release()
 	}
 }
 
-// TestObservedNilRecorderIdentical: the Observed entry points with a nil
-// recorder are exactly the plain entry points.
+// TestObservedNilRecorderIdentical: the classed runners with a nil recorder
+// price exactly like the boxed oracle on both substrates.
 func TestObservedNilRecorderIdentical(t *testing.T) {
 	for _, s := range goldenSchedules(t) {
-		cs := s.Compact()
-		cls := cs.Classes()
+		cls := s.Classes()
 		opts := DefaultOpticalOptions()
-		want, err1 := RunOpticalClassed(cls, opts)
+		want, err1 := RunOptical(s, opts)
 		got, err2 := RunOpticalClassedObserved(cls, opts, nil, "")
 		if (err1 == nil) != (err2 == nil) || (err1 == nil && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("%s: nil-recorder observed path diverges", s.Algorithm)
+			t.Fatalf("%s: nil-recorder optical path diverges", s.Algorithm)
+		}
+		eOpts := ElectricalOptions{Params: electrical.DefaultParams()}
+		ewant, err1 := RunElectrical(s, eOpts)
+		egot, err2 := RunElectricalClassedObserved(cls, eOpts, nil, "")
+		if (err1 == nil) != (err2 == nil) || (err1 == nil && !reflect.DeepEqual(egot, ewant)) {
+			t.Fatalf("%s: nil-recorder electrical path diverges", s.Algorithm)
 		}
 		cls.Release()
-		cs.Release()
 	}
 }

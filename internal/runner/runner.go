@@ -5,6 +5,13 @@
 // (internal/collective, internal/core) and substrate (internal/optical,
 // internal/electrical); every number in EXPERIMENTS.md comes out of this
 // package.
+//
+// Production prices one schedule form: the symmetry-aware
+// collective.ClassSchedule, through RunOpticalClassedObserved and
+// RunElectricalClassedObserved (a nil recorder turns observation off).
+// RunOptical and RunElectrical price the boxed collective.Schedule step by
+// step with no reuse or symmetry shortcuts; they are the reference oracle
+// the golden tests hold the classed runners to, and only tests call them.
 package runner
 
 import (
@@ -62,7 +69,7 @@ func DefaultOpticalOptions() OpticalOptions {
 	}
 }
 
-// RunOptical prices the schedule on the WDM ring.
+// RunOptical prices the boxed schedule on the WDM ring (reference oracle).
 func RunOptical(s *collective.Schedule, opts OpticalOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
@@ -126,93 +133,9 @@ func RunOptical(s *collective.Schedule, opts OpticalOptions) (Result, error) {
 			res.ExtraRounds += sr.Rounds - 1
 		}
 		if fabric != nil {
-			if err := replayStep(topo, opts.Params, fabric, specs, sr, now); err != nil {
-				return Result{}, fmt.Errorf("runner: step %d (%s): %w", si, st.Label, err)
-			}
-		}
-		now += sr.Duration
-	}
-	return res, nil
-}
-
-// RunOpticalCompact is RunOptical on the columnar schedule representation:
-// identical numbers (golden tests enforce bit equality with RunOptical), but
-// the per-step transfer specs, the wavelength-assignment workspace, and the
-// fabric-replay scratch are all reused across steps, so pricing allocates
-// per step result, not per transfer.
-func RunOpticalCompact(cs *collective.CompactSchedule, opts OpticalOptions) (Result, error) {
-	if err := cs.Validate(); err != nil {
-		return Result{}, err
-	}
-	if opts.BytesPerElem == 0 {
-		opts.BytesPerElem = 4
-	}
-	if opts.BytesPerElem < 1 {
-		return Result{}, fmt.Errorf("runner: BytesPerElem %d", opts.BytesPerElem)
-	}
-	if opts.DefaultWidth < 0 {
-		return Result{}, fmt.Errorf("runner: DefaultWidth %d", opts.DefaultWidth)
-	}
-	if opts.DefaultWidth == 0 {
-		opts.DefaultWidth = 1
-	}
-	topo, err := ring.New(cs.N)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Algorithm: cs.Algorithm,
-		Substrate: fmt.Sprintf("optical-ring(w=%d)", opts.Params.Wavelengths),
-		StepSec:   make([]float64, 0, cs.NumSteps()),
-	}
-	var fabric *optical.Fabric
-	if opts.ValidateFabric {
-		fabric, err = optical.NewFabric(topo, opts.Params)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	pricer, err := optical.NewStepPricer(topo, opts.Params, opts.Assigner)
-	if err != nil {
-		return Result{}, err
-	}
-	var specs, active []optical.TransferSpec
-	now := 0.0
-	for si := 0; si < cs.NumSteps(); si++ {
-		lo, hi := cs.StepBounds(si)
-		specs = specs[:0]
-		for i := lo; i < hi; i++ {
-			tr := cs.Transfer(i)
-			arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
-			if !tr.Routed {
-				arc = topo.ShortestArc(tr.Src, tr.Dst)
-			}
-			width := tr.Width
-			if width == 0 {
-				width = opts.DefaultWidth
-			}
-			specs = append(specs, optical.TransferSpec{
-				Arc:   arc,
-				Bytes: int64(tr.Region.Len) * int64(opts.BytesPerElem),
-				Width: width,
-			})
-		}
-		sr, err := pricer.Price(specs)
-		if err != nil {
-			return Result{}, fmt.Errorf("runner: step %d (%s): %w", si, cs.StepLabel(si), err)
-		}
-		res.StepSec = append(res.StepSec, sr.Duration)
-		res.TotalSec += sr.Duration
-		if sr.WavelengthsUsed > res.MaxWavelengths {
-			res.MaxWavelengths = sr.WavelengthsUsed
-		}
-		if sr.Rounds > 1 {
-			res.ExtraRounds += sr.Rounds - 1
-		}
-		if fabric != nil {
-			active = activeSpecs(opts.Params, specs, active[:0])
+			active := activeSpecs(opts.Params, specs, make([]optical.TransferSpec, 0, len(specs)))
 			if err := replayRounds(topo, opts.Params, fabric, active, sr, now); err != nil {
-				return Result{}, fmt.Errorf("runner: step %d (%s): %w", si, cs.StepLabel(si), err)
+				return Result{}, fmt.Errorf("runner: step %d (%s): %w", si, st.Label, err)
 			}
 		}
 		now += sr.Duration
@@ -260,67 +183,6 @@ func replayRounds(topo ring.Topology, p optical.Params, fabric *optical.Fabric,
 	return nil
 }
 
-// replayStep books every transfer of the step on the fabric, round by round,
-// mirroring the timing StepCost charged.
-func replayStep(topo ring.Topology, p optical.Params, fabric *optical.Fabric,
-	specs []optical.TransferSpec, sr optical.StepResult, stepStart float64) error {
-	// Reconstruct the active set exactly as StepCost filtered it.
-	active := activeSpecs(p, specs, make([]optical.TransferSpec, 0, len(specs)))
-	return replayRounds(topo, p, fabric, active, sr, stepStart)
-}
-
-// RunElectricalCompact is RunElectrical on the columnar schedule: identical
-// numbers, with the flow buffer and the fluid-model solver scratch reused
-// across steps.
-func RunElectricalCompact(cs *collective.CompactSchedule, opts ElectricalOptions) (Result, error) {
-	if err := cs.Validate(); err != nil {
-		return Result{}, err
-	}
-	if opts.BytesPerElem == 0 {
-		opts.BytesPerElem = 4
-	}
-	if opts.BytesPerElem < 1 {
-		return Result{}, fmt.Errorf("runner: BytesPerElem %d", opts.BytesPerElem)
-	}
-	nw := opts.Network
-	if nw == nil {
-		var err error
-		nw, err = electrical.NewSwitchedCluster(cs.N, opts.Params.LinkGbps)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	if nw.NumNodes() != cs.N {
-		return Result{}, fmt.Errorf("runner: network has %d hosts, schedule needs %d",
-			nw.NumNodes(), cs.N)
-	}
-	res := Result{
-		Algorithm: cs.Algorithm,
-		Substrate: nw.Name(),
-		StepSec:   make([]float64, 0, cs.NumSteps()),
-	}
-	solver := electrical.NewSolver(nw)
-	var flows []electrical.Flow
-	for si := 0; si < cs.NumSteps(); si++ {
-		lo, hi := cs.StepBounds(si)
-		flows = flows[:0]
-		for i := lo; i < hi; i++ {
-			tr := cs.Transfer(i)
-			flows = append(flows, electrical.Flow{
-				Src: tr.Src, Dst: tr.Dst,
-				Bits: float64(tr.Region.Len) * float64(opts.BytesPerElem) * 8,
-			})
-		}
-		d, err := solver.StepCost(opts.Params, flows)
-		if err != nil {
-			return Result{}, fmt.Errorf("runner: step %d (%s): %w", si, cs.StepLabel(si), err)
-		}
-		res.StepSec = append(res.StepSec, d)
-		res.TotalSec += d
-	}
-	return res, nil
-}
-
 // ElectricalOptions configures electrical execution.
 type ElectricalOptions struct {
 	Params electrical.Params
@@ -331,7 +193,8 @@ type ElectricalOptions struct {
 	BytesPerElem int
 }
 
-// RunElectrical prices the schedule on the electrical substrate.
+// RunElectrical prices the boxed schedule on the electrical substrate
+// (reference oracle).
 func RunElectrical(s *collective.Schedule, opts ElectricalOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err

@@ -66,7 +66,7 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planB
 		return MultiRackResult{}, err
 	}
 	elems := int((bytes + int64(bpe) - 1) / int64(bpe))
-	tb, err := plan.Time(elems, cfg.Optical, cfg.Electrical)
+	tb, err := plan.Time(elems, bpe, cfg.Optical, cfg.Electrical)
 	if err != nil {
 		return MultiRackResult{}, err
 	}

@@ -107,3 +107,26 @@ func TestMultiRackBytesPerElemValidation(t *testing.T) {
 		t.Fatalf("zero width %+v != default width %+v", rz, rf)
 	}
 }
+
+// TestMultiRackTimeBytesPerElemInvariant: the phases price the buffer, not
+// its element width — a fixed byte count divisible by every width costs the
+// same at 2, 4, and 8 bytes per element.
+func TestMultiRackTimeBytesPerElemInvariant(t *testing.T) {
+	const bytes = 16 << 20
+	var want MultiRackResult
+	for i, bpe := range []int{2, 4, 8} {
+		cfg := DefaultConfig(1)
+		cfg.BytesPerElem = bpe
+		got, err := MultiRackTime(cfg, 4, 16, bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("%d B/elem prices differently from 2 B/elem:\n got %+v\nwant %+v", bpe, got, want)
+		}
+	}
+}

@@ -3,7 +3,7 @@ package wrht
 import (
 	"fmt"
 
-	"wrht/internal/core"
+	"wrht/internal/collective"
 	"wrht/internal/ring"
 	"wrht/internal/runner"
 	"wrht/internal/wdm"
@@ -36,10 +36,11 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 		return nil, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
 	}
 	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	s, _, err := buildSchedule(cfg, alg, elems, core.BuildPlan)
+	cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
 	if err != nil {
 		return nil, err
 	}
+	defer cls.Release() // session-free: the transient schedule is ours to recycle
 	topo, err := ring.New(cfg.Nodes)
 	if err != nil {
 		return nil, err
@@ -51,23 +52,24 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 	if alg == AlgORingStriped {
 		opts.DefaultWidth = cfg.Optical.Wavelengths
 	}
-	res, err := runner.RunOptical(s, opts)
+	res, err := runner.RunOpticalClassedObserved(cls, opts, nil, "")
 	if err != nil {
 		return nil, err
 	}
 
-	out := make([]StepOutline, 0, len(s.Steps))
-	for si, st := range s.Steps {
+	out := make([]StepOutline, 0, cls.NumSteps())
+	var demands []wdm.Demand
+	for si := 0; si < cls.NumSteps(); si++ {
 		o := StepOutline{
 			Index:     si + 1,
-			Label:     st.Label,
-			Transfers: len(st.Transfers),
+			Label:     cls.StepLabel(si),
+			Transfers: cls.StepTransfers(si),
 			Seconds:   res.StepSec[si],
 		}
-		demands := make([]wdm.Demand, 0, len(st.Transfers))
-		for _, tr := range st.Transfers {
+		demands = demands[:0]
+		cls.ForEachTransfer(si, func(tr collective.Transfer) {
 			if tr.Region.Len == 0 {
-				continue
+				return
 			}
 			arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
 			if !tr.Routed {
@@ -84,7 +86,7 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 			if len(o.Arcs) < 64 {
 				o.Arcs = append(o.Arcs, fmt.Sprintf("%d->%d[x%d]", tr.Src, tr.Dst, width))
 			}
-		}
+		})
 		if len(demands) > 0 {
 			rounds, err := wdm.Rounds(topo, demands, cfg.Optical.Wavelengths, wdm.FirstFit, wdm.AsGiven)
 			if err != nil {

@@ -94,7 +94,7 @@ func (s *session) schedule(key exp.ScheduleKey, build func() (*collective.ClassS
 // (schedule identity, options) when a session is present.
 func (s *session) simOptical(key exp.ScheduleKey, cls *collective.ClassSchedule, opts runner.OpticalOptions) (runner.Result, error) {
 	if s == nil {
-		return runner.RunOpticalClassed(cls, opts)
+		return runner.RunOpticalClassedObserved(cls, opts, nil, "")
 	}
 	simKey := exp.SimKey{Sched: key, OptOpts: opts}
 	return s.sims.Run(simKey, func() (runner.Result, error) {
@@ -108,7 +108,7 @@ func (s *session) simOptical(key exp.ScheduleKey, cls *collective.ClassSchedule,
 // schedule).
 func (s *session) simElectrical(key exp.ScheduleKey, cls *collective.ClassSchedule, opts runner.ElectricalOptions) (runner.Result, error) {
 	if s == nil || opts.Network != nil {
-		return runner.RunElectricalClassed(cls, opts)
+		return runner.RunElectricalClassedObserved(cls, opts, nil, "")
 	}
 	simKey := exp.SimKey{Sched: key, Electrical: true, ElecOpts: opts}
 	return s.sims.Run(simKey, func() (runner.Result, error) {

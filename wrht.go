@@ -49,8 +49,8 @@
 //		Models: []string{"AlexNet", "VGG16"},
 //	})
 //
-// Pricing runs on a zero-allocation fast path — columnar schedules, pooled
-// simulator state, and three memoization layers (plan → schedule →
+// Pricing runs on a zero-allocation fast path — symmetry-aware classed
+// schedules, pooled simulator state, and three memoization layers (plan → schedule →
 // simulation; DESIGN.md §7). A SweepSession keeps those caches warm across
 // calls, so repeated sweeps and fabric co-simulations never recompute a
 // configuration:
@@ -301,48 +301,14 @@ func schedName(alg Algorithm) string {
 	}
 }
 
-// buildCompactSchedule constructs the columnar (per-transfer) schedule and
-// optional Wrht plan for alg — the form the message-level event simulator
-// consumes (EventLevelTime); the caller owns the schedule. The dispatch
-// mirrors buildSchedule/buildClassSchedule but keeps the direct columnar
-// generators (RingAllReduceCompact, Plan.CompactSchedule) so the event-sim
-// path never materializes boxed per-transfer objects.
-func buildCompactSchedule(cfg Config, alg Algorithm, elems int) (*collective.CompactSchedule, *core.Plan, error) {
-	switch alg {
-	case AlgERing, AlgORing, AlgORingStriped:
-		cs, err := collective.RingAllReduceCompact(cfg.Nodes, elems)
-		return cs, nil, err
-	case AlgRD:
-		cs, err := compactOf(collective.RecursiveDoubling(cfg.Nodes, elems))
-		return cs, nil, err
-	case AlgHD:
-		cs, err := compactOf(collective.HalvingDoubling(cfg.Nodes, elems))
-		return cs, nil, err
-	case AlgBinomial:
-		cs, err := compactOf(collective.BinomialTree(cfg.Nodes, elems))
-		return cs, nil, err
-	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
-		plan, err := core.BuildPlan(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
-		if err != nil {
-			return nil, nil, err
-		}
-		if alg == AlgWrhtPipelined {
-			cs, err := compactOf(plan.PipelinedSchedule(elems, pipelineChunks(cfg)))
-			return cs, plan, err
-		}
-		cs, err := plan.CompactSchedule(elems)
-		return cs, plan, err
-	default:
-		return nil, nil, fmt.Errorf("wrht: unknown algorithm %q", alg)
-	}
-}
-
 // buildClassSchedule constructs the symmetry-aware classed schedule (and
-// optional Wrht plan) for alg, together with the schedule's cache identity —
-// the form the simulate fast path prices. Ring schedules and Wrht plans emit
-// classes directly without materializing per-node transfers; the remaining
-// algorithms build the compact form once and fingerprint it. With a session
-// the schedule is cache-owned; without one the caller owns it.
+// optional Wrht plan) for alg, together with the schedule's cache identity.
+// It is the one schedule every production surface prices, simulates,
+// outlines, and verifies: CommunicationTime, EventLevelTime, ScheduleOutline,
+// and VerifyAlgorithm all build through it. Ring schedules and Wrht plans
+// emit classes directly without materializing per-node transfers; the
+// remaining algorithms build the boxed schedule and fingerprint it. With a session the schedule is cache-owned;
+// without one the caller owns it.
 func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*collective.ClassSchedule, *core.Plan, exp.ScheduleKey, error) {
 	key := exp.ScheduleKey{Algorithm: schedName(alg), N: cfg.Nodes, Elems: elems}
 	var build func() (*collective.ClassSchedule, error)
@@ -407,58 +373,13 @@ func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*c
 	return cls, plan, key, nil
 }
 
-// compactOf converts a boxed schedule construction result to columnar form.
-func compactOf(s *collective.Schedule, err error) (*collective.CompactSchedule, error) {
-	if err != nil {
-		return nil, err
-	}
-	return s.Compact(), nil
-}
-
 // classesOf fingerprints a boxed schedule construction result into classed
-// form (via a transient compact schedule that goes back to the pool).
+// form.
 func classesOf(s *collective.Schedule, err error) (*collective.ClassSchedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := s.Compact()
-	cls := cs.Classes()
-	cs.Release()
-	return cls, nil
-}
-
-// buildSchedule constructs the boxed schedule (and optional Wrht plan) for
-// alg — the historical path, kept for schedule inspection and verification
-// surfaces (ScheduleOutline, VerifyAlgorithm) and as the old-path reference
-// the golden equality tests compare the compact fast path against.
-func buildSchedule(cfg Config, alg Algorithm, elems int, build planBuilder) (*collective.Schedule, *core.Plan, error) {
-	switch alg {
-	case AlgERing, AlgORing, AlgORingStriped:
-		s, err := collective.RingAllReduce(cfg.Nodes, elems)
-		return s, nil, err
-	case AlgRD:
-		s, err := collective.RecursiveDoubling(cfg.Nodes, elems)
-		return s, nil, err
-	case AlgHD:
-		s, err := collective.HalvingDoubling(cfg.Nodes, elems)
-		return s, nil, err
-	case AlgBinomial:
-		s, err := collective.BinomialTree(cfg.Nodes, elems)
-		return s, nil, err
-	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
-		plan, err := build(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
-		if err != nil {
-			return nil, nil, err
-		}
-		if alg == AlgWrhtPipelined {
-			s, err := plan.PipelinedSchedule(elems, pipelineChunks(cfg))
-			return s, plan, err
-		}
-		s, err := plan.Schedule(elems)
-		return s, plan, err
-	default:
-		return nil, nil, fmt.Errorf("wrht: unknown algorithm %q", alg)
-	}
+	return s.Classes(), nil
 }
 
 // isElectrical reports whether the algorithm runs on the electrical substrate.
@@ -563,18 +484,20 @@ func Compare(cfg Config, algs []Algorithm, bytes int64) ([]Result, error) {
 
 // VerifyAlgorithm executes the algorithm's schedule on real buffers with
 // deterministic inputs and confirms every node ends with the exact
-// elementwise sum — the correctness oracle behind every timing claim. Use a
-// small elems (e.g. 64) at large node counts; cost is O(N² · elems) for
-// tree/all-to-all schedules.
+// elementwise sum — the correctness oracle behind every timing claim. It
+// expands the same classed schedule the pricing path prices, so what is
+// verified is what is timed. Use a small elems (e.g. 64) at large node
+// counts; cost is O(N² · elems) for tree/all-to-all schedules.
 func VerifyAlgorithm(cfg Config, alg Algorithm, elems int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	s, _, err := buildSchedule(cfg, alg, elems, core.BuildPlan)
+	cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
 	if err != nil {
 		return err
 	}
-	return collective.VerifyAllReduce(s)
+	defer cls.Release()
+	return collective.VerifyAllReduce(cls.Expand())
 }
 
 // PlanSummary describes the Wrht plan the configuration produces.
