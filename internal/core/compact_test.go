@@ -131,30 +131,3 @@ func TestPlanSigDeterminesSchedule(t *testing.T) {
 		t.Fatal("different plans share a signature")
 	}
 }
-
-// TestChooseMWithBuilderEquivalence: routing candidate builds through an
-// arbitrary builder yields exactly ChooseM's plan.
-func TestChooseMWithBuilderEquivalence(t *testing.T) {
-	opts := DefaultOptions()
-	direct, err := ChooseM(48, 16, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	injected, err := ChooseMWith(48, 16, opts, func(n, w int, o Options) (*Plan, error) {
-		calls++
-		if o.M == 0 {
-			t.Fatal("optimizer asked the builder for an automatic group size")
-		}
-		return BuildPlan(n, w, o)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("builder never called")
-	}
-	if direct.Sig() != injected.Sig() {
-		t.Fatalf("injected builder changed the chosen plan: %+v vs %+v", direct.Sig(), injected.Sig())
-	}
-}

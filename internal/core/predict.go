@@ -166,18 +166,6 @@ func (p *Plan) PredictPipelinedTime(c CostParams, bytes int64, chunks int) float
 // 100 MB buffer; callers with extreme latency/bandwidth ratios can build
 // specific plans directly.
 func ChooseM(n, w int, opts Options) (*Plan, error) {
-	return ChooseMWith(n, w, opts, BuildPlan)
-}
-
-// Builder is the signature of BuildPlan. Memoizing callers (internal/exp's
-// PlanCache) inject a caching builder so the optimizer's candidate plans
-// land in — and are served from — the same cache as explicit-m requests.
-type Builder func(n, w int, opts Options) (*Plan, error)
-
-// ChooseMWith is ChooseM with every candidate built through the given
-// builder. Candidate options always carry an explicit M >= 2, so a caching
-// builder never recurses back into the optimizer.
-func ChooseMWith(n, w int, opts Options, build Builder) (*Plan, error) {
 	const nominalBytes = 100 << 20
 	var best *Plan
 	bestTime := math.Inf(1)
@@ -193,7 +181,7 @@ func ChooseMWith(n, w int, opts Options, build Builder) (*Plan, error) {
 			o := opts
 			o.M = m
 			o.Policy = policy
-			p, err := build(n, w, o)
+			p, err := BuildPlan(n, w, o)
 			if err != nil {
 				return nil, fmt.Errorf("core: ChooseM at m=%d: %w", m, err)
 			}

@@ -10,7 +10,9 @@ import (
 // entry computes under its own sync.Once, so concurrent requests for the
 // same key share a single computation (and distinct keys compute in
 // parallel) while every caller receives the same value. Errors are memoized
-// too. It is the shared machinery behind the three cache layers
+// too. A miss is the first request for a key and a hit any repeat, so the
+// counters are deterministic whatever the scheduling of concurrent
+// workers. It is the shared machinery behind the three cache layers
 // (plan → schedule → simulation).
 type memo[K comparable, V any] struct {
 	mu      sync.Mutex
@@ -23,34 +25,21 @@ type memoEntry[V any] struct {
 	once sync.Once
 	val  V
 	err  error
-	// requested marks that a counted request has seen this entry. The first
-	// counted request per key is a miss even when an uncounted fill (an
-	// optimizer candidate) arrived earlier — that keeps the counters
-	// deterministic whatever the scheduling of concurrent workers.
-	requested bool
 }
 
 // do returns the memoized value for key, computing it with fn on first use.
-// counted controls whether the request moves the hit/miss counters
-// (internal requests — e.g. the plan optimizer's candidate builds — fill
-// the table without inflating the caller-visible stats).
-func (m *memo[K, V]) do(key K, counted bool, fn func() (V, error)) (V, error) {
+func (m *memo[K, V]) do(key K, fn func() (V, error)) (V, error) {
 	m.mu.Lock()
 	if m.entries == nil {
 		m.entries = map[K]*memoEntry[V]{}
 	}
 	e, ok := m.entries[key]
-	if !ok {
+	if ok {
+		m.hits++
+	} else {
 		e = &memoEntry[V]{}
 		m.entries[key] = e
-	}
-	if counted {
-		if e.requested {
-			m.hits++
-		} else {
-			e.requested = true
-			m.misses++
-		}
+		m.misses++
 	}
 	m.mu.Unlock()
 	e.once.Do(func() {
@@ -59,8 +48,8 @@ func (m *memo[K, V]) do(key K, counted bool, fn func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// stats returns the counted hits and misses so far; both are deterministic
-// for a fixed request multiset, whatever the parallelism.
+// stats returns the hits and misses so far; both are deterministic for a
+// fixed request multiset, whatever the parallelism.
 func (m *memo[K, V]) stats() (hits, misses int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -79,12 +68,12 @@ type PlanKey struct {
 // is safe; build errors are memoized too (an infeasible key fails once, not
 // once per point).
 //
-// Automatic-group-size keys (Opts.M == 0) run the optimizer with every
-// candidate built through the cache itself, so the candidates land under
-// their explicit-m keys: a later request for the plan the optimizer chose —
-// or any other explicit m the optimizer already evaluated — is a cache hit,
-// not a rebuild. Candidate fills do not move the hit/miss counters; Stats
-// reflects caller-visible requests only.
+// Only requested keys are stored. An automatic-group-size key (Opts.M == 0)
+// runs core.ChooseM, which builds and discards every candidate plan; the
+// winner is stored under the automatic key alone, so a later request for
+// the same shape with an explicit group size is its own miss. (The schedule
+// and simulation caches key on core.PlanSig, so that rebuilt plan still
+// shares their entries.)
 type PlanCache struct {
 	m memo[PlanKey, *core.Plan]
 }
@@ -96,26 +85,18 @@ func NewPlanCache() *PlanCache {
 
 // Plan returns the memoized plan for (n, w, opts), building it on first use.
 func (c *PlanCache) Plan(n, w int, opts core.Options) (*core.Plan, error) {
-	return c.plan(n, w, opts, true)
-}
-
-func (c *PlanCache) plan(n, w int, opts core.Options, counted bool) (*core.Plan, error) {
 	key := PlanKey{N: n, W: w, Opts: opts}
-	return c.m.do(key, counted, func() (*core.Plan, error) {
+	return c.m.do(key, func() (*core.Plan, error) {
 		if opts.M == 0 && n >= 2 && w >= 1 {
-			return core.ChooseMWith(n, w, opts, func(n, w int, o core.Options) (*core.Plan, error) {
-				return c.plan(n, w, o, false)
-			})
+			return core.ChooseM(n, w, opts)
 		}
 		return core.BuildPlan(n, w, opts)
 	})
 }
 
 // Stats returns the number of cache hits and misses so far: a miss is the
-// first Plan request for a key, a hit any repeat (the optimizer's internal
-// candidate fills count as neither, though they do save the miss's build
-// work); both are deterministic for a fixed request multiset, whatever the
-// parallelism.
+// first Plan request for a key, a hit any repeat; both are deterministic
+// for a fixed request multiset, whatever the parallelism.
 func (c *PlanCache) Stats() (hits, misses int64) {
 	return c.m.stats()
 }

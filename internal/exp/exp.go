@@ -1,13 +1,14 @@
 // Package exp is the concurrent experiment engine behind wrht.RunSweep: a
 // declarative Grid that enumerates scenario axes into a deterministic point
 // list, a worker pool that evaluates points concurrently while returning
-// results in stable grid order, and a shared memoized PlanCache that
-// eliminates the redundant core.BuildPlan calls that dominate wide sweeps
-// (the optimizer alone issues hundreds of candidate builds per distinct
-// (nodes, wavelengths) pair). The package is domain-neutral on purpose: the
-// mapping from a Point to a priced scenario lives in the public API
-// (sweep.go), which is the only layer that knows about configs, catalog
-// models, and fabric job mixes.
+// results in stable grid order, and shared memoized caches (plan, schedule,
+// simulation) so each distinct key is built once however many points ask
+// for it. The plan cache stores only the keys callers request: the
+// group-size optimizer's hundreds of candidate plans per (nodes,
+// wavelengths) pair are built and dropped, never filed. The package is
+// domain-neutral on purpose: the mapping from a Point to a priced scenario
+// lives in the public API (sweep.go), which is the only layer that knows
+// about configs, catalog models, and fabric job mixes.
 package exp
 
 import (

@@ -152,35 +152,84 @@ func TestPlanCacheMemoizesErrors(t *testing.T) {
 	}
 }
 
-func TestPlanCacheSharesOptimizerCandidates(t *testing.T) {
+func TestPlanCacheRetainsOnlyRequestedPlans(t *testing.T) {
 	c := NewPlanCache()
 	opts := core.DefaultOptions() // M = 0: automatic group size
-	auto, err := c.Plan(24, 8, opts)
+	auto, err := c.Plan(512, 64, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Requesting the chosen shape explicitly must be served from the
-	// candidate the optimizer already built — pointer identity, no rebuild.
+	// The optimizer prices 256 candidates (m ∈ [2, 129] under both
+	// policies); only the winner, under the requested key, stays in the table.
+	c.m.mu.Lock()
+	entries := len(c.m.entries)
+	c.m.mu.Unlock()
+	if entries != 1 {
+		t.Fatalf("automatic request left %d memo entries, want 1", entries)
+	}
+	// The chosen shape requested explicitly is its own key: a counted miss
+	// that rebuilds the identical plan.
 	explicit := opts
 	explicit.M = auto.M
 	explicit.Policy = auto.Policy
-	before := core.PlanBuildCount()
-	p, err := c.Plan(24, 8, explicit)
+	p, err := c.Plan(512, 64, explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != auto {
-		t.Fatal("explicit-m request did not reuse the optimizer's candidate plan")
+	if p.Sig() != auto.Sig() {
+		t.Fatalf("explicit plan signature %+v, optimizer's %+v", p.Sig(), auto.Sig())
 	}
-	if d := core.PlanBuildCount() - before; d != 0 {
-		t.Fatalf("explicit-m request issued %d BuildPlan calls, want 0", d)
+	if !reflect.DeepEqual(p.ReduceLevels, auto.ReduceLevels) {
+		t.Fatal("explicit plan's levels differ from the optimizer's choice")
 	}
-	// Caller-visible stats count only the two requests, each a miss (first
-	// counted request per key — candidate fills don't pre-claim keys, which
-	// keeps the counters deterministic under concurrency).
 	hits, misses := c.Stats()
 	if hits != 0 || misses != 2 {
 		t.Fatalf("stats = (%d hits, %d misses), want (0, 2)", hits, misses)
+	}
+}
+
+// TestPlanCacheCountersUnderConcurrency: with overlapping automatic and
+// explicit keys requested from many goroutines, the first request per key
+// is the only miss, whatever the interleaving.
+func TestPlanCacheCountersUnderConcurrency(t *testing.T) {
+	c := NewPlanCache()
+	var keys []core.Options
+	auto := core.DefaultOptions()
+	keys = append(keys, auto)
+	for _, m := range []int{2, 3, 4, 5} {
+		for _, policy := range []core.A2APolicy{core.A2AFormula, core.A2AGreedy} {
+			o := auto
+			o.M = m
+			o.Policy = policy
+			keys = append(keys, o)
+		}
+	}
+	const workers, rounds = 8, 3
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := range keys {
+					o := keys[(i+g)%len(keys)]
+					for _, w := range []int{2, 4} {
+						if _, err := c.Plan(48, w, o); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	distinct := int64(2 * len(keys))
+	requests := int64(workers * rounds * 2 * len(keys))
+	hits, misses := c.Stats()
+	if misses != distinct || hits != requests-distinct {
+		t.Fatalf("stats = (%d hits, %d misses), want (%d, %d)",
+			hits, misses, requests-distinct, distinct)
 	}
 }
 

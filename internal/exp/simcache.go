@@ -35,7 +35,7 @@ func NewScheduleCache() *ScheduleCache {
 
 // Schedule returns the memoized schedule for key, building it on first use.
 func (c *ScheduleCache) Schedule(key ScheduleKey, build func() (*collective.ClassSchedule, error)) (*collective.ClassSchedule, error) {
-	return c.m.do(key, true, build)
+	return c.m.do(key, build)
 }
 
 // Stats returns cache hits and misses (= distinct keys built).
@@ -69,7 +69,7 @@ func NewSimCache() *SimCache {
 
 // Run returns the memoized result for key, simulating on first use.
 func (c *SimCache) Run(key SimKey, run func() (runner.Result, error)) (runner.Result, error) {
-	return c.m.do(key, true, run)
+	return c.m.do(key, run)
 }
 
 // Stats returns cache hits and misses (= distinct simulations executed).

@@ -262,6 +262,17 @@ func (r *SweepRequest) normalize() error {
 	if r.Spec.Base.Nodes > maxNodes {
 		return badf("base nodes %d exceeds limit %d", r.Spec.Base.Nodes, maxNodes)
 	}
+	if w := r.Spec.Base.Optical.Wavelengths; w > maxWavelengths {
+		return badf("base wavelengths %d exceeds limit %d", w, maxWavelengths)
+	}
+	// A multi-rack point's worker count is racks × nodes per rack.
+	for _, racks := range r.Spec.Racks {
+		for _, per := range r.Spec.NodesPerRack {
+			if racks > maxNodes || per > maxNodes || racks*per > maxNodes {
+				return badf("racks %d × nodes per rack %d exceeds %d nodes", racks, per, maxNodes)
+			}
+		}
+	}
 	for _, mix := range r.Spec.FabricMixes {
 		if len(mix.Jobs) > maxFabricJobs {
 			return badf("mix %q: %d jobs exceeds limit %d", mix.Name, len(mix.Jobs), maxFabricJobs)

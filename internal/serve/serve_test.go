@@ -413,6 +413,16 @@ func TestSweepEndpoint(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/v1/sweep", big); status != http.StatusBadRequest {
 		t.Fatalf("oversized grid: status = %d", status)
 	}
+	// Per-point cost limits: the base wavelength budget (used when the
+	// Wavelengths axis is empty) and the multi-rack worker count.
+	for _, body := range []string{
+		`{"Spec": {"Base": {"Optical": {"Wavelengths": 65536}}, "Nodes": [1024]}}`,
+		`{"Spec": {"Racks": [2048], "NodesPerRack": [2048]}}`,
+	} {
+		if status, _ := postJSON(t, ts.URL+"/v1/sweep", body); status != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", body, status)
+		}
+	}
 }
 
 // TestFabricAndFleetEndpoints prices one tenant mix and one small fleet.
