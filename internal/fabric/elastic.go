@@ -331,7 +331,11 @@ func (el *elasticIndex) solve(s *scheduler) {
 			return
 		}
 	}
-	s.queue = s.queue[el.nAdmit:]
+	// Compact in place: re-slicing past the prefix would strand the
+	// queue's front capacity, and every later enqueue would reallocate.
+	n := copy(s.queue, s.queue[el.nAdmit:])
+	clear(s.queue[n:])
+	s.queue = s.queue[:n]
 	for _, t := range el.filled {
 		for _, m := range t.members {
 			if s.err == nil && m.state == stWaiting {

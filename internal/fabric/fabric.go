@@ -522,16 +522,9 @@ func Simulate(budget int, jobs []Job, pol Policy, plan faults.Plan, opt SchedOpt
 			return Result{}, err
 		}
 	}
-	for _, ev := range evs {
-		ev := ev
-		switch ev.Kind {
-		case faults.WavelengthDown:
-			eng.At(ev.TimeSec, func() { s.s.wavelengthsDown(ev.Count) })
-		case faults.WavelengthUp:
-			eng.At(ev.TimeSec, func() { s.s.wavelengthsUp(ev.Count) })
-		case faults.JobFault:
-			eng.At(ev.TimeSec, func() { s.s.injectJobFault(ev.Pick, ev.Job) })
-		}
+	s.s.faultEvs = evs
+	for i, ev := range evs {
+		eng.Schedule(ev.TimeSec, s.s.hFault, int32(i))
 	}
 	if _, err := eng.RunChecked(cancelCheckEvery, opt.Cancel); err != nil {
 		return Result{}, err

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"wrht/internal/faults"
 )
 
 // Resubmit carries one outage-evicted job out of the scheduler so the
@@ -72,6 +74,18 @@ func (s *scheduler) darkNow() int {
 		return s.budget
 	}
 	return s.darkTarget
+}
+
+// inject applies one of Simulate's fault events at its instant.
+func (s *scheduler) inject(ev faults.Event) {
+	switch ev.Kind {
+	case faults.WavelengthDown:
+		s.wavelengthsDown(ev.Count)
+	case faults.WavelengthUp:
+		s.wavelengthsUp(ev.Count)
+	case faults.JobFault:
+		s.injectJobFault(ev.Pick, ev.Job)
+	}
 }
 
 func (s *scheduler) wavelengthsDown(k int) {
@@ -253,8 +267,7 @@ func (s *scheduler) parkForRetry(r *jobRec) {
 	delay := s.retry.Delay(r.retries)
 	r.retries++
 	r.epoch++
-	epoch := r.epoch
-	s.eng.After(delay, func() { s.retryArrive(r, epoch) })
+	s.after(delay, s.hRetry, r)
 }
 
 // retryArrive re-enters a parked job after its backoff. An outage cancels
@@ -402,8 +415,7 @@ func (s *scheduler) injectJobFault(pick uint64, name string) {
 	r.segLen = tail * r.remaining
 	s.emit(r, EvJobFault, len(r.waves))
 	s.lanesOn(r)
-	epoch := r.epoch // crash already bumped it
-	s.eng.After(r.segLen, func() { s.complete(r, epoch) })
+	s.after(r.segLen, s.hComplete, r) // crash already bumped the epoch
 }
 
 func (s *scheduler) outage() []Resubmit {
@@ -558,7 +570,7 @@ func (s *scheduler) submitResumed(rs Resubmit) error {
 			s.jobTracks = append(s.jobTracks, s.rec.Track(s.proc, r.Name))
 		}
 	}
-	s.eng.At(j.ArrivalSec, func() { s.arriveResumed(r) })
+	s.eng.Schedule(j.ArrivalSec, s.hResumed, s.token(r, 0))
 	return nil
 }
 

@@ -245,8 +245,8 @@ func TestOutageCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []Resubmit
-	eng.At(0.6, func() { out = sch.Outage() })
-	eng.At(0.8, func() {
+	outage := eng.Register(func(int32) { out = sch.Outage() })
+	restore := eng.Register(func(int32) {
 		sch.Restore()
 		if len(out) != 1 {
 			t.Errorf("outage evicted %d jobs, want 1", len(out))
@@ -258,6 +258,8 @@ func TestOutageCheckpointResume(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	eng.Schedule(0.6, outage, 0)
+	eng.Schedule(0.8, restore, 0)
 	eng.Run()
 	res, err := sch.Finalize()
 	if err != nil {

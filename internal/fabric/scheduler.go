@@ -99,6 +99,7 @@ func NewScheduler(eng *sim.Engine, budget int, pol Policy, opt SchedOpts) (*Sche
 	if !opt.Lite {
 		s.seen = map[string]bool{}
 	}
+	s.register()
 	if opt.Faults {
 		if err := opt.Retry.Validate(); err != nil {
 			return nil, err
@@ -245,6 +246,17 @@ type scheduler struct {
 	// decision instead of a cascade of transient ones.
 	solvePending bool
 
+	// Engine handlers, registered once per scheduler (register).
+	hArrive, hComplete, hSolve, hRetry, hResumed, hFault sim.HandlerID
+
+	// tokens holds each pending arrival, completion or retry's payload;
+	// freeTok recycles fired slots so the table stays O(pending events).
+	tokens  []evToken
+	freeTok []int32
+	// faultEvs are the failure events Simulate injects (hFault's arg
+	// indexes them).
+	faultEvs []faults.Event
+
 	// ownEng marks a scheduler created by Simulate (it
 	// owns the engine, so engine-wide counters are recorded at Finalize;
 	// fleet runs record them once at the fleet layer instead).
@@ -321,8 +333,66 @@ func (s *scheduler) submit(j Job) error {
 			s.jobTracks = append(s.jobTracks, s.rec.Track(s.proc, r.Name))
 		}
 	}
-	s.eng.At(r.ArrivalSec, func() { s.arrive(r) })
+	s.eng.Schedule(r.ArrivalSec, s.hArrive, s.token(r, 0))
 	return nil
+}
+
+// evToken is one pending job event's payload: the record and, for
+// completions and retries, the epoch the event was scheduled under (a
+// mismatch at firing time marks it stale).
+type evToken struct {
+	r     *jobRec
+	epoch int
+}
+
+// register installs the scheduler's engine handlers, once per scheduler.
+// Job events pass a token index (see token) as their arg; a fault event's
+// arg indexes faultEvs.
+func (s *scheduler) register() {
+	s.hArrive = s.eng.Register(func(t int32) {
+		r, _ := s.redeem(t)
+		s.arrive(r)
+	})
+	s.hComplete = s.eng.Register(func(t int32) { s.complete(s.redeem(t)) })
+	s.hSolve = s.eng.Register(func(int32) {
+		s.solvePending = false
+		if s.err == nil {
+			s.dispatchElastic()
+		}
+	})
+	s.hRetry = s.eng.Register(func(t int32) { s.retryArrive(s.redeem(t)) })
+	s.hResumed = s.eng.Register(func(t int32) {
+		r, _ := s.redeem(t)
+		s.arriveResumed(r)
+	})
+	s.hFault = s.eng.Register(func(i int32) { s.inject(s.faultEvs[i]) })
+}
+
+// token parks (r, epoch) in the free-listed token table for one scheduled
+// event and returns its index.
+func (s *scheduler) token(r *jobRec, epoch int) int32 {
+	if n := len(s.freeTok); n > 0 {
+		t := s.freeTok[n-1]
+		s.freeTok = s.freeTok[:n-1]
+		s.tokens[t] = evToken{r: r, epoch: epoch}
+		return t
+	}
+	s.tokens = append(s.tokens, evToken{r: r, epoch: epoch})
+	return int32(len(s.tokens) - 1)
+}
+
+// redeem returns token t's (record, epoch) and frees the slot.
+func (s *scheduler) redeem(t int32) (*jobRec, int) {
+	tk := s.tokens[t]
+	s.tokens[t] = evToken{}
+	s.freeTok = append(s.freeTok, t)
+	return tk.r, tk.epoch
+}
+
+// after schedules r's completion (hComplete) or retry (hRetry) delay
+// seconds from now, tagged with r's current epoch.
+func (s *scheduler) after(delay float64, h sim.HandlerID, r *jobRec) {
+	s.eng.Schedule(s.eng.Now()+delay, h, s.token(r, r.epoch))
 }
 
 // newRec builds (or, under Lite, recycles) a job record.
@@ -694,8 +764,7 @@ func (s *scheduler) start(r *jobRec, width int) {
 	s.emit(r, kind, width)
 	s.lanesOn(r)
 	r.epoch++
-	epoch := r.epoch
-	s.eng.After(r.segLen, func() { s.complete(r, epoch) })
+	s.after(r.segLen, s.hComplete, r)
 }
 
 // dropRunning removes r from the live-running index.
@@ -852,8 +921,7 @@ func (s *scheduler) reconfigure(r *jobRec, width int) {
 	s.emit(r, EvReconfig, width)
 	s.lanesOn(r)
 	r.epoch++
-	epoch := r.epoch
-	s.eng.After(r.segLen, func() { s.complete(r, epoch) })
+	s.after(r.segLen, s.hComplete, r)
 }
 
 // dispatch runs the policy's scheduling pass over the wait queue. During a
@@ -872,12 +940,7 @@ func (s *scheduler) dispatch() {
 	case ElasticReallocate:
 		if !s.solvePending {
 			s.solvePending = true
-			s.eng.After(0, func() {
-				s.solvePending = false
-				if s.err == nil {
-					s.dispatchElastic()
-				}
-			})
+			s.eng.Schedule(s.eng.Now(), s.hSolve, 0)
 		}
 	}
 }

@@ -322,6 +322,7 @@ type fleet struct {
 	opt   Options
 
 	eng    sim.Engine
+	hFeed  sim.HandlerID // the arrival feeder (feed)
 	scheds []*fabric.Scheduler
 	// rtFns memoizes the per-(fabric, shape) runtime closures so a
 	// million-job trace does not allocate a closure per job.
@@ -408,14 +409,16 @@ func (f *fleet) run() (Result, error) {
 	sort.SliceStable(f.order, func(a, b int) bool {
 		return f.jobs[f.order[a]].ArrivalSec < f.jobs[f.order[b]].ArrivalSec
 	})
-	// One feeder event per distinct arrival instant keeps the engine heap
+	// One feeder event per distinct arrival instant keeps the engine queue
 	// at O(live jobs), not O(trace length).
-	f.eng.At(f.jobs[f.order[0]].ArrivalSec, f.feed)
-	// Fault events ride the same timeline; at equal instants the feeder's
-	// earlier sequence number places arrivals before faults, deterministically.
-	for _, ev := range f.evs {
-		ev := ev
-		f.eng.At(ev.TimeSec, func() { f.inject(ev) })
+	f.hFeed = f.eng.Register(func(int32) { f.feed() })
+	f.eng.Schedule(f.jobs[f.order[0]].ArrivalSec, f.hFeed, 0)
+	// Fault events ride the same timeline (hInject's arg indexes f.evs); at
+	// equal instants the feeder's earlier sequence number places arrivals
+	// before faults, deterministically.
+	hInject := f.eng.Register(func(i int32) { f.inject(f.evs[i]) })
+	for i, ev := range f.evs {
+		f.eng.Schedule(ev.TimeSec, hInject, int32(i))
 	}
 	if _, err := f.eng.RunChecked(1024, opt.Cancel); err != nil {
 		return Result{}, err
@@ -437,7 +440,7 @@ func (f *fleet) feed() {
 		f.next++
 	}
 	if f.next < len(f.order) && f.err == nil {
-		f.eng.At(f.jobs[f.order[f.next]].ArrivalSec, f.feed)
+		f.eng.Schedule(f.jobs[f.order[f.next]].ArrivalSec, f.hFeed, 0)
 	}
 }
 

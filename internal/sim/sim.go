@@ -4,13 +4,13 @@
 // simulator (internal/opticalsim) and the multi-tenant fabric co-simulator
 // (internal/fabric).
 //
-// The engine is allocation-light by construction: events live in a typed
-// 4-ary min-heap backed by one flat slab (no per-event boxing, no
-// container/heap interface{} round-trips), and callbacks dispatch through
-// integer handler ids registered once per program (Register/Schedule), so a
-// steady-state Run executes zero per-event heap allocations. The historical
-// closure API (At/After) remains as a thin shim over the same slab: the
-// closure is parked in a free-listed slot and dispatched by index.
+// The engine is allocation-light by construction. Callbacks dispatch through
+// integer handler ids registered once per program (Register/Schedule): arg
+// carries whatever index the caller needs into its own state, so scheduling
+// never boxes a closure. Future events live in a typed 4-ary min-heap backed
+// by one flat slab; events due at the current instant skip the heap and
+// queue in a FIFO lane, which the clock drains before it advances. A
+// steady-state Run executes zero per-event heap allocations.
 package sim
 
 import (
@@ -25,12 +25,8 @@ type Handler func(arg int32)
 // HandlerID names a registered Handler.
 type HandlerID int32
 
-// closureHandler marks shim events whose arg indexes Engine.fns.
-const closureHandler HandlerID = -1
-
-// event is one slab entry of the 4-ary heap. Ordering is (time, seq):
-// seq is assigned in scheduling order, so ties execute in the order they
-// were scheduled.
+// event is one pending event. Ordering is (time, seq): seq is assigned in
+// scheduling order, so ties execute in the order they were scheduled.
 type event struct {
 	time float64
 	seq  int64
@@ -52,30 +48,32 @@ type Engine struct {
 	seq        int64
 	nsteps     int64
 	maxPending int
-	// heap is a 4-ary min-heap of events ordered by (time, seq). A 4-ary
-	// layout halves the tree depth of a binary heap, trading slightly more
-	// comparisons per level for far fewer cache-missing swaps.
+	// heap is a 4-ary min-heap of future events ordered by (time, seq). A
+	// 4-ary layout halves the tree depth of a binary heap, trading slightly
+	// more comparisons per level for far fewer cache-missing swaps.
 	heap []event
+	// lane[head:] are the pending events scheduled at the current instant,
+	// in scheduling order. They never enter the heap: every lane event is
+	// due now, and the clock only advances once the lane drains. Heap
+	// events due now were scheduled before the clock reached now, so their
+	// sequence numbers are smaller and they run first.
+	lane []event
+	head int
 	// handlers are the integer-dispatch callbacks (Register).
 	handlers []Handler
-	// fns and freeFns implement the At/After closure shim: fns parks each
-	// pending closure, freeFns recycles drained slots so the slice stops
-	// growing once the engine reaches steady state.
-	fns     []func()
-	freeFns []int32
 }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.head }
 
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() int64 { return e.nsteps }
 
-// MaxPending returns the high-water mark of the event queue — the deepest
-// the heap has been since the last Reset.
+// MaxPending returns the high-water mark of the event queue — the most
+// events pending at once since the last Reset.
 func (e *Engine) MaxPending() int { return e.maxPending }
 
 // Register installs fn as an integer-dispatch callback and returns its id.
@@ -97,23 +95,26 @@ func (e *Engine) Schedule(t float64, h HandlerID, arg int32) {
 	if h < 0 || int(h) >= len(e.handlers) {
 		panic(fmt.Sprintf("sim: scheduling unregistered handler %d", h))
 	}
-	e.push(t, h, arg)
-}
-
-// push validates t and sifts a new event into the heap.
-//
-//wrht:noalloc
-func (e *Engine) push(t float64, h HandlerID, arg int32) {
 	if math.IsNaN(t) || t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
 	ev := event{time: t, seq: e.seq, h: h, arg: arg}
-	e.heap = append(e.heap, ev)
-	if len(e.heap) > e.maxPending {
-		e.maxPending = len(e.heap)
+	if t == e.now {
+		e.lane = append(e.lane, ev)
+	} else {
+		e.push(ev)
 	}
-	// Sift up.
+	if p := e.Pending(); p > e.maxPending {
+		e.maxPending = p
+	}
+}
+
+// push sifts a future event into the heap.
+//
+//wrht:noalloc
+func (e *Engine) push(ev event) {
+	e.heap = append(e.heap, ev)
 	i := len(e.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -126,7 +127,31 @@ func (e *Engine) push(t float64, h HandlerID, arg int32) {
 	e.heap[i] = ev
 }
 
-// pop removes and returns the earliest event.
+// next removes and returns the earliest pending event: heap events due now
+// first (they were scheduled earlier), then the lane, then the heap.
+//
+//wrht:noalloc
+func (e *Engine) next() event {
+	if e.head < len(e.lane) && (len(e.heap) == 0 || e.heap[0].time > e.now) {
+		ev := e.lane[e.head]
+		if e.head++; e.head == len(e.lane) {
+			e.lane, e.head = e.lane[:0], 0
+		}
+		return ev
+	}
+	return e.pop()
+}
+
+// nextTime is the time of the earliest pending event; at least one must be
+// pending.
+func (e *Engine) nextTime() float64 {
+	if e.head < len(e.lane) {
+		return e.now
+	}
+	return e.heap[0].time
+}
+
+// pop removes and returns the heap's earliest event.
 //
 //wrht:noalloc
 func (e *Engine) pop() event {
@@ -165,8 +190,8 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// Grow preallocates heap capacity for n additional pending events, so bulk
-// scheduling does not re-grow the slab.
+// Grow preallocates heap capacity for n additional pending future events,
+// so bulk scheduling does not re-grow the slab.
 func (e *Engine) Grow(n int) {
 	if free := cap(e.heap) - len(e.heap); free < n {
 		grown := make([]event, len(e.heap), len(e.heap)+n)
@@ -175,45 +200,25 @@ func (e *Engine) Grow(n int) {
 	}
 }
 
+// drop discards every pending event, keeping both slabs for reuse.
+func (e *Engine) drop() {
+	e.heap = e.heap[:0]
+	e.lane, e.head = e.lane[:0], 0
+}
+
 // Reset returns the engine to time zero with an empty queue, keeping the
-// event slab and registered handlers for reuse.
+// event slabs and registered handlers for reuse.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.nsteps = 0, 0, 0
 	e.maxPending = 0
-	e.heap = e.heap[:0]
-	for i := range e.fns {
-		e.fns[i] = nil
-	}
-	e.fns = e.fns[:0]
-	e.freeFns = e.freeFns[:0]
-}
-
-// At schedules fn at absolute time t; t must not precede the current time.
-// This is the closure shim over the typed slab: prefer Register/Schedule on
-// hot paths, where the callback set is fixed and arg carries the state index.
-func (e *Engine) At(t float64, fn func()) {
-	var slot int32
-	if n := len(e.freeFns); n > 0 {
-		slot = e.freeFns[n-1]
-		e.freeFns = e.freeFns[:n-1]
-		e.fns[slot] = fn
-	} else {
-		slot = int32(len(e.fns))
-		e.fns = append(e.fns, fn)
-	}
-	e.push(t, closureHandler, slot)
-}
-
-// After schedules fn delay seconds from now; delay must be non-negative.
-func (e *Engine) After(delay float64, fn func()) {
-	e.At(e.now+delay, fn)
+	e.drop()
 }
 
 // Run executes events until the queue drains, returning the final time.
 //
 //wrht:noalloc
 func (e *Engine) Run() float64 {
-	for len(e.heap) > 0 {
+	for e.Pending() > 0 {
 		e.step()
 	}
 	return e.now
@@ -236,11 +241,11 @@ func (e *Engine) RunChecked(every int64, check func() error) (float64, error) {
 		every = 1024
 	}
 	n := int64(0)
-	for len(e.heap) > 0 {
+	for e.Pending() > 0 {
 		e.step()
 		if n++; n%every == 0 {
 			if err := check(); err != nil {
-				e.heap = e.heap[:0]
+				e.drop()
 				return e.now, err
 			}
 		}
@@ -254,7 +259,7 @@ func (e *Engine) RunChecked(every int64, check func() error) (float64, error) {
 //wrht:noalloc
 func (e *Engine) RunUntil(t float64) int64 {
 	executed := int64(0)
-	for len(e.heap) > 0 && e.heap[0].time <= t {
+	for e.Pending() > 0 && e.nextTime() <= t {
 		e.step()
 		executed++
 	}
@@ -266,15 +271,8 @@ func (e *Engine) RunUntil(t float64) int64 {
 
 //wrht:noalloc
 func (e *Engine) step() {
-	ev := e.pop()
+	ev := e.next()
 	e.now = ev.time
 	e.nsteps++
-	if ev.h == closureHandler {
-		fn := e.fns[ev.arg]
-		e.fns[ev.arg] = nil
-		e.freeFns = append(e.freeFns, ev.arg)
-		fn()
-		return
-	}
 	e.handlers[ev.h](ev.arg)
 }

@@ -8,16 +8,22 @@ import (
 	"testing"
 )
 
+// recorder registers a handler that appends its arg to *order.
+func recorder(e *Engine, order *[]int32) HandlerID {
+	return e.Register(func(arg int32) { *order = append(*order, arg) })
+}
+
 func TestEventsRunInTimeOrder(t *testing.T) {
 	var e Engine
-	var order []int
-	e.At(3, func() { order = append(order, 3) })
-	e.At(1, func() { order = append(order, 1) })
-	e.At(2, func() { order = append(order, 2) })
+	var order []int32
+	h := recorder(&e, &order)
+	e.Schedule(3, h, 3)
+	e.Schedule(1, h, 1)
+	e.Schedule(2, h, 2)
 	if end := e.Run(); end != 3 {
 		t.Fatalf("end time %v", end)
 	}
-	for i, want := range []int{1, 2, 3} {
+	for i, want := range []int32{1, 2, 3} {
 		if order[i] != want {
 			t.Fatalf("order %v", order)
 		}
@@ -27,9 +33,11 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 func TestTiesBreakBySchedulingOrder(t *testing.T) {
 	var e Engine
 	var order []string
-	e.At(1, func() { order = append(order, "a") })
-	e.At(1, func() { order = append(order, "b") })
-	e.At(1, func() { order = append(order, "c") })
+	names := []string{"a", "b", "c"}
+	h := e.Register(func(arg int32) { order = append(order, names[arg]) })
+	e.Schedule(1, h, 0)
+	e.Schedule(1, h, 1)
+	e.Schedule(1, h, 2)
 	e.Run()
 	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("tie order %v", order)
@@ -39,10 +47,12 @@ func TestTiesBreakBySchedulingOrder(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	var e Engine
 	var hits []float64
-	e.At(1, func() {
+	inner := e.Register(func(int32) { hits = append(hits, e.Now()) })
+	outer := e.Register(func(int32) {
 		hits = append(hits, e.Now())
-		e.After(0.5, func() { hits = append(hits, e.Now()) })
+		e.Schedule(e.Now()+0.5, inner, 0)
 	})
+	e.Schedule(1, outer, 0)
 	end := e.Run()
 	if end != 1.5 || len(hits) != 2 || hits[1] != 1.5 {
 		t.Fatalf("end=%v hits=%v", end, hits)
@@ -51,32 +61,42 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	var e Engine
-	e.At(5, func() {
+	var h HandlerID
+	h = e.Register(func(int32) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(1, func() {})
+		e.Schedule(1, h, 0)
 	})
+	e.Schedule(5, h, 0)
 	e.Run()
 }
 
+// TestNaNTimePanics schedules a NaN delay from inside a handler, where the
+// clock is already running.
 func TestNaNTimePanics(t *testing.T) {
 	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NaN time accepted")
-		}
-	}()
-	e.At(math.NaN(), func() {})
+	var h HandlerID
+	h = e.Register(func(int32) {
+		defer func() {
+			if recover() == nil {
+				t.Error("NaN time accepted")
+			}
+		}()
+		e.Schedule(e.Now()+math.NaN(), h, 0)
+	})
+	e.Schedule(2, h, 0)
+	e.Run()
 }
 
 func TestRunUntil(t *testing.T) {
 	var e Engine
 	count := 0
+	h := e.Register(func(int32) { count++ })
 	for i := 1; i <= 5; i++ {
-		e.At(float64(i), func() { count++ })
+		e.Schedule(float64(i), h, 0)
 	}
 	if n := e.RunUntil(3); n != 3 || count != 3 {
 		t.Fatalf("executed %d, count %d", n, count)
@@ -106,9 +126,9 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var e Engine
 		var times []float64
+		h := e.Register(func(int32) { times = append(times, e.Now()) })
 		for i := 0; i < 500; i++ {
-			tt := rng.Float64() * 100
-			e.At(tt, func() { times = append(times, e.Now()) })
+			e.Schedule(rng.Float64()*100, h, 0)
 		}
 		e.Run()
 		return times
@@ -129,7 +149,7 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 func TestRunUntilAdvancesClockPastDrainedQueue(t *testing.T) {
 	var e Engine
 	ran := false
-	e.At(2, func() { ran = true })
+	e.Schedule(2, e.Register(func(int32) { ran = true }), 0)
 	// The queue drains at t=2; the clock must still advance to the horizon.
 	if n := e.RunUntil(10); n != 1 || !ran {
 		t.Fatalf("executed %d, ran=%v", n, ran)
@@ -146,18 +166,18 @@ func TestRunUntilAdvancesClockPastDrainedQueue(t *testing.T) {
 	}
 }
 
+// TestSchedulePastTimePanics moves the clock with RunUntil alone (no event
+// ran) and schedules behind it from outside any handler.
 func TestSchedulePastTimePanics(t *testing.T) {
 	var e Engine
 	h := e.Register(func(int32) {})
-	e.At(5, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Schedule in the past did not panic")
-			}
-		}()
-		e.Schedule(1, h, 0)
-	})
-	e.Run()
+	e.RunUntil(5)
+	defer func() {
+		if recover() == nil {
+			t.Error("Schedule in the past did not panic")
+		}
+	}()
+	e.Schedule(1, h, 0)
 }
 
 func TestScheduleNaNPanics(t *testing.T) {
@@ -227,20 +247,30 @@ func TestQuaternaryHeapTieBreaking(t *testing.T) {
 	}
 }
 
-func TestMixedClosureAndHandlerOrdering(t *testing.T) {
+// TestSameInstantLane pins the lane's place in the order: events a handler
+// schedules at the current instant run after every event already due then
+// (even those still in the heap) and before the clock advances, and Pending
+// counts them.
+func TestSameInstantLane(t *testing.T) {
 	var e Engine
-	var order []string
-	h := e.Register(func(arg int32) { order = append(order, fmt.Sprintf("h%d", arg)) })
-	e.At(1, func() { order = append(order, "c0") })
-	e.Schedule(1, h, 1)
-	e.At(1, func() { order = append(order, "c2") })
-	e.Schedule(1, h, 3)
-	e.Run()
-	want := []string{"c0", "h1", "c2", "h3"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("mixed order %v, want %v", order, want)
+	var order []int32
+	rec := recorder(&e, &order)
+	spawn := e.Register(func(arg int32) {
+		order = append(order, arg)
+		e.Schedule(e.Now(), rec, arg+1)
+		e.Schedule(e.Now(), rec, arg+2)
+		if e.Pending() != 5 {
+			t.Errorf("Pending = %d inside the handler, want 5", e.Pending())
 		}
+	})
+	e.Schedule(1, spawn, 10)
+	e.Schedule(1, rec, 20)
+	e.Schedule(1, rec, 30)
+	e.Schedule(2, rec, 40)
+	e.Run()
+	want := []int32{10, 20, 30, 11, 12, 40}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 }
 
@@ -270,8 +300,9 @@ func TestRunAllocationFree(t *testing.T) {
 	var e Engine
 	var h HandlerID
 	h = e.Register(func(arg int32) {
+		// Alternate same-instant (lane) and future (heap) events.
 		if arg > 0 {
-			e.Schedule(e.Now()+1, h, arg-1)
+			e.Schedule(e.Now()+float64(arg%2), h, arg-1)
 		}
 	})
 	e.Grow(4)
@@ -293,8 +324,9 @@ func TestMaxPendingTracksHeapDepth(t *testing.T) {
 	if e.MaxPending() != 0 {
 		t.Fatalf("fresh engine MaxPending = %d, want 0", e.MaxPending())
 	}
+	nop := e.Register(func(int32) {})
 	for i := 1; i <= 5; i++ {
-		e.At(float64(i), func() {})
+		e.Schedule(float64(i), nop, 0)
 	}
 	// Draining events must not lower the recorded peak.
 	e.Run()
@@ -306,11 +338,12 @@ func TestMaxPendingTracksHeapDepth(t *testing.T) {
 	if e.MaxPending() != 0 {
 		t.Fatalf("Reset did not clear MaxPending: %d", e.MaxPending())
 	}
-	e.At(1, func() {
+	fan := e.Register(func(int32) {
 		for i := 0; i < 7; i++ {
-			e.At(2+float64(i), func() {})
+			e.Schedule(2+float64(i), nop, 0)
 		}
 	})
+	e.Schedule(1, fan, 0)
 	e.Run()
 	if got := e.MaxPending(); got != 7 {
 		t.Fatalf("MaxPending after nested scheduling = %d, want 7", got)
