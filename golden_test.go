@@ -2,6 +2,7 @@ package wrht
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -496,4 +497,335 @@ func normalizeSteps(s *collective.Schedule) *collective.Schedule {
 		}
 	}
 	return s
+}
+
+// digestFleetFabrics, digestFleetShapes and digestFleetTrace mirror the
+// canonical F4 churn scenario (report.FleetChurnFabrics, FleetChurnShapes
+// and FleetChurnTrace), cut to 1,000 jobs. They are spelled out here
+// because the report package imports this one.
+func digestFleetFabrics() []FleetFabricSpec {
+	return []FleetFabricSpec{
+		{Name: "pod-a", Nodes: 32, Wavelengths: 16, ReconfigDelaySec: 2e-6, MigrationCostSec: 20e-3},
+		{Name: "pod-b", Nodes: 32, Wavelengths: 16, ReconfigDelaySec: 2e-6, MigrationCostSec: 20e-3},
+		{Name: "pod-c", Nodes: 16, Wavelengths: 8, ReconfigDelaySec: 5e-6, MigrationCostSec: 10e-3},
+		{Name: "edge", Nodes: 16, Wavelengths: 4, ReconfigDelaySec: 10e-6, MigrationCostSec: 5e-3},
+	}
+}
+
+func digestFleetShapes() []FleetShape {
+	return []FleetShape{{Model: "AlexNet"}, {Model: "ResNet50"}, {Model: "VGG16"}}
+}
+
+func digestFleetTrace(t *testing.T, seed int64) []FleetJob {
+	jobs, err := GenerateFleetTrace(FleetTraceSpec{
+		Kind: "heavy-tail", Jobs: 1000, Seed: seed, MeanGapSec: 40e-3,
+		NumShapes: 3, NumFabrics: 4, MaxWidth: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		jobs[i].CheckpointEverySec = 50e-3
+	}
+	return jobs
+}
+
+// digestFleetPlan is report.FleetRecoveryPlan(1): wavelength darkening, job
+// crashes and whole-fabric outages over the trace's arrival span.
+func digestFleetPlan() FaultPlan {
+	return FaultPlan{
+		Seed: 5, HorizonSec: 60,
+		WavelengthMTBFSec: 40, WavelengthMTTRSec: 1.5,
+		JobFaultMTBFSec: 25,
+		FabricMTBFSec:   90, FabricMTTRSec: 8,
+	}
+}
+
+// digestFabricMixes are two single-fabric tenant mixes: a churn burst with
+// a late uncapped straggler, and a prioritized mix with width floors,
+// caps and checkpoints.
+func digestFabricMixes() map[string][]JobSpec {
+	var churn []JobSpec
+	for i := 0; i < 8; i++ {
+		churn = append(churn, JobSpec{
+			Name: fmt.Sprintf("burst%d", i), Bytes: int64(1+i%3) << 20,
+			ArrivalSec: float64(i) * 1e-4, MaxWavelengths: 8, Iterations: 1 + i%3,
+			CheckpointEverySec: 2e-4,
+		})
+	}
+	churn = append(churn, JobSpec{Name: "straggler", Bytes: 8 << 20, ArrivalSec: 2e-3, Iterations: 2})
+	var prio []JobSpec
+	for i := 0; i < 16; i++ {
+		prio = append(prio, JobSpec{
+			Name: fmt.Sprintf("p%d", i), Bytes: int64(1+i%4) << 19,
+			ArrivalSec: float64(i%5) * 3e-4, Priority: i % 3,
+			MinWavelengths: 1 + i%3, MaxWavelengths: 4 + 4*(i%3),
+			Iterations: 1 + i%4, CheckpointEverySec: 1e-4 * float64(i%3),
+		})
+	}
+	return map[string][]JobSpec{"churn": churn, "prio": prio}
+}
+
+// digestFabricPlans are the single-fabric fault plans: none, wavelength
+// darkening plus job crashes, and job crashes alone.
+func digestFabricPlans() map[string]*FaultPlan {
+	return map[string]*FaultPlan{
+		"none": nil,
+		"wavelength+job": {
+			Seed: 3, HorizonSec: 5e-3,
+			WavelengthMTBFSec: 1e-3, WavelengthMTTRSec: 5e-4, WavelengthsPerFault: 4,
+			JobFaultMTBFSec: 4e-4,
+		},
+		"job": {Seed: 4, HorizonSec: 5e-3, JobFaultMTBFSec: 3e-4},
+	}
+}
+
+func resultDigest(v any) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%#v", v)
+	return h.Sum64()
+}
+
+// resultDigests runs every digest case and returns one FNV-64 of each
+// result's %#v, keyed by case name.
+func resultDigests(t *testing.T) map[string]uint64 {
+	out := map[string]uint64{}
+	ss := NewSweepSession()
+	cfg := DefaultConfig(32)
+	for _, seed := range []int64{1, 2} {
+		jobs := digestFleetTrace(t, seed)
+		for _, placement := range []string{FleetLeastLoaded, FleetBestFit, FleetPriorityAware} {
+			for _, pol := range []string{FabricElastic, FabricPriority, FabricFirstFit} {
+				for _, lite := range []bool{true, false} {
+					for _, recovery := range []string{"", RecoveryFailFast, RecoveryRetrySameFabric, RecoveryMigrateOnFailure} {
+						opt := FleetOptions{Placement: placement, Policy: FabricPolicy{Kind: pol}, Lite: lite}
+						name := fmt.Sprintf("fleet/seed%d/%s/%s/lite=%v", seed, placement, pol, lite)
+						if recovery != "" {
+							opt.Faults = digestFleetPlan()
+							opt.Recovery = recovery
+							name += "/" + recovery
+						}
+						res, err := ss.SimulateFleet(cfg, digestFleetFabrics(), digestFleetShapes(), jobs, opt)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						out[name] = resultDigest(res)
+					}
+				}
+			}
+		}
+	}
+	fcfg := DefaultConfig(16)
+	fcfg.Optical.Wavelengths = 16
+	for mix, jobs := range digestFabricMixes() {
+		for planName, plan := range digestFabricPlans() {
+			for _, pol := range FabricPolicies() {
+				if pol.Kind == FabricStatic && plan != nil && plan.WavelengthMTBFSec > 0 {
+					continue // wavelength faults need a shared pool
+				}
+				if pol.Kind == FabricElastic {
+					pol.ReconfigDelaySec = 2e-6
+				}
+				var plans []FaultPlan
+				if plan != nil {
+					plans = append(plans, *plan)
+				}
+				res, err := ss.SimulateFabric(fcfg, jobs, pol, plans...)
+				name := fmt.Sprintf("fabric/%s/%s/%s", mix, planName, pol.Kind)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				out[name] = resultDigest(res)
+			}
+		}
+	}
+	return out
+}
+
+// TestResultDigestsGolden pins the exact output of the fabric and fleet
+// co-simulations: every placement × policy × Lite/full × recovery policy on
+// two seeded churn traces, and two tenant mixes under every fabric policy
+// with and without faults. Each case carries its own digest, so a failure
+// names the case whose result moved.
+func TestResultDigestsGolden(t *testing.T) {
+	got := resultDigests(t)
+	if len(got) != len(goldenDigests) {
+		t.Errorf("%d digest cases, want %d", len(got), len(goldenDigests))
+	}
+	for name, want := range goldenDigests {
+		if d, ok := got[name]; !ok {
+			t.Errorf("%s: case missing", name)
+		} else if d != want {
+			t.Errorf("%s: digest %#016x, want %#016x", name, d, want)
+		}
+	}
+}
+
+var goldenDigests = map[string]uint64{
+	"fabric/churn/job/elastic":                                  0x88e41622097494c7,
+	"fabric/churn/job/first-fit":                                0xf1eed1ee842ac15c,
+	"fabric/churn/job/priority":                                 0x63a619718d41d3ec,
+	"fabric/churn/job/static":                                   0x7ab794fd0da75334,
+	"fabric/churn/none/elastic":                                 0x043aaf84daa71ff3,
+	"fabric/churn/none/first-fit":                               0x115aeb15bbdd298c,
+	"fabric/churn/none/priority":                                0xacad6bbe05b60efc,
+	"fabric/churn/none/static":                                  0x07a430bb5c3e8082,
+	"fabric/churn/wavelength+job/elastic":                       0x96830d3fcf4b88db,
+	"fabric/churn/wavelength+job/first-fit":                     0x5fe730f81f9c0cc9,
+	"fabric/churn/wavelength+job/priority":                      0x07683dc6ffbc1545,
+	"fabric/prio/job/elastic":                                   0xae318c27eac77182,
+	"fabric/prio/job/first-fit":                                 0x992e1f0896ff28f3,
+	"fabric/prio/job/priority":                                  0x04206c9b760c4da2,
+	"fabric/prio/job/static":                                    0xc3d7a2a3967a8688,
+	"fabric/prio/none/elastic":                                  0xf67b11fda341494f,
+	"fabric/prio/none/first-fit":                                0x46de1ccf8c7ec5d9,
+	"fabric/prio/none/priority":                                 0x0d4e551a2c9df612,
+	"fabric/prio/none/static":                                   0xca7b9232c71f5585,
+	"fabric/prio/wavelength+job/elastic":                        0x473394af00d2b7af,
+	"fabric/prio/wavelength+job/first-fit":                      0x2c44b35a2a24c8aa,
+	"fabric/prio/wavelength+job/priority":                       0x773c21b45c338d68,
+	"fleet/seed1/best-fit/elastic/lite=false":                   0xf8dc98ae4224821e,
+	"fleet/seed1/best-fit/elastic/lite=false/fail-fast":         0xffe4881307080fb8,
+	"fleet/seed1/best-fit/elastic/lite=false/migrate":           0x985435c7ef99fa38,
+	"fleet/seed1/best-fit/elastic/lite=false/retry":             0xa9342095d0179750,
+	"fleet/seed1/best-fit/elastic/lite=true":                    0x2638b604a855d5ff,
+	"fleet/seed1/best-fit/elastic/lite=true/fail-fast":          0x8df3a106a7b36977,
+	"fleet/seed1/best-fit/elastic/lite=true/migrate":            0x7e56f76004a5603a,
+	"fleet/seed1/best-fit/elastic/lite=true/retry":              0xc0b4ee6306ad4d21,
+	"fleet/seed1/best-fit/first-fit/lite=false":                 0x203e655ddaa5a296,
+	"fleet/seed1/best-fit/first-fit/lite=false/fail-fast":       0x98a4f71b19de7336,
+	"fleet/seed1/best-fit/first-fit/lite=false/migrate":         0xfb4ffd7f6ee70d09,
+	"fleet/seed1/best-fit/first-fit/lite=false/retry":           0xb762bfa6c8e47122,
+	"fleet/seed1/best-fit/first-fit/lite=true":                  0x175cdc994ef84291,
+	"fleet/seed1/best-fit/first-fit/lite=true/fail-fast":        0xad91acf8f6d01eea,
+	"fleet/seed1/best-fit/first-fit/lite=true/migrate":          0x943902bf8dad2c2b,
+	"fleet/seed1/best-fit/first-fit/lite=true/retry":            0xa569deb7e75f1e86,
+	"fleet/seed1/best-fit/priority/lite=false":                  0x74384fad21a3a1cf,
+	"fleet/seed1/best-fit/priority/lite=false/fail-fast":        0x42ea4da18bc0251b,
+	"fleet/seed1/best-fit/priority/lite=false/migrate":          0x045ea87ed8735d45,
+	"fleet/seed1/best-fit/priority/lite=false/retry":            0x56ede89d7ad9cc06,
+	"fleet/seed1/best-fit/priority/lite=true":                   0x47b88e41a10a6a00,
+	"fleet/seed1/best-fit/priority/lite=true/fail-fast":         0x493a5a0be4fa06f0,
+	"fleet/seed1/best-fit/priority/lite=true/migrate":           0x438e12f736233330,
+	"fleet/seed1/best-fit/priority/lite=true/retry":             0x7dec9120cb906684,
+	"fleet/seed1/least-loaded/elastic/lite=false":               0xdfa31ce9de5c7c12,
+	"fleet/seed1/least-loaded/elastic/lite=false/fail-fast":     0xb6bded838bc43fad,
+	"fleet/seed1/least-loaded/elastic/lite=false/migrate":       0x0b98446f30dc94fc,
+	"fleet/seed1/least-loaded/elastic/lite=false/retry":         0x78ba1cfbd9cba61d,
+	"fleet/seed1/least-loaded/elastic/lite=true":                0xceec5ae5b1fbfa30,
+	"fleet/seed1/least-loaded/elastic/lite=true/fail-fast":      0x6b099613f5454a82,
+	"fleet/seed1/least-loaded/elastic/lite=true/migrate":        0x4cdafdb1509520b7,
+	"fleet/seed1/least-loaded/elastic/lite=true/retry":          0x083b0d2cae33f89e,
+	"fleet/seed1/least-loaded/first-fit/lite=false":             0x24af28fc67f3cdb0,
+	"fleet/seed1/least-loaded/first-fit/lite=false/fail-fast":   0x4b558a9051389fb8,
+	"fleet/seed1/least-loaded/first-fit/lite=false/migrate":     0x33b3778efe958299,
+	"fleet/seed1/least-loaded/first-fit/lite=false/retry":       0x6c7a793ba98de9a5,
+	"fleet/seed1/least-loaded/first-fit/lite=true":              0xd55e9fd69a156097,
+	"fleet/seed1/least-loaded/first-fit/lite=true/fail-fast":    0xcec2a61acd1445c8,
+	"fleet/seed1/least-loaded/first-fit/lite=true/migrate":      0x3e31bcdd05ea3986,
+	"fleet/seed1/least-loaded/first-fit/lite=true/retry":        0xc29ba14b86b3e0f0,
+	"fleet/seed1/least-loaded/priority/lite=false":              0xbea8194ef8fecc99,
+	"fleet/seed1/least-loaded/priority/lite=false/fail-fast":    0xd699955b8c126035,
+	"fleet/seed1/least-loaded/priority/lite=false/migrate":      0x2b23eebc04832722,
+	"fleet/seed1/least-loaded/priority/lite=false/retry":        0x54beaf003fedd25a,
+	"fleet/seed1/least-loaded/priority/lite=true":               0xd9f77ceb126510d8,
+	"fleet/seed1/least-loaded/priority/lite=true/fail-fast":     0xdc2312a99f28489e,
+	"fleet/seed1/least-loaded/priority/lite=true/migrate":       0x7756c9514c7cb28b,
+	"fleet/seed1/least-loaded/priority/lite=true/retry":         0x1e1e25efe7733773,
+	"fleet/seed1/priority-aware/elastic/lite=false":             0x128b51abd2ffe477,
+	"fleet/seed1/priority-aware/elastic/lite=false/fail-fast":   0xed8d8039710c03bd,
+	"fleet/seed1/priority-aware/elastic/lite=false/migrate":     0x3e0835f1e18d2905,
+	"fleet/seed1/priority-aware/elastic/lite=false/retry":       0xc0df431f9f79f370,
+	"fleet/seed1/priority-aware/elastic/lite=true":              0x53705086dfb04ceb,
+	"fleet/seed1/priority-aware/elastic/lite=true/fail-fast":    0xa9c6ab98579d4091,
+	"fleet/seed1/priority-aware/elastic/lite=true/migrate":      0xb617026a435aa95e,
+	"fleet/seed1/priority-aware/elastic/lite=true/retry":        0x33cd0a298c364af4,
+	"fleet/seed1/priority-aware/first-fit/lite=false":           0xe36b3c7eff39397f,
+	"fleet/seed1/priority-aware/first-fit/lite=false/fail-fast": 0xc86e4346f397346a,
+	"fleet/seed1/priority-aware/first-fit/lite=false/migrate":   0x124511eb5700c412,
+	"fleet/seed1/priority-aware/first-fit/lite=false/retry":     0x059c0a9ae81bdbf6,
+	"fleet/seed1/priority-aware/first-fit/lite=true":            0xadc874bb29e3455a,
+	"fleet/seed1/priority-aware/first-fit/lite=true/fail-fast":  0x0b5c9c56c194dcf6,
+	"fleet/seed1/priority-aware/first-fit/lite=true/migrate":    0x489c481fda7fb566,
+	"fleet/seed1/priority-aware/first-fit/lite=true/retry":      0xa28650e13a16971b,
+	"fleet/seed1/priority-aware/priority/lite=false":            0x4795a8b93c5d4fa3,
+	"fleet/seed1/priority-aware/priority/lite=false/fail-fast":  0x4740dd6cfcc2f49d,
+	"fleet/seed1/priority-aware/priority/lite=false/migrate":    0x65229a540b2a7bc7,
+	"fleet/seed1/priority-aware/priority/lite=false/retry":      0x85fe9278b23c3de7,
+	"fleet/seed1/priority-aware/priority/lite=true":             0x8453defe32f11f2d,
+	"fleet/seed1/priority-aware/priority/lite=true/fail-fast":   0xa7fd7a8747124814,
+	"fleet/seed1/priority-aware/priority/lite=true/migrate":     0xac6b2e3e7bc63972,
+	"fleet/seed1/priority-aware/priority/lite=true/retry":       0x85cb52dcfccbbdca,
+	"fleet/seed2/best-fit/elastic/lite=false":                   0x855848be9191c5ff,
+	"fleet/seed2/best-fit/elastic/lite=false/fail-fast":         0xc526fe34fd1b01cc,
+	"fleet/seed2/best-fit/elastic/lite=false/migrate":           0xf1bbb1c94e4e2236,
+	"fleet/seed2/best-fit/elastic/lite=false/retry":             0xc01d98e9dbc90a90,
+	"fleet/seed2/best-fit/elastic/lite=true":                    0x81e22dbccd06bf87,
+	"fleet/seed2/best-fit/elastic/lite=true/fail-fast":          0x15f3e5b4aa4a064c,
+	"fleet/seed2/best-fit/elastic/lite=true/migrate":            0xd4b814c9e417f462,
+	"fleet/seed2/best-fit/elastic/lite=true/retry":              0x9d21f1d1ed75c3d7,
+	"fleet/seed2/best-fit/first-fit/lite=false":                 0x2607ecb2406154d4,
+	"fleet/seed2/best-fit/first-fit/lite=false/fail-fast":       0xfa0cc3df392a532c,
+	"fleet/seed2/best-fit/first-fit/lite=false/migrate":         0xdc344879fd425da1,
+	"fleet/seed2/best-fit/first-fit/lite=false/retry":           0xb8aa0ed4b828777f,
+	"fleet/seed2/best-fit/first-fit/lite=true":                  0x2f75e6118c33e916,
+	"fleet/seed2/best-fit/first-fit/lite=true/fail-fast":        0x588870e79626fa64,
+	"fleet/seed2/best-fit/first-fit/lite=true/migrate":          0xea0a9cc241ceef46,
+	"fleet/seed2/best-fit/first-fit/lite=true/retry":            0x9f9a7cf414ba6b0d,
+	"fleet/seed2/best-fit/priority/lite=false":                  0x96c2b045b46f1acf,
+	"fleet/seed2/best-fit/priority/lite=false/fail-fast":        0xdd611f29e3ced721,
+	"fleet/seed2/best-fit/priority/lite=false/migrate":          0x3c58047e3946aa96,
+	"fleet/seed2/best-fit/priority/lite=false/retry":            0x90dcec79238d2700,
+	"fleet/seed2/best-fit/priority/lite=true":                   0xa11e5039c47cb69e,
+	"fleet/seed2/best-fit/priority/lite=true/fail-fast":         0x278fee30acb39c9c,
+	"fleet/seed2/best-fit/priority/lite=true/migrate":           0xb0f55411b5d7ca2b,
+	"fleet/seed2/best-fit/priority/lite=true/retry":             0x5681a99991c9b144,
+	"fleet/seed2/least-loaded/elastic/lite=false":               0xab0336012f24621f,
+	"fleet/seed2/least-loaded/elastic/lite=false/fail-fast":     0xc0de56a638e7901d,
+	"fleet/seed2/least-loaded/elastic/lite=false/migrate":       0x7b6e7f172681fd88,
+	"fleet/seed2/least-loaded/elastic/lite=false/retry":         0x955978e577d55cf7,
+	"fleet/seed2/least-loaded/elastic/lite=true":                0x0eb25dd74751e52a,
+	"fleet/seed2/least-loaded/elastic/lite=true/fail-fast":      0x0affb23242dc427c,
+	"fleet/seed2/least-loaded/elastic/lite=true/migrate":        0xf68a274adaa4b09c,
+	"fleet/seed2/least-loaded/elastic/lite=true/retry":          0x4c6cdd547642d9cd,
+	"fleet/seed2/least-loaded/first-fit/lite=false":             0xa908f2d2411cf0b0,
+	"fleet/seed2/least-loaded/first-fit/lite=false/fail-fast":   0x6f580e6ccbc8c9a6,
+	"fleet/seed2/least-loaded/first-fit/lite=false/migrate":     0x174136a9f759369b,
+	"fleet/seed2/least-loaded/first-fit/lite=false/retry":       0xda72a3034ce9fdea,
+	"fleet/seed2/least-loaded/first-fit/lite=true":              0xc84f9158dc954e61,
+	"fleet/seed2/least-loaded/first-fit/lite=true/fail-fast":    0xbb5f0d7ce0f27925,
+	"fleet/seed2/least-loaded/first-fit/lite=true/migrate":      0xe95d2abff91c7366,
+	"fleet/seed2/least-loaded/first-fit/lite=true/retry":        0xb8590457b78a8706,
+	"fleet/seed2/least-loaded/priority/lite=false":              0x27d43769803e8c0e,
+	"fleet/seed2/least-loaded/priority/lite=false/fail-fast":    0x85c45af08b214fb7,
+	"fleet/seed2/least-loaded/priority/lite=false/migrate":      0x4b3043c04ede0b50,
+	"fleet/seed2/least-loaded/priority/lite=false/retry":        0xdba39d574ba5c136,
+	"fleet/seed2/least-loaded/priority/lite=true":               0x1936398154325743,
+	"fleet/seed2/least-loaded/priority/lite=true/fail-fast":     0xf3f4b03adec5bba6,
+	"fleet/seed2/least-loaded/priority/lite=true/migrate":       0x59751be5102673ff,
+	"fleet/seed2/least-loaded/priority/lite=true/retry":         0x97665a84eb931700,
+	"fleet/seed2/priority-aware/elastic/lite=false":             0xb82f4bc8916740a5,
+	"fleet/seed2/priority-aware/elastic/lite=false/fail-fast":   0x752f3de1f49de340,
+	"fleet/seed2/priority-aware/elastic/lite=false/migrate":     0x7f1e0afc73b2ce6b,
+	"fleet/seed2/priority-aware/elastic/lite=false/retry":       0x0d655dc7e040bfd7,
+	"fleet/seed2/priority-aware/elastic/lite=true":              0xadf6acb9e3042fb3,
+	"fleet/seed2/priority-aware/elastic/lite=true/fail-fast":    0x2be999df30055b43,
+	"fleet/seed2/priority-aware/elastic/lite=true/migrate":      0xbccc7f76c750cabc,
+	"fleet/seed2/priority-aware/elastic/lite=true/retry":        0x6e998628df5d19a0,
+	"fleet/seed2/priority-aware/first-fit/lite=false":           0x2bbf8a03622beaae,
+	"fleet/seed2/priority-aware/first-fit/lite=false/fail-fast": 0x428b76248f2b3e85,
+	"fleet/seed2/priority-aware/first-fit/lite=false/migrate":   0xe6310e0f97489f83,
+	"fleet/seed2/priority-aware/first-fit/lite=false/retry":     0xe131c2c2f5fabf5c,
+	"fleet/seed2/priority-aware/first-fit/lite=true":            0xb7394f121c7488ee,
+	"fleet/seed2/priority-aware/first-fit/lite=true/fail-fast":  0xcaea1b881353e725,
+	"fleet/seed2/priority-aware/first-fit/lite=true/migrate":    0x9675f0fb385dfcea,
+	"fleet/seed2/priority-aware/first-fit/lite=true/retry":      0x3c5b51967d212168,
+	"fleet/seed2/priority-aware/priority/lite=false":            0x1e8348b5c6c20efe,
+	"fleet/seed2/priority-aware/priority/lite=false/fail-fast":  0x021048dec89387a5,
+	"fleet/seed2/priority-aware/priority/lite=false/migrate":    0x5401835231543e63,
+	"fleet/seed2/priority-aware/priority/lite=false/retry":      0x770bfad1297c7b85,
+	"fleet/seed2/priority-aware/priority/lite=true":             0x28d3a2ff2281932d,
+	"fleet/seed2/priority-aware/priority/lite=true/fail-fast":   0xa84b2c3e60ffcb70,
+	"fleet/seed2/priority-aware/priority/lite=true/migrate":     0x57a38de1718da29c,
+	"fleet/seed2/priority-aware/priority/lite=true/retry":       0x4b5cbf68e3f26b4f,
 }
