@@ -412,7 +412,7 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 	}
 	res, err := fleet.Simulate(specs, inner, rt, fleet.Options{
 		Placement: placement, Policy: pol.Kind, Lite: opt.Lite, Rec: rec, Proc: proc,
-		Faults: fp, Recovery: recovery, Retry: fp.Retry, Cancel: cancel,
+		Faults: fp, Recovery: recovery, Cancel: cancel,
 	})
 	if err != nil {
 		return FleetResult{}, err

@@ -125,40 +125,6 @@ func TestBinomialTreeStepCount(t *testing.T) {
 	}
 }
 
-func TestHierarchicalRingCorrectness(t *testing.T) {
-	cases := []struct{ n, g int }{
-		{4, 2}, {6, 2}, {6, 3}, {8, 4}, {9, 3}, {12, 4}, {12, 3}, {16, 4}, {16, 16}, {5, 1},
-	}
-	for _, c := range cases {
-		for _, elems := range []int{1, 16, 100, 257} {
-			s, err := HierarchicalRing(c.n, c.g, elems)
-			if err != nil {
-				t.Fatalf("hier(%d,%d): %v", c.n, c.g, err)
-			}
-			if err := VerifyAllReduce(s); err != nil {
-				t.Fatalf("hier(%d,%d,%d): %v", c.n, c.g, elems, err)
-			}
-		}
-	}
-}
-
-func TestHierarchicalRingStepCount(t *testing.T) {
-	s, err := HierarchicalRing(16, 4, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (g-1) + 2(G-1) + (g-1) = 3 + 6 + 3
-	if s.NumSteps() != 12 {
-		t.Fatalf("hier(16,4) steps = %d, want 12", s.NumSteps())
-	}
-}
-
-func TestHierarchicalRingRejectsBadGroup(t *testing.T) {
-	if _, err := HierarchicalRing(10, 3, 8); err == nil {
-		t.Fatal("non-dividing group size accepted")
-	}
-}
-
 func TestConstructorsRejectTinyN(t *testing.T) {
 	for _, alg := range allAlgorithms() {
 		if _, err := alg.build(1, 8); err == nil {

@@ -46,23 +46,21 @@ func (s *scheduler) widenPays(r *jobRec, width int) bool {
 }
 
 // dispatchElastic routes an elastic solve to the incremental tier index,
-// or to the reference full solver when Policy.fullSolve asks for it. With
-// faults armed, queued jobs whose floor no longer fits the dark-shrunk
-// budget are parked first (identically for both solvers, keeping them
-// equivalent), and freed capacity settles dark after the solve.
+// or to the reference full solver when Policy.fullSolve asks for it.
+// Queued jobs whose floor no longer fits a dark-shrunk budget are parked
+// first (identically for both solvers, keeping them equivalent), and freed
+// capacity settles dark after the solve.
 func (s *scheduler) dispatchElastic() {
-	if s.faultsOn {
-		s.parkUnfittable()
-		if s.err != nil {
-			return
-		}
+	s.parkUnfittable()
+	if s.err != nil {
+		return
 	}
 	if s.el != nil {
 		s.el.solve(s)
 	} else {
 		s.dispatchElasticFull()
 	}
-	if s.faultsOn && s.err == nil {
+	if s.err == nil {
 		s.settleDark()
 	}
 }

@@ -502,7 +502,6 @@ func Simulate(budget int, jobs []Job, pol Policy, plan faults.Plan, opt SchedOpt
 		if pol.Kind == StaticPartition && faults.HasWavelengthEvents(evs) {
 			return Result{}, fmt.Errorf("fabric: wavelength faults are not supported under StaticPartition")
 		}
-		opt.Faults = true
 		opt.Retry = plan.Retry
 	}
 	if budget < 1 {

@@ -3,9 +3,9 @@ package fabric
 // Failure injection and recovery: dark wavelengths (budget shrink with
 // settle/evict/park), transient job crashes (checkpoint rollback and tail
 // replay), and whole-fabric outages (evict-and-resubmit, driven by
-// internal/fleet). Everything here is gated behind SchedOpts.Faults — with
-// the machinery disarmed no branch executes, which is what keeps fault-free
-// runs bit-identical to a scheduler without it.
+// internal/fleet). Recovery is always on; until a fault is injected every
+// path here is idle (nothing dark, nothing parked, no checkpoint read), so
+// fault-free runs pay nothing and produce exactly the fault-free results.
 
 import (
 	"fmt"
@@ -31,7 +31,7 @@ type Resubmit struct {
 // WavelengthsDown darkens k wavelengths: the live budget shrinks, free
 // wavelengths settle dark immediately, and tenants are shrunk to their
 // floors (elastic) or evicted (pool policies) until the fabric fits.
-// Requires SchedOpts.Faults; not supported under StaticPartition.
+// Not supported under StaticPartition.
 func (f *Scheduler) WavelengthsDown(k int) { f.s.wavelengthsDown(k) }
 
 // WavelengthsUp restores up to k previously darkened wavelengths.
@@ -51,9 +51,6 @@ func (f *Scheduler) Outage() []Resubmit { return f.s.outage() }
 
 // Restore brings the fabric back after an Outage.
 func (f *Scheduler) Restore() { f.s.restoreFabric() }
-
-// Down reports whether the fabric is currently in an outage.
-func (f *Scheduler) Down() bool { return f.s.down }
 
 // SubmitResumed re-enters an evicted job (same fabric after repair, or a
 // migration target), seeded with its carried progress, checkpoint state,
@@ -106,28 +103,19 @@ func (s *scheduler) wavelengthsDown(k int) {
 	s.darkTarget += k
 	s.emitFault(EvWavelengthDown, k)
 	s.settleDark()
-	if s.pol.Kind == ElasticReallocate {
-		// Elastic can shrink tenants to their floors; evict (reverse
-		// scheduling order) only while even the floors no longer fit.
-		for s.err == nil && s.sumRunningFloors() > s.effBudget() {
-			v := s.cheapestRunning()
-			if v == nil {
-				break
-			}
-			s.evictRunning(v)
-			s.settleDark()
+	// Elastic can shrink tenants to their floors, so it evicts (reverse
+	// scheduling order) only while even the floors no longer fit. Grant-once
+	// pools cannot shrink a stripe and evict until the dark target is
+	// physically settled.
+	elastic := s.pol.Kind == ElasticReallocate
+	for s.err == nil && (elastic && s.sumRunningFloors() > s.effBudget() ||
+		!elastic && s.darkCount < s.darkTarget) {
+		v := s.cheapestRunning()
+		if v == nil {
+			break
 		}
-	} else {
-		// Grant-once pools cannot shrink a stripe; evict until the dark
-		// target is physically settled.
-		for s.err == nil && s.darkCount < s.darkTarget {
-			v := s.cheapestRunning()
-			if v == nil {
-				break
-			}
-			s.evictRunning(v)
-			s.settleDark()
-		}
+		s.evictRunning(v)
+		s.settleDark()
 	}
 	s.dispatch()
 }
@@ -214,13 +202,7 @@ func (s *scheduler) cheapestRunning() *jobRec {
 // backoff retry path.
 func (s *scheduler) evictRunning(r *jobRec) {
 	s.pause(r)
-	if r.share >= 0 {
-		s.shareBusy[r.share] = false
-		r.share = -1
-	}
-	if s.el != nil {
-		s.el.removeMember(r)
-	}
+	s.leave(r)
 	s.park(r)
 }
 
@@ -282,19 +264,10 @@ func (s *scheduler) retryArrive(r *jobRec, epoch int) {
 			break
 		}
 	}
-	r.state = stWaiting
 	r.st.Retries++
 	s.retriesN++
 	s.emit(r, EvRetry, 0)
-	s.queuedMin += r.MinWavelengths
-	if s.prioLoad != nil {
-		s.prioLoad[r.Priority] += r.MinWavelengths
-	}
-	if s.el != nil {
-		s.el.enqueue(s, r)
-	} else {
-		s.queue = append(s.queue, r)
-	}
+	s.enqueue(r)
 	s.dispatch()
 }
 
@@ -309,46 +282,36 @@ func (s *scheduler) failJob(r *jobRec) {
 		s.lostWorkSec += waste
 	}
 	s.liveJobs--
-	if s.lite {
-		s.recycle(r)
-	}
+	s.recycle(r)
 }
 
-// advanceCkpt advances r's checkpoint cursor past a cut segment that made
-// `run` productive seconds out of a planned `active` (both net of the
-// settling stall). With checkpointing every C service seconds, the k-th
+// checkpoint advances r's checkpoint cursor past its running segment cut
+// at now and returns the service since the last checkpoint, which the
+// caller carries forward (a graceful cut) or loses (a crash). The segment
+// made `run` productive seconds of a planned `active`, both net of the
+// settling stall. With checkpointing every C service seconds, the k-th
 // checkpoint of this stretch lands at productive offset kC - ckptService
 // into the segment; progress is linear in time within a segment, so the
-// last one fixes ckptRemaining, and the leftover service carries forward.
-func (r *jobRec) advanceCkpt(run, active float64) {
+// last one fixes ckptRemaining. With no checkpoint landed (or C = 0) the
+// whole stretch is returned.
+func (r *jobRec) checkpoint(now float64) float64 {
+	run := now - r.segStart - r.segPenalty
+	if run < 0 {
+		run = 0
+	}
+	active := r.segLen - r.segPenalty
+	if run > active {
+		run = active
+	}
 	c := r.CheckpointEverySec
 	total := r.ckptService + run
 	if c > 0 && active > 0 {
 		if k := math.Floor(total / c); k >= 1 {
 			off := k*c - r.ckptService
 			r.ckptRemaining = r.remaining * (1 - off/active)
-			r.ckptService = total - k*c
-			return
+			total -= k * c
 		}
 	}
-	r.ckptService = total
-}
-
-// rollback is advanceCkpt for a crashed segment: service past the last
-// checkpoint is not carried forward but lost. Returns the lost seconds —
-// the whole stretch when no checkpoint landed (or C is 0).
-func (r *jobRec) rollback(run, active float64) float64 {
-	c := r.CheckpointEverySec
-	total := r.ckptService + run
-	if c > 0 && active > 0 {
-		if k := math.Floor(total / c); k >= 1 {
-			off := k*c - r.ckptService
-			r.ckptRemaining = r.remaining * (1 - off/active)
-			r.ckptService = 0
-			return total - k*c
-		}
-	}
-	r.ckptService = 0
 	return total
 }
 
@@ -358,17 +321,9 @@ func (r *jobRec) rollback(run, active float64) float64 {
 // wavelengths (replay in place for a transient fault, release on outage).
 func (s *scheduler) crash(r *jobRec) {
 	now := s.eng.Now()
-	elapsed := now - r.segStart
-	r.st.ServiceSec += elapsed
-	run := elapsed - r.segPenalty
-	if run < 0 {
-		run = 0
-	}
-	active := r.segLen - r.segPenalty
-	if run > active {
-		run = active
-	}
-	lost := r.rollback(run, active)
+	r.st.ServiceSec += now - r.segStart
+	lost := r.checkpoint(now)
+	r.ckptService = 0
 	r.st.LostWorkSec += lost
 	s.lostWorkSec += lost
 	r.remaining = r.ckptRemaining
@@ -435,21 +390,8 @@ func (s *scheduler) outage() []Resubmit {
 		switch r.state {
 		case stRunning:
 			s.crash(r)
-			s.lanesOffAndCloseSeg(r)
-			s.busyNow -= len(r.waves)
-			if s.prioLoad != nil {
-				s.prioLoad[r.Priority] -= len(r.waves)
-			}
-			s.release(r.waves)
-			r.waves = r.waves[:0]
-			s.dropRunning(r)
-			if r.share >= 0 {
-				s.shareBusy[r.share] = false
-				r.share = -1
-			}
-			if s.el != nil {
-				s.el.removeMember(r)
-			}
+			s.giveBack(r)
+			s.leave(r)
 		case stWaiting:
 			// Pro-rata progress held only in memory dies with the fabric;
 			// the job replays from its last checkpoint.
@@ -488,9 +430,7 @@ func (s *scheduler) evictOut(r *jobRec) Resubmit {
 	}
 	s.liveJobs--
 	r.state = stEvicted
-	if s.lite {
-		s.recycle(r)
-	}
+	s.recycle(r)
 	return rs
 }
 
@@ -508,28 +448,12 @@ func (s *scheduler) restoreFabric() {
 // out the outage in the backoff parking lot.
 func (s *scheduler) arriveDown(r *jobRec) {
 	s.emit(r, EvArrive, 0)
-	r.st.Evictions++
-	s.evictions++
-	s.emit(r, EvEvict, 0)
+	s.liveJobs++
 	if s.onEvict != nil {
-		s.evictedAway++
-		rs := Resubmit{
-			Job:           r.Job,
-			Remaining:     r.remaining,
-			CkptRemaining: r.ckptRemaining,
-			CkptService:   r.ckptService,
-			Retries:       r.retries,
-			Stats:         r.st,
-		}
-		r.state = stEvicted
-		if s.lite {
-			s.recycle(r)
-		}
-		s.onEvict(rs)
+		s.onEvict(s.evictOut(r))
 		return
 	}
-	s.liveJobs++
-	s.parkForRetry(r)
+	s.park(r)
 }
 
 func (s *scheduler) submitResumed(rs Resubmit) error {
@@ -555,22 +479,13 @@ func (s *scheduler) submitResumed(rs Resubmit) error {
 	if j.Iterations < 1 {
 		j.Iterations = 1
 	}
-	idx := s.nextID
-	s.nextID++
-	r := s.newRec(j, idx)
+	r := s.newRec(j)
 	r.remaining = rs.Remaining
 	r.ckptRemaining = rs.CkptRemaining
 	r.ckptService = rs.CkptService
 	r.retries = rs.Retries
 	r.st = rs.Stats
-	if !s.lite {
-		s.recs = append(s.recs, r)
-		if s.rec != nil {
-			s.obsTracks = true
-			s.jobTracks = append(s.jobTracks, s.rec.Track(s.proc, r.Name))
-		}
-	}
-	s.eng.Schedule(j.ArrivalSec, s.hResumed, s.token(r, 0))
+	s.enroll(r, s.hResumed)
 	return nil
 }
 
@@ -588,33 +503,7 @@ func (s *scheduler) arriveResumed(r *jobRec) {
 	r.st.Retries++
 	s.retriesN++
 	s.emit(r, EvRetry, 0)
-	if r.MinWavelengths > s.maxGrant() {
-		if r.MinWavelengths <= s.structuralMax() {
-			s.liveJobs++
-			s.park(r)
-			return
-		}
-		r.state = stRejected
-		r.st.Rejected = true
-		s.emit(r, EvReject, 0)
-		if s.lite {
-			s.liteRejected++
-			s.recycle(r)
-		}
-		return
-	}
-	r.state = stWaiting
-	s.liveJobs++
-	s.queuedMin += r.MinWavelengths
-	if s.prioLoad != nil {
-		s.prioLoad[r.Priority] += r.MinWavelengths
-	}
-	if s.el != nil {
-		s.el.enqueue(s, r)
-	} else {
-		s.queue = append(s.queue, r)
-	}
-	s.dispatch()
+	s.admit(r)
 }
 
 // emitFault records a fabric-level fault event (no owning job).

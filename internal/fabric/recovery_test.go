@@ -1,72 +1,12 @@
 package fabric
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"wrht/internal/faults"
 	"wrht/internal/sim"
 )
-
-// runArmed co-simulates jobs on a scheduler with the fault machinery armed
-// but no fault injected.
-func runArmed(t *testing.T, budget int, jobs []Job, pol Policy) Result {
-	t.Helper()
-	var eng sim.Engine
-	sch, err := NewScheduler(&eng, budget, pol, SchedOpts{Faults: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if err := sch.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	res, err := sch.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestFaultsArmedZeroInjectionsBitIdentical pins the central zero-fault
-// guarantee at the scheduler layer: arming the fault machinery without
-// injecting anything leaves every field of the result — events, per-job
-// stats, aggregates, solver counters — bit-identical to a scheduler built
-// without it.
-func TestFaultsArmedZeroInjectionsBitIdentical(t *testing.T) {
-	mixes := []struct {
-		name   string
-		budget int
-		jobs   []Job
-	}{
-		{"heavy8", 8, heavyMix()},
-		{"churn64", 64, churnLikeMix()},
-		{"rand16", 16, randomMix(3, 12, 16)},
-	}
-	pols := []Policy{
-		{Kind: FirstFitShare},
-		{Kind: PriorityPreempt},
-		{Kind: ElasticReallocate, ReconfigDelaySec: 0.03},
-		{Kind: ElasticReallocate, ReconfigDelaySec: 0.03, fullSolve: true},
-	}
-	for _, mix := range mixes {
-		for _, pol := range pols {
-			name := fmt.Sprintf("%s/%s", mix.name, pol.Kind)
-			base := mustSimulate(t, mix.budget, mix.jobs, pol)
-			armed := runArmed(t, mix.budget, mix.jobs, pol)
-			if !reflect.DeepEqual(base, armed) {
-				t.Fatalf("%s: armed zero-fault run diverges from baseline:\n  base  %+v\n  armed %+v",
-					name, base, armed)
-			}
-			if armed.Availability != 1 {
-				t.Fatalf("%s: zero-fault availability %v, want 1", name, armed.Availability)
-			}
-		}
-	}
-}
 
 // TestJobFaultCheckpointReplay pins the checkpoint arithmetic: a crash
 // loses exactly the service since the last checkpoint and replays only
@@ -233,7 +173,7 @@ func TestDarkRetryBudgetExhausted(t *testing.T) {
 // exactly the unsaved tail after repair.
 func TestOutageCheckpointResume(t *testing.T) {
 	var eng sim.Engine
-	sch, err := NewScheduler(&eng, 1, Policy{Kind: FirstFitShare}, SchedOpts{Faults: true})
+	sch, err := NewScheduler(&eng, 1, Policy{Kind: FirstFitShare}, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

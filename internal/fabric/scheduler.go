@@ -30,14 +30,10 @@ type SchedOpts struct {
 	// TrackLoad maintains per-priority committed-load counters so fleet
 	// placement can query LoadAtOrAbove in O(distinct priorities).
 	TrackLoad bool
-	// Faults arms the failure-recovery machinery (checkpoint tracking,
-	// park/retry with backoff, dark-wavelength accounting). Disarmed (the
-	// default), none of its branches execute and results are bit-identical
-	// to a scheduler without it.
-	Faults bool
-	// Retry bounds eviction recovery: capped exponential backoff between
-	// retries and a per-job retry budget (zero values take
-	// faults.Retry defaults). Only read when Faults is set.
+	// Retry bounds fault recovery: capped exponential backoff between
+	// retries and a per-job retry budget (zero values take faults.Retry
+	// defaults). Recovery itself is always on and does nothing until a
+	// fault is injected, so Retry is only read after one.
 	Retry faults.Retry
 	// OnEvict, when set, receives jobs that arrive while the fabric is down
 	// from an outage, instead of parking them locally — the fleet layer
@@ -99,15 +95,12 @@ func NewScheduler(eng *sim.Engine, budget int, pol Policy, opt SchedOpts) (*Sche
 	if !opt.Lite {
 		s.seen = map[string]bool{}
 	}
-	s.register()
-	if opt.Faults {
-		if err := opt.Retry.Validate(); err != nil {
-			return nil, err
-		}
-		s.faultsOn = true
-		s.retry = opt.Retry.WithDefaults()
-		s.onEvict = opt.OnEvict
+	if err := opt.Retry.Validate(); err != nil {
+		return nil, err
 	}
+	s.retry = opt.Retry.WithDefaults()
+	s.onEvict = opt.OnEvict
+	s.register()
 	return &Scheduler{s: s}, nil
 }
 
@@ -132,18 +125,12 @@ func (f *Scheduler) Finalize() (Result, error) {
 	return s.finalize()
 }
 
-// Budget returns the fabric's wavelength budget.
-func (f *Scheduler) Budget() int { return f.s.budget }
-
 // FreeWavelengths returns the currently unallocated wavelength count.
 func (f *Scheduler) FreeWavelengths() int { return f.s.nfree }
 
 // CommittedLoad is the wavelength demand already accepted: the sum of
 // running stripe widths plus queued jobs' minimum grants.
 func (f *Scheduler) CommittedLoad() int { return f.s.busyNow + f.s.queuedMin }
-
-// LiveJobs counts tenants currently running or queued.
-func (f *Scheduler) LiveJobs() int { return f.s.liveJobs }
 
 // LoadAtOrAbove is the committed load (running widths + queued minimums)
 // from jobs with priority >= p. Requires SchedOpts.TrackLoad.
@@ -156,9 +143,6 @@ func (f *Scheduler) LoadAtOrAbove(p int) int {
 	}
 	return n
 }
-
-// SolverStats returns the run's scheduling-work counters so far.
-func (f *Scheduler) SolverStats() SolverStats { return f.s.solver }
 
 type scheduler struct {
 	eng    *sim.Engine
@@ -188,13 +172,12 @@ type scheduler struct {
 	// the event slice itself is dropped).
 	evCounts [EvRetry + 1]int64
 
-	// Failure-recovery state (SchedOpts.Faults; all zero/idle otherwise).
+	// Failure-recovery state (all zero/idle until a fault is injected).
 	// darkTarget is the wavelength count requested dark by injected faults;
 	// darkCount <= darkTarget is how many are physically dark so far
 	// (settling waits for busy wavelengths to free), with darkIdx the
 	// darkened indices in LIFO restore order. parked holds jobs waiting out
 	// a retry backoff; down marks a whole-fabric outage.
-	faultsOn    bool
 	retry       faults.Retry
 	onEvict     func(Resubmit)
 	down        bool
@@ -289,9 +272,8 @@ type scheduler struct {
 // mirroring the historical Simulate validation exactly (same error text,
 // same defaulting).
 func (s *scheduler) submit(j Job) error {
-	idx := s.nextID
 	if j.Name == "" && !s.lite {
-		j.Name = fmt.Sprintf("job%d", idx)
+		j.Name = fmt.Sprintf("job%d", s.nextID)
 	}
 	if s.seen != nil {
 		if s.seen[j.Name] {
@@ -324,8 +306,13 @@ func (s *scheduler) submit(j Job) error {
 	if j.Runtime == nil {
 		return fmt.Errorf("fabric: job %q has no runtime function", j.Name)
 	}
-	s.nextID++
-	r := s.newRec(j, idx)
+	s.enroll(s.newRec(j), s.hArrive)
+	return nil
+}
+
+// enroll files a new record (and its recorder track) and schedules its
+// arrival through handler h.
+func (s *scheduler) enroll(r *jobRec, h sim.HandlerID) {
 	if !s.lite {
 		s.recs = append(s.recs, r)
 		if s.rec != nil {
@@ -333,8 +320,7 @@ func (s *scheduler) submit(j Job) error {
 			s.jobTracks = append(s.jobTracks, s.rec.Track(s.proc, r.Name))
 		}
 	}
-	s.eng.Schedule(r.ArrivalSec, s.hArrive, s.token(r, 0))
-	return nil
+	s.eng.Schedule(r.ArrivalSec, h, s.token(r, 0))
 }
 
 // evToken is one pending job event's payload: the record and, for
@@ -395,25 +381,25 @@ func (s *scheduler) after(delay float64, h sim.HandlerID, r *jobRec) {
 	s.eng.Schedule(s.eng.Now()+delay, h, s.token(r, r.epoch))
 }
 
-// newRec builds (or, under Lite, recycles) a job record.
-func (s *scheduler) newRec(j Job, idx int) *jobRec {
+// newRec builds (or, under Lite, recycles) the record for the next
+// submission index.
+func (s *scheduler) newRec(j Job) *jobRec {
+	var r *jobRec
 	if n := len(s.freeRecs); n > 0 {
-		r := s.freeRecs[n-1]
+		r = s.freeRecs[n-1]
 		s.freeRecs = s.freeRecs[:n-1]
-		epoch := r.epoch // stays monotonic so stale events never resurrect
-		waves := r.waves[:0]
-		*r = jobRec{
-			Job: j, idx: idx, remaining: 1, share: -1,
-			st:    JobStats{Name: j.Name, ArrivalSec: j.ArrivalSec},
-			epoch: epoch, waves: waves, runPos: -1, ckptRemaining: 1,
-		}
-		return r
+	} else {
+		r = new(jobRec)
 	}
-	return &jobRec{
-		Job: j, idx: idx, remaining: 1, share: -1,
-		st:     JobStats{Name: j.Name, ArrivalSec: j.ArrivalSec},
-		runPos: -1, ckptRemaining: 1,
+	// A recycled record's epoch stays monotonic so stale events never
+	// resurrect.
+	*r = jobRec{
+		Job: j, idx: s.nextID, remaining: 1, share: -1,
+		st:    JobStats{Name: j.Name, ArrivalSec: j.ArrivalSec},
+		epoch: r.epoch, waves: r.waves[:0], runPos: -1, ckptRemaining: 1,
 	}
+	s.nextID++
+	return r
 }
 
 // price returns the job's full-workload runtime (all iterations) at width
@@ -620,14 +606,12 @@ func (s *scheduler) lanesOffAndCloseSeg(r *jobRec) {
 	}
 }
 
-// account integrates lit wavelength-seconds (and, when faults are armed,
-// dark wavelength-seconds) up to the current time.
+// account integrates lit and dark wavelength-seconds up to the current
+// time.
 func (s *scheduler) account() {
 	now := s.eng.Now()
 	s.busySec += float64(s.busyNow) * (now - s.lastT)
-	if s.faultsOn {
-		s.darkSec += float64(s.darkNow()) * (now - s.lastT)
-	}
+	s.darkSec += float64(s.darkNow()) * (now - s.lastT)
 	s.lastT = now
 }
 
@@ -659,15 +643,20 @@ func (s *scheduler) arrive(r *jobRec) {
 		return
 	}
 	s.emit(r, EvArrive, 0)
+	s.admit(r)
+}
+
+// admit runs admission control on an arriving job: a minimum beyond any
+// grant the fabric could ever make is rejected, one blocked only by dark
+// wavelengths is parked for a backoff retry, and the rest join the wait
+// queue.
+func (s *scheduler) admit(r *jobRec) {
 	if r.MinWavelengths > s.maxGrant() {
-		if s.faultsOn && r.MinWavelengths <= s.structuralMax() {
-			// Only dark wavelengths block this job: park it for a backoff
-			// retry instead of rejecting.
+		if r.MinWavelengths <= s.structuralMax() {
 			s.liveJobs++
 			s.park(r)
 			return
 		}
-		// Admission control: this job can never be satisfied here.
 		r.state = stRejected
 		r.st.Rejected = true
 		s.emit(r, EvReject, 0)
@@ -677,8 +666,15 @@ func (s *scheduler) arrive(r *jobRec) {
 		}
 		return
 	}
-	r.state = stWaiting
 	s.liveJobs++
+	s.enqueue(r)
+	s.dispatch()
+}
+
+// enqueue puts r in the wait queue and counts its minimum as committed
+// load.
+func (s *scheduler) enqueue(r *jobRec) {
+	r.state = stWaiting
 	s.queuedMin += r.MinWavelengths
 	if s.prioLoad != nil {
 		s.prioLoad[r.Priority] += r.MinWavelengths
@@ -688,7 +684,6 @@ func (s *scheduler) arrive(r *jobRec) {
 	} else {
 		s.queue = append(s.queue, r)
 	}
-	s.dispatch()
 }
 
 // dequeued updates the committed-load accounting when r leaves the wait
@@ -727,35 +722,44 @@ func (s *scheduler) release(waves []int) {
 	s.nfree += len(waves)
 }
 
-// start grants `width` wavelengths to r and schedules its (remaining) run.
+// start grants `width` wavelengths to a queued r and schedules its
+// (remaining) run.
 func (s *scheduler) start(r *jobRec, width int) {
-	seg, err := s.price(r, width)
+	full, err := s.price(r, width)
 	if err != nil {
 		s.fail(err)
 		return
 	}
 	s.account()
 	s.dequeued(r)
-	if s.prioLoad != nil {
-		s.prioLoad[r.Priority] += width
-	}
-	s.allocate(r, width)
-	r.state = stRunning
-	r.runPos = len(s.liveRun)
-	s.liveRun = append(s.liveRun, r)
-	r.segStart = s.eng.Now()
-	r.segLen = seg * r.remaining
-	r.segPenalty = 0
-	r.st.Width = width
-	if !s.lite {
-		r.st.Wavelengths = append(r.st.Wavelengths[:0], r.waves...)
-	}
 	kind := EvStart
 	if r.st.Preemptions > 0 {
 		kind = EvResume
 	} else {
 		r.st.StartSec = s.eng.Now()
 		r.st.QueueSec = r.st.StartSec - r.ArrivalSec
+	}
+	s.runSegment(r, width, 0, full, kind)
+}
+
+// runSegment grants r `width` wavelengths and runs its remaining work,
+// priced at `full` seconds for the whole job, after a `penalty`-second
+// settling stall; the segment's completion is scheduled under a fresh
+// epoch.
+func (s *scheduler) runSegment(r *jobRec, width int, penalty, full float64, kind EventKind) {
+	s.allocate(r, width)
+	r.state = stRunning
+	r.runPos = len(s.liveRun)
+	s.liveRun = append(s.liveRun, r)
+	r.segStart = s.eng.Now()
+	r.segPenalty = penalty
+	r.segLen = penalty + full*r.remaining
+	r.st.Width = width
+	if !s.lite {
+		r.st.Wavelengths = append(r.st.Wavelengths[:0], r.waves...)
+	}
+	if s.prioLoad != nil {
+		s.prioLoad[r.Priority] += width
 	}
 	s.busyNow += width
 	if s.busyNow > s.peak {
@@ -786,21 +790,8 @@ func (s *scheduler) complete(r *jobRec, epoch int) {
 	r.remaining = 0
 	r.st.ServiceSec += r.segLen
 	r.st.DoneSec = s.eng.Now()
-	s.lanesOffAndCloseSeg(r)
-	s.busyNow -= len(r.waves)
-	if s.prioLoad != nil {
-		s.prioLoad[r.Priority] -= len(r.waves)
-	}
-	s.release(r.waves)
-	r.waves = r.waves[:0]
-	s.dropRunning(r)
-	if r.share >= 0 {
-		s.shareBusy[r.share] = false
-		r.share = -1
-	}
-	if s.el != nil {
-		s.el.removeMember(r)
-	}
+	s.giveBack(r)
+	s.leave(r)
 	s.liveJobs--
 	s.emit(r, EvFinish, 0)
 	if s.lite {
@@ -833,11 +824,14 @@ func (s *scheduler) liteFinish(r *jobRec) {
 	s.recycle(r)
 }
 
-// recycle returns a finished record to the freelist (Lite mode only). The
-// epoch is preserved — it keeps growing across reuses, so stale completion
-// events scheduled against a previous tenant can never fire on the new one.
+// recycle returns a retired record to the freelist under Lite mode (full
+// mode keeps every record for Finalize). The epoch is preserved — it keeps
+// growing across reuses, so stale completion events scheduled against a
+// previous tenant can never fire on the new one.
 func (s *scheduler) recycle(r *jobRec) {
-	s.freeRecs = append(s.freeRecs, r)
+	if s.lite {
+		s.freeRecs = append(s.freeRecs, r)
+	}
 }
 
 // pause stops r's running segment at the current instant: completed work is
@@ -848,23 +842,20 @@ func (s *scheduler) recycle(r *jobRec) {
 func (s *scheduler) pause(r *jobRec) {
 	s.account()
 	now := s.eng.Now()
-	if s.faultsOn {
-		// Progress is kept (this is a graceful cut, not a crash), but the
-		// checkpoint cursor must advance past the segment's productive run
-		// so a later crash rolls back to the right point.
-		run := now - r.segStart - r.segPenalty
-		if run < 0 {
-			run = 0
-		}
-		active := r.segLen - r.segPenalty
-		if run > active {
-			run = active
-		}
-		r.advanceCkpt(run, active)
-	}
+	// Progress is kept (this is a graceful cut, not a crash), but the
+	// checkpoint cursor must advance past the segment's productive run so a
+	// later crash rolls back to the right point.
+	r.ckptService = r.checkpoint(now)
 	r.remaining = r.remainingAt(now)
 	r.st.ServiceSec += now - r.segStart
 	r.epoch++ // invalidate the pending completion event
+	s.giveBack(r)
+}
+
+// giveBack ends r's running segment on the wavelength side: its lanes and
+// segment span close, its stripe returns to the pool, and it leaves the
+// live-running index.
+func (s *scheduler) giveBack(r *jobRec) {
 	s.lanesOffAndCloseSeg(r)
 	s.busyNow -= len(r.waves)
 	if s.prioLoad != nil {
@@ -875,17 +866,24 @@ func (s *scheduler) pause(r *jobRec) {
 	s.dropRunning(r)
 }
 
+// leave detaches a job that stops running for good from its static share
+// and the elastic tier index.
+func (s *scheduler) leave(r *jobRec) {
+	if r.share >= 0 {
+		s.shareBusy[r.share] = false
+		r.share = -1
+	}
+	if s.el != nil {
+		s.el.removeMember(r)
+	}
+}
+
 // preempt pauses a running job, returning its wavelengths to the pool and
 // requeueing its remaining work.
 func (s *scheduler) preempt(r *jobRec) {
 	s.pause(r)
 	r.st.Preemptions++
-	r.state = stWaiting
-	s.queuedMin += r.MinWavelengths
-	if s.prioLoad != nil {
-		s.prioLoad[r.Priority] += r.MinWavelengths
-	}
-	s.queue = append(s.queue, r)
+	s.enqueue(r)
 	s.emit(r, EvPreempt, 0)
 }
 
@@ -895,33 +893,13 @@ func (s *scheduler) preempt(r *jobRec) {
 // switch settling — the job holds its new wavelengths but makes no progress
 // until the stall elapses).
 func (s *scheduler) reconfigure(r *jobRec, width int) {
-	tail, err := s.price(r, width)
+	full, err := s.price(r, width)
 	if err != nil {
 		s.fail(err)
 		return
 	}
-	s.allocate(r, width)
-	r.runPos = len(s.liveRun)
-	s.liveRun = append(s.liveRun, r)
-	r.segStart = s.eng.Now()
-	r.segPenalty = s.pol.ReconfigDelaySec
-	r.segLen = r.segPenalty + tail*r.remaining
-	r.st.Width = width
-	if !s.lite {
-		r.st.Wavelengths = append(r.st.Wavelengths[:0], r.waves...)
-	}
 	r.st.Reconfigs++
-	if s.prioLoad != nil {
-		s.prioLoad[r.Priority] += width
-	}
-	s.busyNow += width
-	if s.busyNow > s.peak {
-		s.peak = s.busyNow
-	}
-	s.emit(r, EvReconfig, width)
-	s.lanesOn(r)
-	r.epoch++
-	s.after(r.segLen, s.hComplete, r)
+	s.runSegment(r, width, s.pol.ReconfigDelaySec, full, EvReconfig)
 }
 
 // dispatch runs the policy's scheduling pass over the wait queue. During a
@@ -996,9 +974,7 @@ func (s *scheduler) dispatchStatic() {
 // dispatchFirstFit scans the queue in arrival order and starts every job
 // whose minimum fits the remaining pool, granting up to its maximum.
 func (s *scheduler) dispatchFirstFit() {
-	if s.faultsOn {
-		s.parkUnfittable()
-	}
+	s.parkUnfittable()
 	var keep []*jobRec
 	for _, r := range s.queue {
 		if s.err == nil && r.MinWavelengths <= s.nfree {
@@ -1017,9 +993,7 @@ func (s *scheduler) dispatchFirstFit() {
 // dispatchPriority serves the queue in jobLess order, preempting strictly
 // lower-priority running jobs when the pool is short.
 func (s *scheduler) dispatchPriority() {
-	if s.faultsOn {
-		s.parkUnfittable()
-	}
+	s.parkUnfittable()
 	for s.err == nil && len(s.queue) > 0 {
 		sort.SliceStable(s.queue, func(a, b int) bool {
 			return jobLess(s.queue[a], s.queue[b])
@@ -1173,8 +1147,8 @@ func (s *scheduler) finalize() (Result, error) {
 
 // setAvailability fills res.Availability: the fraction of the fabric's
 // wavelength-second capacity over the makespan that was not dark from
-// injected faults or outages. Exactly 1 on fault-free runs (darkSec is only
-// integrated with faults armed); clamped because dark intervals may extend
+// injected faults or outages. Exactly 1 on fault-free runs (nothing is
+// ever dark, so darkSec stays 0); clamped because dark intervals may extend
 // past the last completion.
 func (s *scheduler) setAvailability(res *Result) {
 	if s.darkSec <= 0 || res.MakespanSec <= 0 {

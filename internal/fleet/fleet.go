@@ -169,14 +169,15 @@ type Options struct {
 	// fleet-level counters. Proc prefixes the per-fabric process names.
 	Rec  *obs.Recorder
 	Proc string
-	// Faults is the failure plan injected on the shared timeline. An empty
-	// plan leaves every result bit-identical to a run without it.
+	// Faults is the failure plan injected on the shared timeline; its Retry
+	// bounds backoff and per-job retry budgets at both the fabric and fleet
+	// layers (zero values take faults.Retry defaults). Recovery is always
+	// on and idle until a fault fires, so an empty plan yields exactly the
+	// fault-free results.
 	Faults faults.Plan
 	// Recovery picks what happens to jobs caught in a fabric outage
-	// (default RetrySameFabric); Retry bounds backoff and per-job retry
-	// budgets (zero values take faults.Retry defaults).
+	// (default RetrySameFabric).
 	Recovery RecoveryPolicy
-	Retry    faults.Retry
 	// Cancel, when set, is polled every few thousand executed events on
 	// the shared timeline; a non-nil return abandons the co-simulation
 	// with that error. This is the seam serving deadlines use to stop a
@@ -294,7 +295,11 @@ func Simulate(specs []FabricSpec, jobs []Job, rt RuntimeFunc, opt Options) (Resu
 		}
 	}
 	var evs []faults.Event
-	if !opt.Faults.Empty() {
+	if opt.Faults.Empty() {
+		// An empty plan fires no fault, so its retry bounds are never
+		// read; they are not validated either.
+		opt.Faults.Retry = faults.Retry{}
+	} else {
 		if err := opt.Faults.Validate(len(specs)); err != nil {
 			return Result{}, err
 		}
@@ -343,7 +348,6 @@ type fleet struct {
 	// their own fabric's repair (RetrySameFabric); pendAny jobs waiting for
 	// ANY admissible fabric to come up (MigrateOnFailure with the whole
 	// admissible set down, and front-door arrivals in the same situation).
-	armed    bool
 	evs      []faults.Event
 	retry    faults.Retry
 	down     []bool
@@ -368,8 +372,7 @@ func (f *fleet) run() (Result, error) {
 	f.rtFns = make([]map[int]func(w int) (float64, error), len(f.specs))
 	f.placed = make([]int, len(f.specs))
 	f.migrated = make([]int, len(f.specs))
-	f.armed = !opt.Faults.Empty()
-	f.retry = opt.Retry.WithDefaults()
+	f.retry = opt.Faults.Retry.WithDefaults()
 	f.down = make([]bool, len(f.specs))
 	f.pendSame = make([][]fabric.Resubmit, len(f.specs))
 	if !opt.Lite {
@@ -384,17 +387,12 @@ func (f *fleet) run() (Result, error) {
 		if opt.Proc != "" {
 			proc = opt.Proc + " · " + spec.Name
 		}
-		so := fabric.SchedOpts{
+		sch, err := fabric.NewScheduler(&f.eng, spec.Wavelengths, pol, fabric.SchedOpts{
 			Rec: opt.Rec, Proc: proc, Lite: opt.Lite,
 			TrackLoad: opt.Placement == PriorityAware,
-		}
-		if f.armed {
-			fi := i
-			so.Faults = true
-			so.Retry = opt.Retry
-			so.OnEvict = func(rs fabric.Resubmit) { f.recover(fi, rs) }
-		}
-		sch, err := fabric.NewScheduler(&f.eng, spec.Wavelengths, pol, so)
+			Retry:     opt.Faults.Retry,
+			OnEvict:   func(rs fabric.Resubmit) { f.recover(i, rs) },
+		})
 		if err != nil {
 			return Result{}, err
 		}
@@ -465,8 +463,8 @@ func (f *fleet) place(i int) {
 	}
 	fab := f.choose(j, minW)
 	if fab < 0 {
-		if f.err == nil && f.armed && f.anyDownFits(minW) {
-			f.deferArrival(i, j)
+		if f.err == nil && f.anyDownFits(minW) {
+			f.deferArrival(i)
 			return
 		}
 		f.unplaceable++
@@ -476,21 +474,42 @@ func (f *fleet) place(i int) {
 	delay := 0.0
 	migratedHere := j.Affinity >= 0 && fab != j.Affinity
 	if migratedHere {
-		delay = f.specs[fab].MigrationCostSec
-		f.migrations++
-		f.migrationS += delay
+		delay = f.migrateTo(fab)
 	}
 	f.placed[fab]++
-	if migratedHere {
-		f.migrated[fab]++
+	fj := f.fabricJob(i, now+delay)
+	fj.Runtime = f.runtimeFor(fab, j.Shape)
+	if err := f.scheds[fab].Submit(fj); err != nil {
+		f.err = err
+		return
 	}
+	if !f.opt.Lite {
+		f.placeIdx[i] = len(f.placements)
+		f.placements = append(f.placements, PlacedJob{
+			Name: fj.Name, Fabric: fab, Migrated: migratedHere, MigrationSec: delay,
+		})
+	}
+}
+
+// migrateTo counts a migration onto fabric fab and returns its delay.
+func (f *fleet) migrateTo(fab int) float64 {
+	f.migrations++
+	f.migrationS += f.specs[fab].MigrationCostSec
+	f.migrated[fab]++
+	return f.specs[fab].MigrationCostSec
+}
+
+// fabricJob lowers trace job i to a fabric job arriving at `arrival`. The
+// runtime is left to the caller, since it depends on the target fabric.
+func (f *fleet) fabricJob(i int, arrival float64) fabric.Job {
+	j := f.jobs[i]
 	name := j.Name
 	if name == "" && !f.opt.Lite {
 		name = fmt.Sprintf("j%d", i)
 	}
-	err := f.scheds[fab].Submit(fabric.Job{
+	return fabric.Job{
 		Name:               name,
-		ArrivalSec:         now + delay,
+		ArrivalSec:         arrival,
 		Priority:           j.Priority,
 		MinWavelengths:     j.MinWavelengths,
 		MaxWavelengths:     j.MaxWavelengths,
@@ -498,17 +517,6 @@ func (f *fleet) place(i int) {
 		Shape:              j.Shape + 1, // fabric shape 0 = private curve
 		CheckpointEverySec: j.CheckpointEverySec,
 		Tag:                i,
-		Runtime:            f.runtimeFor(fab, j.Shape),
-	})
-	if err != nil {
-		f.err = err
-		return
-	}
-	if !f.opt.Lite {
-		f.placeIdx[i] = len(f.placements)
-		f.placements = append(f.placements, PlacedJob{
-			Name: name, Fabric: fab, Migrated: migratedHere, MigrationSec: delay,
-		})
 	}
 }
 
@@ -675,14 +683,21 @@ func (f *fleet) finish() (Result, error) {
 	}
 	if !f.opt.Lite {
 		res.PerJob = f.placements
+		// byName indexes each fabric's per-job stats once; the first job of
+		// a name wins.
+		byName := make([]map[string]int, len(f.specs))
 		var slows []float64
 		for pi := range res.PerJob {
 			p := &res.PerJob[pi]
-			for _, js := range res.PerFabric[p.Fabric].Result.Jobs {
-				if js.Name == p.Name {
-					p.Stats = js
-					break
+			jobs := res.PerFabric[p.Fabric].Result.Jobs
+			if byName[p.Fabric] == nil {
+				byName[p.Fabric] = make(map[string]int, len(jobs))
+				for k := len(jobs) - 1; k >= 0; k-- {
+					byName[p.Fabric][jobs[k].Name] = k
 				}
+			}
+			if k, ok := byName[p.Fabric][p.Name]; ok {
+				p.Stats = jobs[k]
 			}
 			if s := p.Stats; !s.Rejected && !s.Failed && s.Slowdown > 0 {
 				slows = append(slows, s.Slowdown)

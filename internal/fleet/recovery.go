@@ -194,11 +194,8 @@ func (f *fleet) submitRecovered(target, from int, rs fabric.Resubmit) {
 	}
 	mig := 0.0
 	if (from >= 0 && moved) || (from < 0 && jb.Affinity >= 0 && target != jb.Affinity) {
-		mig = f.specs[target].MigrationCostSec
+		mig = f.migrateTo(target)
 		delay += mig
-		f.migrations++
-		f.migrationS += mig
-		f.migrated[target]++
 	}
 	job.ArrivalSec = now + delay
 	rs.Job = job
@@ -237,27 +234,14 @@ func (f *fleet) anyDownFits(minW int) bool {
 
 // deferArrival parks a front-door arrival whose only admissible fabrics are
 // currently down; it re-enters placement at the next repair.
-func (f *fleet) deferArrival(i int, j Job) {
+func (f *fleet) deferArrival(i int) {
 	now := f.eng.Now()
-	name := j.Name
-	if name == "" && !f.opt.Lite {
-		name = fmt.Sprintf("j%d", i)
-	}
+	fj := f.fabricJob(i, now)
 	f.pendAny = append(f.pendAny, pendRes{from: -1, rs: fabric.Resubmit{
-		Job: fabric.Job{
-			Name:               name,
-			ArrivalSec:         now,
-			Priority:           j.Priority,
-			MinWavelengths:     j.MinWavelengths,
-			MaxWavelengths:     j.MaxWavelengths,
-			Iterations:         j.Iterations,
-			Shape:              j.Shape + 1, // fabric shape 0 = private curve
-			CheckpointEverySec: j.CheckpointEverySec,
-			Tag:                i,
-		},
+		Job:           fj,
 		Remaining:     1,
 		CkptRemaining: 1,
-		Stats:         fabric.JobStats{Name: name, ArrivalSec: now},
+		Stats:         fabric.JobStats{Name: fj.Name, ArrivalSec: now},
 	}})
 }
 

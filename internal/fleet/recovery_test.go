@@ -31,9 +31,8 @@ func TestFleetEmptyFaultPlanBitIdentical(t *testing.T) {
 		})
 		armed := mustFleet(t, smallFleet(), jobs, Options{
 			Placement: BestFit, Policy: fabric.ElasticReallocate, Lite: lite,
-			Faults:   faults.Plan{},
+			Faults:   faults.Plan{Retry: faults.Retry{MaxRetries: 3}},
 			Recovery: MigrateOnFailure,
-			Retry:    faults.Retry{MaxRetries: 3},
 		})
 		if !reflect.DeepEqual(base, armed) {
 			t.Fatalf("lite=%v: empty fault plan perturbs the result:\n  base  %+v\n  armed %+v",
@@ -98,8 +97,8 @@ func TestFleetMigrationAccountingUnderRetries(t *testing.T) {
 	opt := Options{
 		Placement: BestFit, Policy: fabric.ElasticReallocate,
 		Faults: outagePlan(), Recovery: MigrateOnFailure,
-		Retry: faults.Retry{BackoffSec: 0.002, MaxRetries: 8},
 	}
+	opt.Faults.Retry = faults.Retry{BackoffSec: 0.002, MaxRetries: 8}
 	res := mustFleet(t, smallFleet(), jobs, opt)
 	if res.Retries == 0 || res.Evictions == 0 {
 		t.Fatalf("outage plan exercised no recovery: %+v", res)

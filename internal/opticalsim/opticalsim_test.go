@@ -80,11 +80,11 @@ func TestAsyncNeverSlowerThanBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := collective.HierarchicalRing(16, 4, 32<<10)
+	hd, err := collective.HalvingDoubling(16, 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedules = append(schedules, ringS, hier)
+	schedules = append(schedules, ringS, hd)
 	for _, s := range schedules {
 		b := opts
 		b.Mode = Barrier
