@@ -842,9 +842,9 @@ func (s *scheduler) recycle(r *jobRec) {
 func (s *scheduler) pause(r *jobRec) {
 	s.account()
 	now := s.eng.Now()
-	// Progress is kept (this is a graceful cut, not a crash), but the
-	// checkpoint cursor must advance past the segment's productive run so a
-	// later crash rolls back to the right point.
+	// Progress is kept (this is a graceful cut, not a crash): the service
+	// since the last checkpoint carries forward, so a later crash rolls
+	// back to the right point.
 	r.ckptService = r.checkpoint(now)
 	r.remaining = r.remainingAt(now)
 	r.st.ServiceSec += now - r.segStart
@@ -1081,10 +1081,7 @@ func (s *scheduler) finalize() (Result, error) {
 			res.Fairness = s.liteSumSlow * s.liteSumSlow /
 				(float64(s.liteDone) * s.liteSumSlowSq)
 		}
-		if res.MakespanSec > 0 {
-			res.Utilization = s.busySec / (float64(s.budget) * res.MakespanSec)
-		}
-		s.setAvailability(&res)
+		s.setRates(&res)
 		return res, nil
 	}
 	var queues, slowdowns []float64
@@ -1123,10 +1120,7 @@ func (s *scheduler) finalize() (Result, error) {
 		if s.failedJobs == 0 && s.evictedAway == 0 {
 			return Result{}, fmt.Errorf("fabric: every job was rejected")
 		}
-		if res.MakespanSec > 0 {
-			res.Utilization = s.busySec / (float64(s.budget) * res.MakespanSec)
-		}
-		s.setAvailability(&res)
+		s.setRates(&res)
 		return res, nil
 	}
 	res.CompletedJobs = len(slowdowns)
@@ -1138,20 +1132,22 @@ func (s *scheduler) finalize() (Result, error) {
 	res.MaxQueueSec = stats.Max(queues)
 	res.MeanSlowdown = stats.Mean(slowdowns)
 	res.Fairness = stats.JainIndex(slowdowns)
-	if res.MakespanSec > 0 {
-		res.Utilization = s.busySec / (float64(s.budget) * res.MakespanSec)
-	}
-	s.setAvailability(&res)
+	s.setRates(&res)
 	return res, nil
 }
 
-// setAvailability fills res.Availability: the fraction of the fabric's
-// wavelength-second capacity over the makespan that was not dark from
-// injected faults or outages. Exactly 1 on fault-free runs (nothing is
-// ever dark, so darkSec stays 0); clamped because dark intervals may extend
-// past the last completion.
-func (s *scheduler) setAvailability(res *Result) {
-	if s.darkSec <= 0 || res.MakespanSec <= 0 {
+// setRates fills the capacity shares of the fabric's wavelength-seconds
+// over the makespan: res.Utilization, the share lit, and
+// res.Availability, the share not dark from injected faults or outages.
+// Availability is exactly 1 on fault-free runs (nothing is ever dark, so
+// darkSec stays 0) and clamped because dark intervals may extend past the
+// last completion.
+func (s *scheduler) setRates(res *Result) {
+	if res.MakespanSec <= 0 {
+		return
+	}
+	res.Utilization = s.busySec / (float64(s.budget) * res.MakespanSec)
+	if s.darkSec <= 0 {
 		return
 	}
 	a := 1 - s.darkSec/(float64(s.budget)*res.MakespanSec)
