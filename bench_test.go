@@ -385,7 +385,7 @@ func BenchmarkOpticalsimThroughput(b *testing.B) {
 // BenchmarkFabricCoSim measures the multi-tenant fabric co-simulation: a
 // three-policy comparison over a mixed job set on a shared SweepSession, the
 // path that exercises the plan, schedule, and simulation caches together —
-// per-job pricing runs through the session's SimCache, so steady-state
+// per-job pricing runs through the session's simulation cache, so steady-state
 // iterations re-simulate nothing and allocs/op measures the co-sim itself.
 func BenchmarkFabricCoSim(b *testing.B) {
 	n := 64

@@ -48,7 +48,7 @@ func (ss *SweepSession) SimulateFabricContext(ctx context.Context, cfg Config, j
 	if err != nil {
 		return FabricResult{}, err
 	}
-	return simulateFabric(cfg, jobs, policy, ss.sess.fabric, fp, ctxCancel(ctx))
+	return simulateFabric(cfg, jobs, policy, ss.sess, fp, ctxCancel(ctx))
 }
 
 // SimulateFleetContext is SimulateFleet under a cancellation context,
@@ -57,7 +57,7 @@ func (ss *SweepSession) SimulateFleetContext(ctx context.Context, cfg Config, fa
 	if err := ctxErr(ctx); err != nil {
 		return FleetResult{}, err
 	}
-	return simulateFleet(cfg, fabrics, shapes, jobs, opt, ss.sess.fabric, ctxCancel(ctx))
+	return simulateFleet(cfg, fabrics, shapes, jobs, opt, ss.sess, ctxCancel(ctx))
 }
 
 // RunSweepContext is RunSweep under a cancellation context: once the

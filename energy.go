@@ -62,27 +62,20 @@ func EnergyEstimate(cfg Config, alg Algorithm, bytes int64) (EnergyReport, error
 // mode matches CommunicationTime; async bounds what a runtime could gain by
 // dropping global step barriers.
 func EventLevelTime(cfg Config, alg Algorithm, bytes int64, async bool) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if isElectrical(alg) {
+	// A malformed config reports itself before the substrate check.
+	if cfg.Validate() == nil && isElectrical(alg) {
 		return Result{}, fmt.Errorf("wrht: EventLevelTime supports optical algorithms only, got %q", alg)
 	}
-	if bytes <= 0 {
-		return Result{}, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
-	}
-	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
+	b, err := lowerBuffer(cfg, alg, bytes, nil)
 	if err != nil {
 		return Result{}, err
 	}
+	cls := b.cls
 	defer cls.Release() // session-free: the transient schedule is ours to recycle
 	opts := opticalsim.DefaultOptions()
 	opts.Params = cfg.Optical
 	opts.BytesPerElem = cfg.BytesPerElem
-	if alg == AlgORingStriped {
-		opts.DefaultWidth = cfg.Optical.Wavelengths
-	}
+	opts.DefaultWidth = defaultWidth(cfg, alg)
 	if async {
 		opts.Mode = opticalsim.Async
 	}

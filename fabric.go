@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 
 	"wrht/internal/core"
 	"wrht/internal/dnn"
@@ -265,27 +264,58 @@ func SimulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, plan ...Fau
 	if err != nil {
 		return FabricResult{}, err
 	}
-	return simulateFabric(cfg, jobs, policy, newSession().fabric, fp, nil)
+	return simulateFabric(cfg, jobs, policy, newSession(), fp, nil)
 }
 
-// algFloor is the smallest stripe grant the algorithm can run with: a fixed
-// Wrht group size m is only feasible at wavelength budgets w with
-// core.MaxGroupSize(w) >= m; everything else runs on one wavelength.
-func algFloor(cfg Config, alg Algorithm) int {
+// tenant is one workload of an optical fabric, resolved once whether it
+// arrives as a SimulateFabric job or a SimulateFleet shape.
+type tenant struct {
+	alg   Algorithm
+	bytes int64
+	// floor is the smallest stripe grant alg can run with: a fixed Wrht
+	// group size m is only feasible at wavelength budgets w with
+	// core.MaxGroupSize(w) >= m; everything else runs on one wavelength.
+	floor int
+}
+
+// opticalTenant resolves a tenant's algorithm (default AlgWrht) and width
+// floor; the caller fills in bytes. An electrical algorithm cannot share
+// optical wavelengths, so it is an error naming fabric, the wavelength pool
+// on offer.
+func opticalTenant(cfg Config, alg Algorithm, fabric string) (tenant, error) {
+	if alg == "" {
+		alg = AlgWrht
+	}
+	if isElectrical(alg) {
+		return tenant{}, fmt.Errorf("electrical algorithm %q cannot share %s", alg, fabric)
+	}
+	t := tenant{alg: alg, floor: 1}
 	switch alg {
 	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
 		if m := cfg.WrhtGroupSize; m > 0 {
-			w := 1
-			for core.MaxGroupSize(w) < m {
-				w++
+			for core.MaxGroupSize(t.floor) < m {
+				t.floor++
 			}
-			return w
 		}
 	}
-	return 1
+	return t, nil
 }
 
-func simulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, cache *fabricCache, plan FaultPlan, cancel func() error) (FabricResult, error) {
+// minWidth raises a requested minimum grant to the tenant's floor, so a
+// narrow grant can never make the runtime curve fail mid-run. A maximum
+// below the floor is an error.
+func (t tenant) minWidth(cfg Config, minW, maxW int) (int, error) {
+	if t.floor <= minW {
+		return minW, nil
+	}
+	if maxW != 0 && maxW < t.floor {
+		return 0, fmt.Errorf("%s with group size m=%d needs at least %d wavelengths, MaxWavelengths is %d",
+			t.alg, cfg.WrhtGroupSize, t.floor, maxW)
+	}
+	return t.floor, nil
+}
+
+func simulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, sess *session, plan FaultPlan, cancel func() error) (FabricResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return FabricResult{}, err
 	}
@@ -298,31 +328,19 @@ func simulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, cache *fabr
 		if spec.Name == "" {
 			spec.Name = fmt.Sprintf("job%d", i)
 		}
-		alg := spec.Algorithm
-		if alg == "" {
-			alg = AlgWrht
-		}
-		if isElectrical(alg) {
-			return FabricResult{}, fmt.Errorf("wrht: job %q: electrical algorithm %q cannot share the optical fabric",
-				spec.Name, alg)
+		t, err := opticalTenant(cfg, spec.Algorithm, "the optical fabric")
+		if err != nil {
+			return FabricResult{}, fmt.Errorf("wrht: job %q: %w", spec.Name, err)
 		}
 		if err := spec.Validate(); err != nil {
 			return FabricResult{}, err
 		}
-		bytes, err := jobBytes(cfg, spec)
-		if err != nil {
+		if t.bytes, err = jobBytes(cfg, spec); err != nil {
 			return FabricResult{}, err
 		}
-		// Raise the job's minimum to the algorithm's structural floor so a
-		// narrow grant can never make the runtime function fail mid-run.
-		minW := spec.MinWavelengths
-		if f := algFloor(cfg, alg); f > minW {
-			minW = f
-			if spec.MaxWavelengths != 0 && spec.MaxWavelengths < f {
-				return FabricResult{}, fmt.Errorf(
-					"wrht: job %q: %s with group size m=%d needs at least %d wavelengths, MaxWavelengths is %d",
-					spec.Name, alg, cfg.WrhtGroupSize, f, spec.MaxWavelengths)
-			}
+		minW, err := t.minWidth(cfg, spec.MinWavelengths, spec.MaxWavelengths)
+		if err != nil {
+			return FabricResult{}, fmt.Errorf("wrht: job %q: %w", spec.Name, err)
 		}
 		inner[i] = fabric.Job{
 			Name:               spec.Name,
@@ -332,10 +350,10 @@ func simulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, cache *fabr
 			MaxWavelengths:     spec.MaxWavelengths,
 			Iterations:         spec.Iterations,
 			CheckpointEverySec: spec.CheckpointEverySec,
-			Runtime:            cache.runtime(cfg, alg, bytes),
+			Runtime:            sess.runtime(cfg, t.alg, t.bytes),
 		}
 	}
-	rec := cache.sess.recorder()
+	rec := sess.recorder()
 	proc := ""
 	if rec.Enabled() {
 		proc = fabricProcName(cfg, jobs, policy)
@@ -399,85 +417,41 @@ func fabricProcName(cfg Config, jobs []JobSpec, policy FabricPolicy) string {
 		policy, len(jobs), cfg.Nodes, cfg.Optical.Wavelengths, h.Sum32())
 }
 
-// fabricCache memoizes single-ring simulation results across the jobs of
-// one SimulateFabric call, across the policies of CompareFabricPolicies, and
-// across the concurrent points of a fabric-mode RunSweep (hence the mutex):
-// CommunicationTime is deterministic in (nodes, algorithm, bytes, width), and
-// a policy sweep re-prices the same tenants many times. Pricing runs through
-// the owning session, so plans, lowered schedules, and substrate simulations
-// are additionally shared with every other consumer of the same session
-// (different grant widths of one tenant reuse one lowered ring schedule).
-type fabricCache struct {
-	mu      sync.Mutex
-	entries map[fabricCacheKey]*fabricCacheEntry
-	sess    *session
-	// hits/builds count runtime-curve lookups under mu (a hit may still wait
-	// on the entry's once if another worker is computing it — it is a hit of
-	// the *entry*, so totals are deterministic for a fixed request set).
-	hits, builds int64
-}
-
-// Stats returns the cache's cumulative hit/build counters.
-func (fc *fabricCache) Stats() (hits, builds int64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.hits, fc.builds
-}
-
-// fabricCacheKey embeds the full Config: runtimes depend on every substrate
-// parameter (optical rates, overheads, BytesPerElem, …), and the cache now
-// outlives a single call via SweepSession.CompareFabricPolicies, so
-// under-keying would serve one configuration's runtimes to another.
-type fabricCacheKey struct {
+// curveKey identifies one point of a tenant's runtime curve. It embeds the
+// full Config: runtimes depend on every substrate parameter (optical rates,
+// overheads, BytesPerElem, …), and the curves outlive a single call via
+// SweepSession, so under-keying would serve one configuration's runtimes to
+// another.
+type curveKey struct {
 	cfg   Config
 	alg   Algorithm
 	bytes int64
 	width int
 }
 
-// fabricCacheEntry computes under its own sync.Once so concurrent sweep
-// workers requesting the same key share one simulation instead of racing to
-// duplicate it (the same pattern as internal/exp's PlanCache).
-type fabricCacheEntry struct {
-	once sync.Once
-	sec  float64
-	err  error
-}
-
-func newFabricCacheWith(sess *session) *fabricCache {
-	return &fabricCache{entries: map[fabricCacheKey]*fabricCacheEntry{}, sess: sess}
-}
-
-// runtime prices one all-reduce of the job at stripe budget w via the full
-// single-ring simulation path, memoized by (nodes, alg, bytes, w).
-func (fc *fabricCache) runtime(cfg Config, alg Algorithm, bytes int64) func(int) (float64, error) {
+// runtime is a tenant's runtime curve: one all-reduce of bytes under alg at
+// stripe budget w, priced by the full single-ring simulation path. Points
+// are memoized in the session's fabric cache across the jobs of one
+// SimulateFabric call, the policies of CompareFabricPolicies, the concurrent
+// points of a fabric-mode RunSweep and the calls of a SweepSession;
+// pricing itself runs through the session too, so plans, lowered schedules
+// and substrate simulations are shared with every other consumer (different
+// grant widths of one tenant reuse one lowered ring schedule). A failed
+// point is memoized as its error.
+func (s *session) runtime(cfg Config, alg Algorithm, bytes int64) func(int) (float64, error) {
 	return func(w int) (float64, error) {
-		key := fabricCacheKey{cfg, alg, bytes, w}
-		fc.mu.Lock()
-		e, ok := fc.entries[key]
-		if !ok {
-			e = &fabricCacheEntry{}
-			fc.entries[key] = e
-			fc.builds++
-		} else {
-			fc.hits++
-		}
-		fc.mu.Unlock()
-		e.once.Do(func() {
+		return s.fabric.Do(curveKey{cfg, alg, bytes, w}, func() (float64, error) {
 			c := cfg
 			c.Optical.Wavelengths = w
-			r, _, err := communicationTime(c, alg, bytes, fc.sess)
+			r, _, err := communicationTime(c, alg, bytes, s)
 			if err != nil {
-				e.err = err
-				return
+				return 0, err
 			}
 			if r.Seconds <= 0 || math.IsNaN(r.Seconds) || math.IsInf(r.Seconds, 0) {
-				e.err = fmt.Errorf("wrht: degenerate runtime %v at width %d", r.Seconds, w)
-				return
+				return 0, fmt.Errorf("wrht: degenerate runtime %v at width %d", r.Seconds, w)
 			}
-			e.sec = r.Seconds
+			return r.Seconds, nil
 		})
-		return e.sec, e.err
 	}
 }
 
@@ -485,13 +459,13 @@ func (fc *fabricCache) runtime(cfg Config, alg Algorithm, bytes int64) func(int)
 // one runtime cache across the sweep. Use SweepSession.CompareFabricPolicies
 // to additionally share the caches across calls.
 func CompareFabricPolicies(cfg Config, jobs []JobSpec, policies []FabricPolicy) ([]FabricResult, error) {
-	return compareFabricPolicies(cfg, jobs, policies, newSession().fabric)
+	return compareFabricPolicies(cfg, jobs, policies, newSession())
 }
 
-func compareFabricPolicies(cfg Config, jobs []JobSpec, policies []FabricPolicy, cache *fabricCache) ([]FabricResult, error) {
+func compareFabricPolicies(cfg Config, jobs []JobSpec, policies []FabricPolicy, sess *session) ([]FabricResult, error) {
 	out := make([]FabricResult, 0, len(policies))
 	for _, p := range policies {
-		r, err := simulateFabric(cfg, jobs, p, cache, FaultPlan{}, nil)
+		r, err := simulateFabric(cfg, jobs, p, sess, FaultPlan{}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("wrht: policy %s: %w", p, err)
 		}

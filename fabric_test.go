@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -177,6 +178,44 @@ func TestCompareFabricPoliciesSharesRuntimeCache(t *testing.T) {
 		if !reflect.DeepEqual(swept[i], solo) {
 			t.Fatalf("%s: cached sweep differs from standalone run", pol)
 		}
+	}
+}
+
+// TestFabricCacheMemoizesRuntimeError: a runtime-curve point that fails to
+// price is memoized as its error, like any other point. Concurrent requests
+// for it build once, every later request is a hit returning the same error,
+// and no request after the first reaches the plan cache again.
+func TestFabricCacheMemoizesRuntimeError(t *testing.T) {
+	cfg := fabricTestConfig()
+	cfg.WrhtGroupSize = 9 // needs ⌊9/2⌋ = 4 wavelengths, so width 1 fails
+	sess := newSession()
+	curve := sess.runtime(cfg, AlgWrht, 1<<20)
+	_, first := curve(1)
+	if first == nil {
+		t.Fatal("width 1 priced a group size that needs 4 wavelengths")
+	}
+	planHits, planBuilds := sess.plans.Stats()
+	const callers = 16
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = curve(1)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != first {
+			t.Fatalf("caller %d got %v, want the memoized %v", i, err, first)
+		}
+	}
+	if hits, builds := sess.fabric.Stats(); hits != callers || builds != 1 {
+		t.Fatalf("fabric cache stats = (%d hits, %d builds), want (%d, 1)", hits, builds, callers)
+	}
+	if h, b := sess.plans.Stats(); h != planHits || b != planBuilds {
+		t.Fatalf("memoized error re-planned: plan stats (%d, %d) → (%d, %d)", planHits, planBuilds, h, b)
 	}
 }
 

@@ -271,10 +271,10 @@ func GenerateFleetTrace(spec FleetTraceSpec) ([]FleetJob, error) {
 // and across fabrics with equal ring sizes. Deterministic: the same
 // inputs produce the identical FleetResult.
 func SimulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions) (FleetResult, error) {
-	return simulateFleet(cfg, fabrics, shapes, jobs, opt, newSession().fabric, nil)
+	return simulateFleet(cfg, fabrics, shapes, jobs, opt, newSession(), nil)
 }
 
-func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions, cache *fabricCache, cancel func() error) (FleetResult, error) {
+func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions, sess *session, cancel func() error) (FleetResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return FleetResult{}, err
 	}
@@ -320,41 +320,31 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 		}
 	}
 
-	// Resolve each shape once: algorithm, byte count, structural width
-	// floor, and one runtime closure per distinct fabric ring size (the
-	// session cache keys on the full config, so fabrics with equal Nodes
-	// share curves).
-	type shapeInfo struct {
-		alg   Algorithm
-		bytes int64
-		floor int
-	}
-	infos := make([]shapeInfo, len(shapes))
+	// Resolve each shape once, then give it one runtime closure per
+	// fabric (the session cache keys on the full config, so fabrics with
+	// equal Nodes share curves).
+	tenants := make([]tenant, len(shapes))
 	for si, sh := range shapes {
-		alg := sh.Algorithm
-		if alg == "" {
-			alg = AlgWrht
-		}
-		if isElectrical(alg) {
-			return FleetResult{}, fmt.Errorf("wrht: shape %d: electrical algorithm %q cannot share an optical fabric", si, alg)
-		}
-		bytes, err := jobBytes(cfg, JobSpec{Name: fmt.Sprintf("shape%d", si), Model: sh.Model, Bytes: sh.Bytes})
+		t, err := opticalTenant(cfg, sh.Algorithm, "an optical fabric")
 		if err != nil {
 			return FleetResult{}, fmt.Errorf("wrht: shape %d: %w", si, err)
 		}
-		infos[si] = shapeInfo{alg: alg, bytes: bytes, floor: algFloor(cfg, alg)}
+		if t.bytes, err = jobBytes(cfg, JobSpec{Name: fmt.Sprintf("shape%d", si), Model: sh.Model, Bytes: sh.Bytes}); err != nil {
+			return FleetResult{}, fmt.Errorf("wrht: shape %d: %w", si, err)
+		}
+		tenants[si] = t
 	}
-	curves := make([]map[int64]func(int) (float64, error), len(fabrics))
+	curves := make([][]func(int) (float64, error), len(fabrics))
 	for fi, f := range fabrics {
-		curves[fi] = map[int64]func(int) (float64, error){}
 		cfgF := cfg
 		cfgF.Nodes = f.Nodes
-		for si, info := range infos {
-			curves[fi][int64(si)] = cache.runtime(cfgF, info.alg, info.bytes)
+		curves[fi] = make([]func(int) (float64, error), len(tenants))
+		for si, t := range tenants {
+			curves[fi][si] = sess.runtime(cfgF, t.alg, t.bytes)
 		}
 	}
 	rt := func(fab, shape, w int) (float64, error) {
-		return curves[fab][int64(shape)](w)
+		return curves[fab][shape](w)
 	}
 
 	inner := make([]fleet.Job, len(jobs))
@@ -363,15 +353,9 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 			return FleetResult{}, fmt.Errorf("wrht: fleet job %d (%q): shape %d with %d shapes",
 				i, j.Name, j.Shape, len(shapes))
 		}
-		info := infos[j.Shape]
-		minW := j.MinWavelengths
-		if info.floor > minW {
-			minW = info.floor
-			if j.MaxWavelengths != 0 && j.MaxWavelengths < info.floor {
-				return FleetResult{}, fmt.Errorf(
-					"wrht: fleet job %d (%q): %s with group size m=%d needs at least %d wavelengths, MaxWavelengths is %d",
-					i, j.Name, info.alg, cfg.WrhtGroupSize, info.floor, j.MaxWavelengths)
-			}
+		minW, err := tenants[j.Shape].minWidth(cfg, j.MinWavelengths, j.MaxWavelengths)
+		if err != nil {
+			return FleetResult{}, fmt.Errorf("wrht: fleet job %d (%q): %w", i, j.Name, err)
 		}
 		inner[i] = fleet.Job{
 			Name:               j.Name,
@@ -402,7 +386,7 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 		return FleetResult{}, err
 	}
 
-	rec := cache.sess.recorder()
+	rec := sess.recorder()
 	proc := ""
 	if rec.Enabled() {
 		proc = fleetProcName(cfg, fabrics, jobs, opt)

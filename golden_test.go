@@ -381,7 +381,11 @@ func referenceMultiRackTime(cfg Config, racks, perRack int, bytes int64) (MultiR
 	if cfg.WrhtGreedyA2A {
 		opts.Policy = core.A2AGreedy
 	}
-	plan, err := multiring.BuildPlan(racks, perRack, cfg.Optical.Wavelengths, opts)
+	intra, err := core.BuildPlan(perRack, cfg.Optical.Wavelengths, opts)
+	if err != nil {
+		return MultiRackResult{}, err
+	}
+	plan, err := multiring.BuildPlan(racks, intra)
 	if err != nil {
 		return MultiRackResult{}, err
 	}
@@ -417,7 +421,7 @@ func referenceMultiRackTime(cfg Config, racks, perRack int, bytes int64) (MultiR
 	if err != nil {
 		return MultiRackResult{}, err
 	}
-	inter, err := plan.InterSchedule(elems)
+	inter, err := collective.RingAllReduce(racks, elems)
 	if err != nil {
 		return MultiRackResult{}, err
 	}

@@ -4,17 +4,21 @@ import (
 	"sync"
 
 	"wrht/internal/core"
+	"wrht/internal/runner"
 )
 
-// memo is a mutex+once memoization table: the map is mutex-guarded, each
+// Memo is a concurrent memoization table: the map is mutex-guarded, each
 // entry computes under its own sync.Once, so concurrent requests for the
 // same key share a single computation (and distinct keys compute in
 // parallel) while every caller receives the same value. Errors are memoized
 // too. A miss is the first request for a key and a hit any repeat, so the
 // counters are deterministic whatever the scheduling of concurrent
-// workers. It is the shared machinery behind the three cache layers
-// (plan → schedule → simulation).
-type memo[K comparable, V any] struct {
+// workers. The zero value is an empty table.
+//
+// It is the one memo behind every pricing cache: the plan cache below, and
+// the root package's schedule, simulation and fabric runtime-curve caches.
+// Cached values are shared: callers must treat them as immutable.
+type Memo[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*memoEntry[V]
 	hits    int64
@@ -27,8 +31,8 @@ type memoEntry[V any] struct {
 	err  error
 }
 
-// do returns the memoized value for key, computing it with fn on first use.
-func (m *memo[K, V]) do(key K, fn func() (V, error)) (V, error) {
+// Do returns the memoized value for key, computing it with fn on first use.
+func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	m.mu.Lock()
 	if m.entries == nil {
 		m.entries = map[K]*memoEntry[V]{}
@@ -48,9 +52,9 @@ func (m *memo[K, V]) do(key K, fn func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// stats returns the hits and misses so far; both are deterministic for a
-// fixed request multiset, whatever the parallelism.
-func (m *memo[K, V]) stats() (hits, misses int64) {
+// Stats returns the hits and misses (= distinct keys computed) so far; both
+// are deterministic for a fixed request multiset, whatever the parallelism.
+func (m *Memo[K, V]) Stats() (hits, misses int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.hits, m.misses
@@ -75,7 +79,7 @@ type PlanKey struct {
 // and simulation caches key on core.PlanSig, so that rebuilt plan still
 // shares their entries.)
 type PlanCache struct {
-	m memo[PlanKey, *core.Plan]
+	m Memo[PlanKey, *core.Plan]
 }
 
 // NewPlanCache returns an empty cache.
@@ -86,7 +90,7 @@ func NewPlanCache() *PlanCache {
 // Plan returns the memoized plan for (n, w, opts), building it on first use.
 func (c *PlanCache) Plan(n, w int, opts core.Options) (*core.Plan, error) {
 	key := PlanKey{N: n, W: w, Opts: opts}
-	return c.m.do(key, func() (*core.Plan, error) {
+	return c.m.Do(key, func() (*core.Plan, error) {
 		if opts.M == 0 && n >= 2 && w >= 1 {
 			return core.ChooseM(n, w, opts)
 		}
@@ -98,5 +102,32 @@ func (c *PlanCache) Plan(n, w int, opts core.Options) (*core.Plan, error) {
 // first Plan request for a key, a hit any repeat; both are deterministic
 // for a fixed request multiset, whatever the parallelism.
 func (c *PlanCache) Stats() (hits, misses int64) {
-	return c.m.stats()
+	return c.m.Stats()
+}
+
+// ScheduleKey identifies one lowered schedule. Exactly one of the two
+// identity halves is set: Algorithm names a classical schedule constructor
+// ("ring", "rd", "hd", "binomial" — pure functions of N and Elems), while a
+// non-zero Sig identifies a planned Wrht schedule (core.PlanSig fully
+// determines the lowering, so the optimizer's plan and the same plan
+// requested with an explicit group size share one entry). Chunks
+// distinguishes the chunked-pipeline lowering (0 = plain).
+type ScheduleKey struct {
+	Algorithm string
+	N         int
+	Elems     int
+	Chunks    int
+	Sig       core.PlanSig
+}
+
+// SimKey identifies one priced simulation: the schedule identity plus the
+// complete substrate configuration. Both options structs are comparable
+// value types (ElectricalOptions.Network must be nil — derived from the
+// schedule — for the result to be cacheable; callers on the cached path
+// guarantee this).
+type SimKey struct {
+	Sched      ScheduleKey
+	Electrical bool
+	OptOpts    runner.OpticalOptions
+	ElecOpts   runner.ElectricalOptions
 }

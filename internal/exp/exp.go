@@ -1,14 +1,18 @@
 // Package exp is the concurrent experiment engine behind wrht.RunSweep: a
 // declarative Grid that enumerates scenario axes into a deterministic point
 // list, a worker pool that evaluates points concurrently while returning
-// results in stable grid order, and shared memoized caches (plan, schedule,
-// simulation) so each distinct key is built once however many points ask
-// for it. The plan cache stores only the keys callers request: the
-// group-size optimizer's hundreds of candidate plans per (nodes,
-// wavelengths) pair are built and dropped, never filed. The package is
-// domain-neutral on purpose: the mapping from a Point to a priced scenario
-// lives in the public API (sweep.go), which is the only layer that knows
-// about configs, catalog models, and fabric job mixes.
+// results in stable grid order, and Memo, the one memoization type behind
+// every pricing cache, so each distinct key is built once however many
+// points ask for it. Memo has four uses: PlanCache wraps it with the
+// group-size optimizer's rule (only requested keys are stored: the
+// optimizer's hundreds of candidate plans per (nodes, wavelengths) pair
+// are built and dropped, never filed), and the root package's session
+// keys it directly by ScheduleKey for lowered schedules, by SimKey for
+// substrate simulations and by tenant and width for fabric runtime
+// curves. The package is domain-neutral on purpose: the mapping from a
+// Point to a priced scenario lives in the public API (sweep.go), which is
+// the only layer that knows about configs, catalog models, and fabric job
+// mixes.
 package exp
 
 import (

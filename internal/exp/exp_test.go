@@ -234,18 +234,18 @@ func TestPlanCacheCountersUnderConcurrency(t *testing.T) {
 }
 
 func TestScheduleCacheSharing(t *testing.T) {
-	c := NewScheduleCache()
+	var c Memo[ScheduleKey, *collective.ClassSchedule]
 	key := ScheduleKey{Algorithm: "ring", N: 8, Elems: 64}
 	builds := 0
 	build := func() (*collective.ClassSchedule, error) {
 		builds++
 		return collective.RingAllReduceClassed(8, 64)
 	}
-	s1, err := c.Schedule(key, build)
+	s1, err := c.Do(key, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.Schedule(key, build)
+	s2, err := c.Do(key, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestScheduleCacheSharing(t *testing.T) {
 	}
 	other := key
 	other.Elems = 128
-	if _, err := c.Schedule(other, func() (*collective.ClassSchedule, error) {
+	if _, err := c.Do(other, func() (*collective.ClassSchedule, error) {
 		builds++
 		return collective.RingAllReduceClassed(8, 128)
 	}); err != nil {
@@ -274,7 +274,7 @@ func TestSimCacheSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewSimCache()
+	var c Memo[SimKey, runner.Result]
 	key := SimKey{
 		Sched:   ScheduleKey{Algorithm: "ring", N: 8, Elems: 64},
 		OptOpts: runner.DefaultOpticalOptions(),
@@ -284,11 +284,11 @@ func TestSimCacheSharing(t *testing.T) {
 		runs++
 		return runner.RunOpticalClassedObserved(cls, runner.DefaultOpticalOptions(), nil, "")
 	}
-	r1, err := c.Run(key, run)
+	r1, err := c.Do(key, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Run(key, run)
+	r2, err := c.Do(key, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestSimCacheSharing(t *testing.T) {
 	// Different substrate options are distinct entries.
 	wider := key
 	wider.OptOpts.DefaultWidth = 8
-	if _, err := c.Run(wider, func() (runner.Result, error) {
+	if _, err := c.Do(wider, func() (runner.Result, error) {
 		runs++
 		o := runner.DefaultOpticalOptions()
 		o.DefaultWidth = 8
@@ -319,7 +319,7 @@ func TestSimCacheConcurrentSingleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewSimCache()
+	var c Memo[SimKey, runner.Result]
 	key := SimKey{Sched: ScheduleKey{Algorithm: "ring", N: 16, Elems: 256}, OptOpts: runner.DefaultOpticalOptions()}
 	var runs int64
 	var wg sync.WaitGroup
@@ -328,7 +328,7 @@ func TestSimCacheConcurrentSingleRun(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := c.Run(key, func() (runner.Result, error) {
+			r, err := c.Do(key, func() (runner.Result, error) {
 				atomic.AddInt64(&runs, 1)
 				return runner.RunOpticalClassedObserved(cls, runner.DefaultOpticalOptions(), nil, "")
 			})

@@ -31,34 +31,19 @@ type Plan struct {
 	LeaderLocal int
 }
 
-// PlanBuilder mirrors core.BuildPlan's signature so sweeps can inject a
-// shared memoized plan cache for the intra-rack plan.
-type PlanBuilder func(n, w int, opts core.Options) (*core.Plan, error)
-
-// BuildPlan constructs the hierarchy: a Wrht plan per rack plus leader
-// selection. wavelengths is the per-rack WDM budget.
-func BuildPlan(racks, nodesPerRack, wavelengths int, opts core.Options) (*Plan, error) {
-	return BuildPlanWith(racks, nodesPerRack, wavelengths, opts, core.BuildPlan)
-}
-
-// BuildPlanWith is BuildPlan with an injectable intra-rack plan builder.
-func BuildPlanWith(racks, nodesPerRack, wavelengths int, opts core.Options, build PlanBuilder) (*Plan, error) {
+// BuildPlan assembles the hierarchy from the per-rack Wrht plan the caller
+// built (intra.N is the rack size): racks copies of intra, each rack led by
+// the intra plan's first final representative.
+func BuildPlan(racks int, intra *core.Plan) (*Plan, error) {
 	if racks < 2 {
 		return nil, fmt.Errorf("multiring: need >= 2 racks, got %d", racks)
-	}
-	if nodesPerRack < 2 {
-		return nil, fmt.Errorf("multiring: need >= 2 nodes per rack, got %d", nodesPerRack)
-	}
-	intra, err := build(nodesPerRack, wavelengths, opts)
-	if err != nil {
-		return nil, err
 	}
 	leader := intra.Root
 	if intra.A2AReps != nil {
 		leader = intra.A2AReps[0]
 	}
 	return &Plan{
-		Racks: racks, NodesPerRack: nodesPerRack,
+		Racks: racks, NodesPerRack: intra.N,
 		Intra:       intra,
 		LeaderLocal: leader,
 	}, nil
@@ -165,12 +150,6 @@ func (p *Plan) remapSteps(local []collective.Step) []collective.Step {
 	return out
 }
 
-// InterSchedule builds the leader all-reduce on K logical nodes (ring
-// all-reduce — bandwidth optimal on the electrical leader network).
-func (p *Plan) InterSchedule(elems int) (*collective.Schedule, error) {
-	return collective.RingAllReduce(p.Racks, elems)
-}
-
 // GlobalSchedule composes the full hierarchy on Racks·NodesPerRack global
 // node ids, for data-level verification.
 func (p *Plan) GlobalSchedule(elems int) (*collective.Schedule, error) {
@@ -184,7 +163,9 @@ func (p *Plan) GlobalSchedule(elems int) (*collective.Schedule, error) {
 	}
 	s.Steps = append(s.Steps, p.remapSteps(p.intraReduceSteps(elems))...)
 
-	inter, err := p.InterSchedule(elems)
+	// The leader all-reduce on K logical nodes is a ring all-reduce
+	// (bandwidth optimal on the electrical leader network).
+	inter, err := collective.RingAllReduce(p.Racks, elems)
 	if err != nil {
 		return nil, err
 	}
@@ -236,11 +217,10 @@ func (p *Plan) Time(elems, bytesPerElem int, op optical.Params, ep electrical.Pa
 	if out.IntraBroadcastSec, err = intra("intra-broadcast", p.intraBroadcastSteps(elems)); err != nil {
 		return out, err
 	}
-	s, err := p.InterSchedule(elems)
+	inter, err := collective.RingAllReduceClassed(p.Racks, elems)
 	if err != nil {
 		return out, err
 	}
-	inter := s.Classes()
 	defer inter.Release()
 	r, err := runner.RunElectricalClassedObserved(inter, runner.ElectricalOptions{Params: ep, BytesPerElem: bytesPerElem}, nil, "")
 	if err != nil {

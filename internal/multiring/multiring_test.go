@@ -14,6 +14,15 @@ func opts(m int) core.Options {
 	return core.Options{M: m, Policy: core.A2AFormula, Striping: true}
 }
 
+// build plans the rack ring with core.BuildPlan and assembles the hierarchy.
+func build(racks, perRack, w int, o core.Options) (*Plan, error) {
+	intra, err := core.BuildPlan(perRack, w, o)
+	if err != nil {
+		return nil, err
+	}
+	return BuildPlan(racks, intra)
+}
+
 func TestGlobalScheduleIsCorrectAllReduce(t *testing.T) {
 	cases := []struct{ racks, perRack, m, elems int }{
 		{2, 4, 3, 16},
@@ -23,7 +32,7 @@ func TestGlobalScheduleIsCorrectAllReduce(t *testing.T) {
 		{8, 8, 3, 33},
 	}
 	for _, c := range cases {
-		p, err := BuildPlan(c.racks, c.perRack, 16, opts(c.m))
+		p, err := build(c.racks, c.perRack, 16, opts(c.m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +60,7 @@ func TestGlobalScheduleRandomized(t *testing.T) {
 		if maxM > 2 {
 			m = rng.Intn(maxM-1) + 2
 		}
-		p, err := BuildPlan(racks, perRack, w, opts(m))
+		p, err := build(racks, perRack, w, opts(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +75,7 @@ func TestGlobalScheduleRandomized(t *testing.T) {
 }
 
 func TestTimeBreakdownPositiveAndComposes(t *testing.T) {
-	p, err := BuildPlan(8, 128, 64, opts(3))
+	p, err := build(8, 128, 64, opts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +96,7 @@ func TestHierarchyCompetitiveAtScale(t *testing.T) {
 	// 8 racks × 128 nodes = 1024 workers. The hierarchy's intra phases run
 	// racks in parallel, so it must beat a flat electrical ring over all
 	// 1024 nodes for large buffers, where the leader ring at K=8 is cheap.
-	p, err := BuildPlan(8, 128, 64, opts(3))
+	p, err := build(8, 128, 64, opts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +120,7 @@ func TestHierarchyCompetitiveAtScale(t *testing.T) {
 }
 
 func TestLeaderSelection(t *testing.T) {
-	p, err := BuildPlan(2, 16, 4, opts(3))
+	p, err := build(2, 16, 4, opts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +137,13 @@ func TestLeaderSelection(t *testing.T) {
 }
 
 func TestBuildPlanValidation(t *testing.T) {
-	if _, err := BuildPlan(1, 8, 4, opts(3)); err == nil {
+	if _, err := build(1, 8, 4, opts(3)); err == nil {
 		t.Fatal("1 rack accepted")
 	}
-	if _, err := BuildPlan(4, 1, 4, opts(3)); err == nil {
+	if _, err := build(4, 1, 4, opts(3)); err == nil {
 		t.Fatal("1 node per rack accepted")
 	}
-	if _, err := BuildPlan(4, 8, 0, opts(3)); err == nil {
+	if _, err := build(4, 8, 0, opts(3)); err == nil {
 		t.Fatal("0 wavelengths accepted")
 	}
 }

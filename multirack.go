@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wrht/internal/collective"
-	"wrht/internal/core"
 	"wrht/internal/model"
 	"wrht/internal/multiring"
 )
@@ -29,12 +28,12 @@ type MultiRackResult struct {
 // all-reduced over cfg.Electrical. cfg.Nodes is ignored (the worker count is
 // racks × nodesPerRack).
 func MultiRackTime(cfg Config, racks, nodesPerRack int, bytes int64) (MultiRackResult, error) {
-	return multiRackTime(cfg, racks, nodesPerRack, bytes, core.BuildPlan)
+	return multiRackTime(cfg, racks, nodesPerRack, bytes, nil)
 }
 
-// multiRackTime is MultiRackTime with an injectable intra-rack plan builder
-// (RunSweep shares its memoized cache across multi-rack points).
-func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planBuilder) (MultiRackResult, error) {
+// multiRackTime is MultiRackTime planning through the session (RunSweep
+// shares its memoized plan cache across multi-rack points).
+func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, sess *session) (MultiRackResult, error) {
 	if err := cfg.Optical.Validate(); err != nil {
 		return MultiRackResult{}, err
 	}
@@ -54,14 +53,7 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planB
 		// not a silent negative element count.
 		return MultiRackResult{}, fmt.Errorf("wrht: BytesPerElem %d", cfg.BytesPerElem)
 	}
-	opts := core.DefaultOptions()
-	opts.Cost = model.CostParamsOf(cfg.Optical)
-	opts.M = cfg.WrhtGroupSize
-	if cfg.WrhtGreedyA2A {
-		opts.Policy = core.A2AGreedy
-	}
-	plan, err := multiring.BuildPlanWith(racks, nodesPerRack, cfg.Optical.Wavelengths, opts,
-		multiring.PlanBuilder(build))
+	plan, err := sess.rackPlan(cfg, racks, nodesPerRack)
 	if err != nil {
 		return MultiRackResult{}, err
 	}
@@ -81,12 +73,10 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, build planB
 }
 
 // VerifyMultiRack executes the composed hierarchical schedule on real
-// buffers and confirms every worker ends with the exact global sum.
+// buffers and confirms every worker ends with the exact global sum. It
+// verifies the plan MultiRackTime prices for the same configuration.
 func VerifyMultiRack(cfg Config, racks, nodesPerRack, elems int) error {
-	opts := core.DefaultOptions()
-	opts.Cost = model.CostParamsOf(cfg.Optical)
-	opts.M = cfg.WrhtGroupSize
-	plan, err := multiring.BuildPlan(racks, nodesPerRack, cfg.Optical.Wavelengths, opts)
+	plan, err := (*session)(nil).rackPlan(cfg, racks, nodesPerRack)
 	if err != nil {
 		return err
 	}
@@ -95,4 +85,24 @@ func VerifyMultiRack(cfg Config, racks, nodesPerRack, elems int) error {
 		return err
 	}
 	return collective.VerifyAllReduce(s)
+}
+
+// rackPlan lowers cfg to the hierarchy over racks × nodesPerRack workers:
+// the per-rack ring is planned like every other Wrht plan (buildPlan, at
+// Nodes = nodesPerRack), so WrhtGroupSize and WrhtGreedyA2A reach it.
+func (s *session) rackPlan(cfg Config, racks, nodesPerRack int) (*multiring.Plan, error) {
+	// The shape is checked before planning, so a bad rack count never
+	// touches the plan cache.
+	if racks < 2 {
+		return nil, fmt.Errorf("multiring: need >= 2 racks, got %d", racks)
+	}
+	if nodesPerRack < 2 {
+		return nil, fmt.Errorf("multiring: need >= 2 nodes per rack, got %d", nodesPerRack)
+	}
+	cfg.Nodes = nodesPerRack
+	intra, err := s.buildPlan(cfg, AlgWrht)
+	if err != nil {
+		return nil, err
+	}
+	return multiring.BuildPlan(racks, intra)
 }

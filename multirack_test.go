@@ -1,6 +1,10 @@
 package wrht
 
-import "testing"
+import (
+	"testing"
+
+	"wrht/internal/core"
+)
 
 func TestMultiRackTime(t *testing.T) {
 	cfg := DefaultConfig(1) // Nodes ignored by MultiRackTime
@@ -128,5 +132,60 @@ func TestMultiRackTimeBytesPerElemInvariant(t *testing.T) {
 		if got != want {
 			t.Fatalf("%d B/elem prices differently from 2 B/elem:\n got %+v\nwant %+v", bpe, got, want)
 		}
+	}
+}
+
+// TestMultiRackVerifiedPlanIsPricedPlan: VerifyMultiRack verifies the very
+// intra-rack plan MultiRackTime prices, with the greedy all-to-all policy
+// on and off. Pricing through a session files the priced plan in its plan
+// cache; planning the verifier's way must then hit that entry and agree on
+// the core.PlanSig with the session-free plan VerifyMultiRack builds. At
+// w=64 the greedy and formula plans differ in every case, so a verifier
+// that dropped WrhtGreedyA2A would fail here.
+func TestMultiRackVerifiedPlanIsPricedPlan(t *testing.T) {
+	for _, perRack := range []int{8, 12, 16, 32, 64, 128} {
+		for _, m := range []int{2, 3, 4, 5, 7, 9} {
+			var sigs [2]core.PlanSig
+			for gi, greedy := range []bool{false, true} {
+				cfg := DefaultConfig(1)
+				cfg.Optical.Wavelengths = 64
+				cfg.WrhtGroupSize = m
+				cfg.WrhtGreedyA2A = greedy
+				sess := newSession()
+				if _, err := multiRackTime(cfg, 2, perRack, 1<<20, sess); err != nil {
+					t.Fatalf("perRack=%d m=%d greedy=%v: %v", perRack, m, greedy, err)
+				}
+				hits, builds := sess.plans.Stats()
+				priced, err := sess.rackPlan(cfg, 2, perRack)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h, b := sess.plans.Stats(); h != hits+1 || b != builds {
+					t.Fatalf("perRack=%d m=%d greedy=%v: re-planning missed the priced plan (plan stats (%d, %d) → (%d, %d))",
+						perRack, m, greedy, hits, builds, h, b)
+				}
+				verified, err := (*session)(nil).rackPlan(cfg, 2, perRack)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if verified.Intra.Sig() != priced.Intra.Sig() {
+					t.Fatalf("perRack=%d m=%d greedy=%v: verified plan %v, priced plan %v",
+						perRack, m, greedy, verified.Intra, priced.Intra)
+				}
+				if greedy != (verified.Intra.Policy == core.A2AGreedy) {
+					t.Fatalf("perRack=%d m=%d greedy=%v: plan policy %v", perRack, m, greedy, verified.Intra.Policy)
+				}
+				sigs[gi] = verified.Intra.Sig()
+			}
+			if sigs[0] == sigs[1] {
+				t.Fatalf("perRack=%d m=%d: greedy and formula plans coincide; the case cannot tell them apart", perRack, m)
+			}
+		}
+	}
+	cfg := DefaultConfig(1)
+	cfg.WrhtGroupSize = 3
+	cfg.WrhtGreedyA2A = true
+	if err := VerifyMultiRack(cfg, 3, 12, 29); err != nil {
+		t.Fatalf("greedy hierarchy: %v", err)
 	}
 }

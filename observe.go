@@ -237,17 +237,11 @@ type ScheduleClassStats struct {
 // given size (exactly as CommunicationTime would) and reports its
 // certificate statistics without pricing it.
 func InspectScheduleClasses(cfg Config, alg Algorithm, bytes int64) (ScheduleClassStats, error) {
-	if err := cfg.Validate(); err != nil {
-		return ScheduleClassStats{}, err
-	}
-	if bytes <= 0 {
-		return ScheduleClassStats{}, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
-	}
-	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
+	b, err := lowerBuffer(cfg, alg, bytes, nil)
 	if err != nil {
 		return ScheduleClassStats{}, err
 	}
+	cls := b.cls
 	defer cls.Release()
 	cert, mat, dem := cls.CertStats()
 	return ScheduleClassStats{

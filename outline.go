@@ -29,17 +29,11 @@ type StepOutline struct {
 // size and returns a per-step outline, including per-step optical timings
 // and wavelength counts.
 func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if bytes <= 0 {
-		return nil, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
-	}
-	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	cls, _, _, err := buildClassSchedule(cfg, alg, elems, nil)
+	b, err := lowerBuffer(cfg, alg, bytes, nil)
 	if err != nil {
 		return nil, err
 	}
+	cls := b.cls
 	defer cls.Release() // session-free: the transient schedule is ours to recycle
 	topo, err := ring.New(cfg.Nodes)
 	if err != nil {
@@ -49,9 +43,7 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 	opts := runner.DefaultOpticalOptions()
 	opts.Params = cfg.Optical
 	opts.BytesPerElem = cfg.BytesPerElem
-	if alg == AlgORingStriped {
-		opts.DefaultWidth = cfg.Optical.Wavelengths
-	}
+	opts.DefaultWidth = defaultWidth(cfg, alg)
 	res, err := runner.RunOpticalClassedObserved(cls, opts, nil, "")
 	if err != nil {
 		return nil, err

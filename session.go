@@ -12,16 +12,22 @@ import (
 	"wrht/internal/runner"
 )
 
-// session bundles the three memoization layers of the simulate fast path —
-// plan → schedule → simulation (internal/exp) — plus the fabric runtime
-// cache built on top of them. All layers are safe for concurrent use; a nil
+// session bundles the memoization layers of the simulate fast path — plan
+// → schedule → simulation — plus the fabric runtime cache built on top of
+// them, every one an exp.Memo. All layers are safe for concurrent use; a nil
 // *session disables caching (methods fall through to direct computation), so
 // every pricing helper takes a session and works in both modes.
 type session struct {
-	plans  *exp.PlanCache
-	scheds *exp.ScheduleCache
-	sims   *exp.SimCache
-	fabric *fabricCache
+	plans exp.PlanCache
+	// scheds holds lowered classed schedules, shared across sweep points
+	// and fabric tenants: cache-owned, so callers never Release them.
+	scheds exp.Memo[exp.ScheduleKey, *collective.ClassSchedule]
+	// sims holds substrate simulation results, the most expensive layer:
+	// one entry saves a whole optical or electrical replay. Callers must not
+	// mutate a cached Result's slices.
+	sims exp.Memo[exp.SimKey, runner.Result]
+	// fabric holds fabric tenants' runtime-curve points (session.runtime).
+	fabric exp.Memo[curveKey, float64]
 	// rec is the session's flight recorder; a nil load (the default)
 	// disables observability at zero cost beyond the atomic read. The
 	// pointer is atomic so SweepSession.Observe is safe to race with
@@ -63,17 +69,15 @@ func (s *session) simProc(key exp.SimKey) string {
 
 // newSession returns an empty session.
 func newSession() *session {
-	s := &session{
-		plans:  exp.NewPlanCache(),
-		scheds: exp.NewScheduleCache(),
-		sims:   exp.NewSimCache(),
-	}
-	s.fabric = newFabricCacheWith(s)
-	return s
+	return &session{}
 }
 
-// buildPlan is the session's planBuilder (nil session: plain core.BuildPlan).
-func (s *session) buildPlan(n, w int, opts core.Options) (*core.Plan, error) {
+// buildPlan is the one lowering of a configuration to a Wrht plan: planner
+// options from wrhtOptions, built through the session's plan cache (nil
+// session: plain core.BuildPlan). Single-ring pricing, Plan,
+// TrainingIteration and both multi-rack entry points all plan through it.
+func (s *session) buildPlan(cfg Config, alg Algorithm) (*core.Plan, error) {
+	n, w, opts := cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg)
 	if s == nil {
 		return core.BuildPlan(n, w, opts)
 	}
@@ -87,32 +91,25 @@ func (s *session) schedule(key exp.ScheduleKey, build func() (*collective.ClassS
 	if s == nil {
 		return build()
 	}
-	return s.scheds.Schedule(key, build)
+	return s.scheds.Do(key, build)
 }
 
-// simOptical prices the classed schedule on the WDM ring, memoized by
-// (schedule identity, options) when a session is present.
-func (s *session) simOptical(key exp.ScheduleKey, cls *collective.ClassSchedule, opts runner.OpticalOptions) (runner.Result, error) {
-	if s == nil {
-		return runner.RunOpticalClassedObserved(cls, opts, nil, "")
+// simulate prices the classed schedule on the substrate key names (the WDM
+// ring, or the electrical network when key.Electrical), memoized by key when
+// a session is present. An electrical key's Network must be nil on the
+// cached path (it is derived from the schedule).
+func (s *session) simulate(key exp.SimKey, cls *collective.ClassSchedule) (runner.Result, error) {
+	run := func(rec *obs.Recorder, proc string) (runner.Result, error) {
+		if key.Electrical {
+			return runner.RunElectricalClassedObserved(cls, key.ElecOpts, rec, proc)
+		}
+		return runner.RunOpticalClassedObserved(cls, key.OptOpts, rec, proc)
 	}
-	simKey := exp.SimKey{Sched: key, OptOpts: opts}
-	return s.sims.Run(simKey, func() (runner.Result, error) {
-		return runner.RunOpticalClassedObserved(cls, opts, s.recorder(), s.simProc(simKey))
-	})
-}
-
-// simElectrical prices the classed schedule on the electrical substrate,
-// memoized by (schedule identity, options) when a session is present.
-// opts.Network must be nil on the cached path (it is derived from the
-// schedule).
-func (s *session) simElectrical(key exp.ScheduleKey, cls *collective.ClassSchedule, opts runner.ElectricalOptions) (runner.Result, error) {
-	if s == nil || opts.Network != nil {
-		return runner.RunElectricalClassedObserved(cls, opts, nil, "")
+	if s == nil || key.ElecOpts.Network != nil {
+		return run(nil, "")
 	}
-	simKey := exp.SimKey{Sched: key, Electrical: true, ElecOpts: opts}
-	return s.sims.Run(simKey, func() (runner.Result, error) {
-		return runner.RunElectricalClassedObserved(cls, opts, s.recorder(), s.simProc(simKey))
+	return s.sims.Do(key, func() (runner.Result, error) {
+		return run(s.recorder(), s.simProc(key))
 	})
 }
 
@@ -123,9 +120,10 @@ func (s *session) simElectrical(key exp.ScheduleKey, cls *collective.ClassSchedu
 // lifetime. Construction is cheap; all methods are safe for concurrent use.
 // Results are bit-identical to the session-free entry points.
 //
-// The caches have no eviction: a cached schedule at N=1024 is tens of MB,
-// so memory grows with the number of distinct (algorithm, nodes, size)
-// configurations the session has seen. Drop the session (and start a fresh
+// The caches have no eviction: a cached classed schedule at N=1024 for a
+// VGG16 buffer is about 321 KB for the ring, 132 KB for recursive doubling
+// and 48 KB for Wrht, so memory grows with the number of distinct
+// (algorithm, nodes, size) configurations the session has seen. Drop the session (and start a fresh
 // one) to release everything; for one-shot grids, plain RunSweep already
 // scopes the caches to the call.
 type SweepSession struct {
@@ -157,14 +155,14 @@ func (ss *SweepSession) SimulateFabric(cfg Config, jobs []JobSpec, policy Fabric
 	if err != nil {
 		return FabricResult{}, err
 	}
-	return simulateFabric(cfg, jobs, policy, ss.sess.fabric, fp, nil)
+	return simulateFabric(cfg, jobs, policy, ss.sess, fp, nil)
 }
 
 // SimulateFleet is SimulateFleet sharing this session's caches: per-shape
 // runtime curves persist across calls and across fabrics with equal ring
 // sizes, so sweeping placements or traces over the same fleet prices warm.
 func (ss *SweepSession) SimulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions) (FleetResult, error) {
-	return simulateFleet(cfg, fabrics, shapes, jobs, opt, ss.sess.fabric, nil)
+	return simulateFleet(cfg, fabrics, shapes, jobs, opt, ss.sess, nil)
 }
 
 // CompareFabricPolicies is CompareFabricPolicies sharing this session's
@@ -172,7 +170,7 @@ func (ss *SweepSession) SimulateFleet(cfg Config, fabrics []FleetFabricSpec, sha
 // simulations persist across calls, so repeated co-simulations of the same
 // tenant mixes price warm instead of re-simulating cold.
 func (ss *SweepSession) CompareFabricPolicies(cfg Config, jobs []JobSpec, policies []FabricPolicy) ([]FabricResult, error) {
-	return compareFabricPolicies(cfg, jobs, policies, ss.sess.fabric)
+	return compareFabricPolicies(cfg, jobs, policies, ss.sess)
 }
 
 // Compare is Compare sharing this session's caches (and, when observed, its

@@ -184,9 +184,9 @@ func runSweep(ctx context.Context, spec SweepSpec, sess *session) (*SweepResult,
 		var cell SweepCell
 		switch mode {
 		case sweepFabric:
-			cell = spec.priceFabric(pts[i], sess.fabric, cancel)
+			cell = spec.priceFabric(pts[i], sess, cancel)
 		case sweepMultiRack:
-			cell = spec.priceMultiRack(pts[i], sess.buildPlan)
+			cell = spec.priceMultiRack(pts[i], sess)
 		default:
 			cell = spec.priceComm(pts[i], sess)
 		}
@@ -395,7 +395,7 @@ func (spec SweepSpec) priceComm(pt exp.Point, sess *session) SweepCell {
 
 // priceFabric evaluates one fabric-mode point; cancel (nil = never) aborts
 // the point's co-simulation at an event boundary.
-func (spec SweepSpec) priceFabric(pt exp.Point, fcache *fabricCache, cancel func() error) SweepCell {
+func (spec SweepSpec) priceFabric(pt exp.Point, sess *session, cancel func() error) SweepCell {
 	cfg := spec.pointConfig(pt)
 	mix := spec.FabricMixes[pt.FabricMix]
 	if mix.Name == "" {
@@ -409,7 +409,7 @@ func (spec SweepSpec) priceFabric(pt exp.Point, fcache *fabricCache, cancel func
 		FabricMix:    mix.Name,
 		FabricPolicy: policy,
 	}
-	fr, err := simulateFabric(cfg, mix.Jobs, policy, fcache, FaultPlan{}, cancel)
+	fr, err := simulateFabric(cfg, mix.Jobs, policy, sess, FaultPlan{}, cancel)
 	if err != nil {
 		cell.Err = err
 		return cell
@@ -420,7 +420,7 @@ func (spec SweepSpec) priceFabric(pt exp.Point, fcache *fabricCache, cancel func
 }
 
 // priceMultiRack evaluates one multi-rack-mode point.
-func (spec SweepSpec) priceMultiRack(pt exp.Point, build planBuilder) SweepCell {
+func (spec SweepSpec) priceMultiRack(pt exp.Point, sess *session) SweepCell {
 	cfg := spec.pointConfig(pt)
 	cell := SweepCell{
 		Index:        pt.Index,
@@ -438,7 +438,7 @@ func (spec SweepSpec) priceMultiRack(pt exp.Point, build planBuilder) SweepCell 
 		return cell
 	}
 	cell.Bytes = bytes
-	mr, err := multiRackTime(cfg, pt.Racks, pt.NodesPerRack, bytes, build)
+	mr, err := multiRackTime(cfg, pt.Racks, pt.NodesPerRack, bytes, sess)
 	if err != nil {
 		cell.Err = err
 		return cell

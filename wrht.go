@@ -50,8 +50,9 @@
 //	})
 //
 // Pricing runs on a zero-allocation fast path — symmetry-aware classed
-// schedules, pooled simulator state, and three memoization layers (plan → schedule →
-// simulation; DESIGN.md §7). A SweepSession keeps those caches warm across
+// schedules, pooled simulator state, and memoization at every layer (plan →
+// schedule → simulation, plus fabric runtime curves; DESIGN.md §7). A
+// SweepSession keeps those caches warm across
 // calls, so repeated sweeps and fabric co-simulations never recompute a
 // configuration:
 //
@@ -109,7 +110,6 @@ import (
 	"wrht/internal/optical"
 	"wrht/internal/runner"
 	"wrht/internal/trace"
-	"wrht/internal/wdm"
 )
 
 // Algorithm names an all-reduce algorithm/substrate combination.
@@ -207,8 +207,16 @@ type Result struct {
 	Substrate string
 	// Seconds is the simulated end-to-end communication time.
 	Seconds float64
-	// PredictedSeconds is the closed-form analytic time (model package);
-	// simulation and prediction agree within ~1%.
+	// PredictedSeconds is the closed-form analytic time (internal/model).
+	// It agrees with Seconds only where the model's assumptions hold: on
+	// the paper's grid (n 128…4096, w ∈ {16, 32, 64}, the four catalog
+	// models) the gap was 0.00% in every point, and in a 300-point seeded
+	// random sample Wrht stayed within 1% at every w ≥ 32. Elsewhere it is
+	// approximate: E-Ring and O-Ring were off by up to 5e-5 and 3e-4
+	// (relative), Wrht under-predicted by up to 36.9% at w ≤ 16, and
+	// wrht-pipelined (a round-splitting approximation) was off by up to
+	// 3.7×. See the open ROADMAP item "Make the optimizer's cost model
+	// agree with the pricer".
 	PredictedSeconds float64
 	// Steps is the number of synchronous communication steps.
 	Steps int
@@ -256,11 +264,6 @@ func MustModel(name string) ModelSpec {
 	}
 }
 
-// planBuilder abstracts core.BuildPlan so sweeps can inject a shared
-// memoized plan cache (internal/exp) into the pricing path; the default is
-// core.BuildPlan itself.
-type planBuilder func(n, w int, opts core.Options) (*core.Plan, error)
-
 // wrhtOptions lowers the configuration to planner options for alg (striping
 // is an algorithm property: only AlgWrht rides residual WDM capacity).
 func wrhtOptions(cfg Config, alg Algorithm) core.Options {
@@ -282,57 +285,46 @@ func pipelineChunks(cfg Config) int {
 	return cfg.PipelineChunks
 }
 
-// schedName maps an algorithm to its schedule constructor's identity for
-// the cross-run schedule cache: E-Ring, O-Ring, and striped O-Ring all
-// lower to the same ring schedule, RD/HD/Binomial to theirs; the Wrht
-// variants are identified by their plan signature instead ("").
-func schedName(alg Algorithm) string {
-	switch alg {
-	case AlgERing, AlgORing, AlgORingStriped:
-		return "ring"
-	case AlgRD:
-		return "rd"
-	case AlgHD:
-		return "hd"
-	case AlgBinomial:
-		return "binomial"
-	default:
-		return ""
-	}
-}
-
 // buildClassSchedule constructs the symmetry-aware classed schedule (and
 // optional Wrht plan) for alg, together with the schedule's cache identity.
 // It is the one schedule every production surface prices, simulates,
 // outlines, and verifies: CommunicationTime, EventLevelTime, ScheduleOutline,
 // and VerifyAlgorithm all build through it. Ring schedules and Wrht plans
 // emit classes directly without materializing per-node transfers; the
-// remaining algorithms build the boxed schedule and fingerprint it. With a session the schedule is cache-owned;
-// without one the caller owns it.
+// remaining algorithms build the boxed schedule and fingerprint it. With a
+// session the schedule is cache-owned; without one the caller owns it.
+//
+// The cache identity names the schedule constructor: E-Ring, O-Ring and
+// striped O-Ring all lower to the one ring schedule, RD, HD and Binomial to
+// theirs, while the Wrht variants are identified by their plan signature.
 func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*collective.ClassSchedule, *core.Plan, exp.ScheduleKey, error) {
-	key := exp.ScheduleKey{Algorithm: schedName(alg), N: cfg.Nodes, Elems: elems}
+	key := exp.ScheduleKey{N: cfg.Nodes, Elems: elems}
 	var build func() (*collective.ClassSchedule, error)
 	var plan *core.Plan
 	switch alg {
 	case AlgERing, AlgORing, AlgORingStriped:
+		key.Algorithm = "ring"
 		build = func() (*collective.ClassSchedule, error) {
 			return collective.RingAllReduceClassed(cfg.Nodes, elems)
 		}
 	case AlgRD:
+		key.Algorithm = "rd"
 		build = func() (*collective.ClassSchedule, error) {
 			return classesOf(collective.RecursiveDoubling(cfg.Nodes, elems))
 		}
 	case AlgHD:
+		key.Algorithm = "hd"
 		build = func() (*collective.ClassSchedule, error) {
 			return classesOf(collective.HalvingDoubling(cfg.Nodes, elems))
 		}
 	case AlgBinomial:
+		key.Algorithm = "binomial"
 		build = func() (*collective.ClassSchedule, error) {
 			return classesOf(collective.BinomialTree(cfg.Nodes, elems))
 		}
 	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
 		var err error
-		plan, err = sess.buildPlan(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
+		plan, err = sess.buildPlan(cfg, alg)
 		if err != nil {
 			return nil, nil, key, err
 		}
@@ -410,69 +402,98 @@ func CommunicationTime(cfg Config, alg Algorithm, bytes int64) (Result, error) {
 // is cache-owned when a session is present and caller-owned (releasable)
 // otherwise.
 func communicationTime(cfg Config, alg Algorithm, bytes int64, sess *session) (Result, *collective.ClassSchedule, error) {
-	if err := cfg.Validate(); err != nil {
+	b, err := lowerBuffer(cfg, alg, bytes, sess)
+	if err != nil {
 		return Result{}, nil, err
+	}
+	cls := b.cls
+	key := exp.SimKey{Sched: b.key, Electrical: isElectrical(alg)}
+	if key.Electrical {
+		key.ElecOpts = runner.ElectricalOptions{Params: cfg.Electrical, BytesPerElem: cfg.BytesPerElem}
+	} else {
+		key.OptOpts = runner.DefaultOpticalOptions()
+		key.OptOpts.Params = cfg.Optical
+		key.OptOpts.BytesPerElem = cfg.BytesPerElem
+		key.OptOpts.DefaultWidth = defaultWidth(cfg, alg)
+	}
+	res, err := sess.simulate(key, cls)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	return Result{
+		Algorithm:        alg,
+		Substrate:        res.Substrate,
+		Seconds:          res.TotalSec,
+		PredictedSeconds: predictSeconds(cfg, alg, b.plan, int64(b.elems)*int64(cfg.BytesPerElem)),
+		Steps:            cls.NumSteps(),
+		MaxWavelengths:   res.MaxWavelengths,
+	}, cls, nil
+}
+
+// lowered is one buffer lowered for pricing: its element count (bytes
+// rounded up to whole elements) and the classed schedule, Wrht plan (nil
+// for the other algorithms) and schedule cache identity buildClassSchedule
+// returned for it.
+type lowered struct {
+	elems int
+	cls   *collective.ClassSchedule
+	plan  *core.Plan
+	key   exp.ScheduleKey
+}
+
+// lowerBuffer is the prologue every buffer-sized entry point shares
+// (CommunicationTime, ScheduleOutline, EventLevelTime,
+// InspectScheduleClasses): validate cfg, reject a non-positive size, round
+// bytes up to whole elements and build the classed schedule. With a session
+// the schedule is cache-owned; without one the caller releases it.
+func lowerBuffer(cfg Config, alg Algorithm, bytes int64, sess *session) (lowered, error) {
+	if err := cfg.Validate(); err != nil {
+		return lowered{}, err
 	}
 	if bytes <= 0 {
-		return Result{}, nil, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
+		return lowered{}, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
 	}
-	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
-	cls, plan, key, err := buildClassSchedule(cfg, alg, elems, sess)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	out := Result{Algorithm: alg, Steps: cls.NumSteps()}
-	simBytes := int64(elems) * int64(cfg.BytesPerElem)
+	b := lowered{elems: int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))}
+	var err error
+	b.cls, b.plan, b.key, err = buildClassSchedule(cfg, alg, b.elems, sess)
+	return b, err
+}
 
-	if isElectrical(alg) {
-		res, err := sess.simElectrical(key, cls, runner.ElectricalOptions{
-			Params:       cfg.Electrical,
-			BytesPerElem: cfg.BytesPerElem,
-		})
-		if err != nil {
-			return Result{}, nil, err
-		}
-		out.Substrate = res.Substrate
-		out.Seconds = res.TotalSec
-		switch alg {
-		case AlgERing:
-			out.PredictedSeconds = model.ERing(cfg.Nodes, simBytes, cfg.Electrical)
-		case AlgRD:
-			out.PredictedSeconds = model.RD(cfg.Nodes, simBytes, cfg.Electrical)
-		case AlgHD:
-			out.PredictedSeconds = model.HD(cfg.Nodes, simBytes, cfg.Electrical)
-		case AlgBinomial:
-			out.PredictedSeconds = model.Binomial(cfg.Nodes, simBytes, cfg.Electrical)
-		}
-		return out, cls, nil
-	}
-
-	opts := runner.DefaultOpticalOptions()
-	opts.Params = cfg.Optical
-	opts.BytesPerElem = cfg.BytesPerElem
-	opts.Assigner = wdm.FirstFit
+// defaultWidth is the stripe width of a transfer that sets none: striped
+// O-Ring spreads every transfer across the whole wavelength budget, every
+// other algorithm rides one wavelength per transfer.
+func defaultWidth(cfg Config, alg Algorithm) int {
 	if alg == AlgORingStriped {
-		opts.DefaultWidth = cfg.Optical.Wavelengths
+		return cfg.Optical.Wavelengths
 	}
-	res, err := sess.simOptical(key, cls, opts)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	out.Substrate = res.Substrate
-	out.Seconds = res.TotalSec
-	out.MaxWavelengths = res.MaxWavelengths
-	switch alg {
-	case AlgORing:
-		out.PredictedSeconds = model.ORing(cfg.Nodes, simBytes, cfg.Optical)
-	case AlgORingStriped:
-		out.PredictedSeconds = model.ORingStriped(cfg.Nodes, simBytes, cfg.Optical)
-	case AlgWrht, AlgWrhtUnstriped:
-		out.PredictedSeconds = model.Wrht(plan, simBytes, cfg.Optical)
-	case AlgWrhtPipelined:
-		out.PredictedSeconds = model.WrhtPipelined(plan, simBytes, cfg.Optical, pipelineChunks(cfg))
-	}
+	return 1
+}
 
-	return out, cls, nil
+// predictSeconds is alg's closed-form communication time for a buffer of
+// bytes (internal/model); plan is the Wrht plan for the Wrht variants and
+// ignored otherwise. Result.PredictedSeconds and TrainingIteration's
+// per-bucket timer both price through it; Result.PredictedSeconds records
+// where it is exact and where it is approximate.
+func predictSeconds(cfg Config, alg Algorithm, plan *core.Plan, bytes int64) float64 {
+	switch alg {
+	case AlgERing:
+		return model.ERing(cfg.Nodes, bytes, cfg.Electrical)
+	case AlgRD:
+		return model.RD(cfg.Nodes, bytes, cfg.Electrical)
+	case AlgHD:
+		return model.HD(cfg.Nodes, bytes, cfg.Electrical)
+	case AlgBinomial:
+		return model.Binomial(cfg.Nodes, bytes, cfg.Electrical)
+	case AlgORing:
+		return model.ORing(cfg.Nodes, bytes, cfg.Optical)
+	case AlgORingStriped:
+		return model.ORingStriped(cfg.Nodes, bytes, cfg.Optical)
+	case AlgWrht, AlgWrhtUnstriped:
+		return model.Wrht(plan, bytes, cfg.Optical)
+	case AlgWrhtPipelined:
+		return model.WrhtPipelined(plan, bytes, cfg.Optical, pipelineChunks(cfg))
+	}
+	return 0
 }
 
 // Compare prices several algorithms on the same buffer, sharing one session
@@ -518,7 +539,7 @@ func Plan(cfg Config) (PlanSummary, error) {
 	if err := cfg.Validate(); err != nil {
 		return PlanSummary{}, err
 	}
-	p, err := core.BuildPlan(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, AlgWrht))
+	p, err := (*session)(nil).buildPlan(cfg, AlgWrht)
 	if err != nil {
 		return PlanSummary{}, err
 	}
@@ -561,7 +582,7 @@ func TrainingIteration(cfg Config, alg Algorithm, modelName string, bucketCapByt
 	if err != nil {
 		return IterationReport{}, err
 	}
-	timer, err := commTimer(cfg, alg, core.BuildPlan)
+	timer, err := commTimer(cfg, alg)
 	if err != nil {
 		return IterationReport{}, err
 	}
@@ -583,40 +604,25 @@ func TrainingIteration(cfg Config, alg Algorithm, modelName string, bucketCapByt
 }
 
 // commTimer builds an analytic per-bucket timer for the algorithm (fast
-// enough to call once per bucket per iteration). Every Algorithm has an arm:
-// the electrical trees and rings use their closed forms, the Wrht variants a
-// plan built once and priced per bucket (the pipelined variant through the
-// documented round-splitting approximation in core.PredictPipelinedTime).
-func commTimer(cfg Config, alg Algorithm, build planBuilder) (trace.CommTimer, error) {
+// enough to call once per bucket per iteration): predictSeconds on a plan
+// built once. Every Algorithm has a closed form; the pipelined variant's is
+// the documented round-splitting approximation in core.PredictPipelinedTime.
+func commTimer(cfg Config, alg Algorithm) (trace.CommTimer, error) {
+	var plan *core.Plan
 	switch alg {
-	case AlgERing:
-		return func(b int64) float64 { return model.ERing(cfg.Nodes, b, cfg.Electrical) }, nil
-	case AlgRD:
-		return func(b int64) float64 { return model.RD(cfg.Nodes, b, cfg.Electrical) }, nil
-	case AlgHD:
-		return func(b int64) float64 { return model.HD(cfg.Nodes, b, cfg.Electrical) }, nil
-	case AlgBinomial:
-		return func(b int64) float64 { return model.Binomial(cfg.Nodes, b, cfg.Electrical) }, nil
-	case AlgORing:
-		return func(b int64) float64 { return model.ORing(cfg.Nodes, b, cfg.Optical) }, nil
-	case AlgORingStriped:
-		return func(b int64) float64 { return model.ORingStriped(cfg.Nodes, b, cfg.Optical) }, nil
+	case AlgERing, AlgRD, AlgHD, AlgBinomial, AlgORing, AlgORingStriped:
 	case AlgWrht, AlgWrhtUnstriped, AlgWrhtPipelined:
-		plan, err := build(cfg.Nodes, cfg.Optical.Wavelengths, wrhtOptions(cfg, alg))
-		if err != nil {
+		var err error
+		if plan, err = (*session)(nil).buildPlan(cfg, alg); err != nil {
 			return nil, err
 		}
-		if alg == AlgWrhtPipelined {
-			chunks := pipelineChunks(cfg)
-			if chunks < 1 {
-				// Mirror CommunicationTime, which rejects the same value in
-				// PipelinedSchedule, instead of silently pricing unpipelined.
-				return nil, fmt.Errorf("wrht: pipeline chunks %d", chunks)
-			}
-			return func(b int64) float64 { return model.WrhtPipelined(plan, b, cfg.Optical, chunks) }, nil
+		if chunks := pipelineChunks(cfg); alg == AlgWrhtPipelined && chunks < 1 {
+			// Mirror CommunicationTime, which rejects the same value in
+			// PipelinedSchedule, instead of silently pricing unpipelined.
+			return nil, fmt.Errorf("wrht: pipeline chunks %d", chunks)
 		}
-		return func(b int64) float64 { return model.Wrht(plan, b, cfg.Optical) }, nil
 	default:
 		return nil, fmt.Errorf("wrht: no analytic timer for algorithm %q", alg)
 	}
+	return func(b int64) float64 { return predictSeconds(cfg, alg, plan, b) }, nil
 }
