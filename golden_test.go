@@ -385,10 +385,7 @@ func referenceMultiRackTime(cfg Config, racks, perRack int, bytes int64) (MultiR
 	if err != nil {
 		return MultiRackResult{}, err
 	}
-	plan, err := multiring.BuildPlan(racks, intra)
-	if err != nil {
-		return MultiRackResult{}, err
-	}
+	plan := multiring.BuildPlan(racks, intra)
 	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))
 	global, err := plan.GlobalSchedule(elems)
 	if err != nil {

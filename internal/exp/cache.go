@@ -77,14 +77,9 @@ type PlanKey struct {
 // winner is stored under the automatic key alone, so a later request for
 // the same shape with an explicit group size is its own miss. (The schedule
 // and simulation caches key on core.PlanSig, so that rebuilt plan still
-// shares their entries.)
+// shares their entries.) The zero value is an empty cache.
 type PlanCache struct {
 	m Memo[PlanKey, *core.Plan]
-}
-
-// NewPlanCache returns an empty cache.
-func NewPlanCache() *PlanCache {
-	return &PlanCache{}
 }
 
 // Plan returns the memoized plan for (n, w, opts), building it on first use.

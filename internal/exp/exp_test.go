@@ -80,7 +80,7 @@ func TestRunStableOrderAndErrorCapture(t *testing.T) {
 }
 
 func TestPlanCachePointerIdentity(t *testing.T) {
-	c := NewPlanCache()
+	var c PlanCache
 	opts := core.DefaultOptions()
 	p1, err := c.Plan(64, 8, opts)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestPlanCachePointerIdentity(t *testing.T) {
 }
 
 func TestPlanCacheConcurrentSharing(t *testing.T) {
-	c := NewPlanCache()
+	var c PlanCache
 	const workers = 64
 	plans := make([]*core.Plan, workers)
 	var wg sync.WaitGroup
@@ -136,7 +136,7 @@ func TestPlanCacheConcurrentSharing(t *testing.T) {
 }
 
 func TestPlanCacheMemoizesErrors(t *testing.T) {
-	c := NewPlanCache()
+	var c PlanCache
 	opts := core.DefaultOptions()
 	opts.M = 9 // ⌊9/2⌋ = 4 wavelengths needed; a budget of 1 is infeasible
 	_, err1 := c.Plan(64, 1, opts)
@@ -153,7 +153,7 @@ func TestPlanCacheMemoizesErrors(t *testing.T) {
 }
 
 func TestPlanCacheRetainsOnlyRequestedPlans(t *testing.T) {
-	c := NewPlanCache()
+	var c PlanCache
 	opts := core.DefaultOptions() // M = 0: automatic group size
 	auto, err := c.Plan(512, 64, opts)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestPlanCacheRetainsOnlyRequestedPlans(t *testing.T) {
 // explicit keys requested from many goroutines, the first request per key
 // is the only miss, whatever the interleaving.
 func TestPlanCacheCountersUnderConcurrency(t *testing.T) {
-	c := NewPlanCache()
+	var c PlanCache
 	var keys []core.Options
 	auto := core.DefaultOptions()
 	keys = append(keys, auto)

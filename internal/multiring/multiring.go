@@ -33,11 +33,9 @@ type Plan struct {
 
 // BuildPlan assembles the hierarchy from the per-rack Wrht plan the caller
 // built (intra.N is the rack size): racks copies of intra, each rack led by
-// the intra plan's first final representative.
-func BuildPlan(racks int, intra *core.Plan) (*Plan, error) {
-	if racks < 2 {
-		return nil, fmt.Errorf("multiring: need >= 2 racks, got %d", racks)
-	}
+// the intra plan's first final representative. The caller owns the shape
+// rule (racks >= 2, checked before it plans the rack ring).
+func BuildPlan(racks int, intra *core.Plan) *Plan {
 	leader := intra.Root
 	if intra.A2AReps != nil {
 		leader = intra.A2AReps[0]
@@ -46,7 +44,7 @@ func BuildPlan(racks int, intra *core.Plan) (*Plan, error) {
 		Racks: racks, NodesPerRack: intra.N,
 		Intra:       intra,
 		LeaderLocal: leader,
-	}, nil
+	}
 }
 
 // Nodes returns the total worker count.

@@ -76,7 +76,13 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, sess *sessi
 // buffers and confirms every worker ends with the exact global sum. It
 // verifies the plan MultiRackTime prices for the same configuration.
 func VerifyMultiRack(cfg Config, racks, nodesPerRack, elems int) error {
-	plan, err := (*session)(nil).rackPlan(cfg, racks, nodesPerRack)
+	return verifyMultiRack(cfg, racks, nodesPerRack, elems, nil)
+}
+
+// verifyMultiRack is VerifyMultiRack planning through the session, so a
+// verification shares the plan-cache entry of the pricing it checks.
+func verifyMultiRack(cfg Config, racks, nodesPerRack, elems int, sess *session) error {
+	plan, err := sess.rackPlan(cfg, racks, nodesPerRack)
 	if err != nil {
 		return err
 	}
@@ -104,5 +110,5 @@ func (s *session) rackPlan(cfg Config, racks, nodesPerRack int) (*multiring.Plan
 	if err != nil {
 		return nil, err
 	}
-	return multiring.BuildPlan(racks, intra)
+	return multiring.BuildPlan(racks, intra), nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wrht/internal/core"
+	"wrht/internal/model"
 )
 
 func TestMultiRackTime(t *testing.T) {
@@ -138,10 +139,11 @@ func TestMultiRackTimeBytesPerElemInvariant(t *testing.T) {
 // TestMultiRackVerifiedPlanIsPricedPlan: VerifyMultiRack verifies the very
 // intra-rack plan MultiRackTime prices, with the greedy all-to-all policy
 // on and off. Pricing through a session files the priced plan in its plan
-// cache; planning the verifier's way must then hit that entry and agree on
-// the core.PlanSig with the session-free plan VerifyMultiRack builds. At
-// w=64 the greedy and formula plans differ in every case, so a verifier
-// that dropped WrhtGreedyA2A would fail here.
+// cache; the verifier, run through the same session, must hit that entry
+// without building, and the entry must sit under the key an independent
+// reference spells out (policy included) and share the reference plan's
+// core.PlanSig. At w=64 the greedy and formula plans differ in every case,
+// so a verifier that dropped WrhtGreedyA2A would miss the priced entry.
 func TestMultiRackVerifiedPlanIsPricedPlan(t *testing.T) {
 	for _, perRack := range []int{8, 12, 16, 32, 64, 128} {
 		for _, m := range []int{2, 3, 4, 5, 7, 9} {
@@ -156,26 +158,39 @@ func TestMultiRackVerifiedPlanIsPricedPlan(t *testing.T) {
 					t.Fatalf("perRack=%d m=%d greedy=%v: %v", perRack, m, greedy, err)
 				}
 				hits, builds := sess.plans.Stats()
-				priced, err := sess.rackPlan(cfg, 2, perRack)
-				if err != nil {
-					t.Fatal(err)
+				if err := verifyMultiRack(cfg, 2, perRack, 5, sess); err != nil {
+					t.Fatalf("perRack=%d m=%d greedy=%v: %v", perRack, m, greedy, err)
 				}
 				if h, b := sess.plans.Stats(); h != hits+1 || b != builds {
-					t.Fatalf("perRack=%d m=%d greedy=%v: re-planning missed the priced plan (plan stats (%d, %d) → (%d, %d))",
+					t.Fatalf("perRack=%d m=%d greedy=%v: the verifier missed the priced plan (plan stats (%d, %d) → (%d, %d))",
 						perRack, m, greedy, hits, builds, h, b)
 				}
-				verified, err := (*session)(nil).rackPlan(cfg, 2, perRack)
+				opts := core.DefaultOptions()
+				opts.Cost = model.CostParamsOf(cfg.Optical)
+				opts.M = m
+				if greedy {
+					opts.Policy = core.A2AGreedy
+				}
+				ref, err := core.BuildPlan(perRack, 64, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if verified.Intra.Sig() != priced.Intra.Sig() {
-					t.Fatalf("perRack=%d m=%d greedy=%v: verified plan %v, priced plan %v",
-						perRack, m, greedy, verified.Intra, priced.Intra)
+				cached, err := sess.plans.Plan(perRack, 64, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if greedy != (verified.Intra.Policy == core.A2AGreedy) {
-					t.Fatalf("perRack=%d m=%d greedy=%v: plan policy %v", perRack, m, greedy, verified.Intra.Policy)
+				if h, b := sess.plans.Stats(); h != hits+2 || b != builds {
+					t.Fatalf("perRack=%d m=%d greedy=%v: the priced plan is not filed under the reference key (plan stats (%d, %d) → (%d, %d))",
+						perRack, m, greedy, hits, builds, h, b)
 				}
-				sigs[gi] = verified.Intra.Sig()
+				if cached.Sig() != ref.Sig() {
+					t.Fatalf("perRack=%d m=%d greedy=%v: verified and priced plan %v, reference plan %v",
+						perRack, m, greedy, cached, ref)
+				}
+				if greedy != (cached.Policy == core.A2AGreedy) {
+					t.Fatalf("perRack=%d m=%d greedy=%v: plan policy %v", perRack, m, greedy, cached.Policy)
+				}
+				sigs[gi] = ref.Sig()
 			}
 			if sigs[0] == sigs[1] {
 				t.Fatalf("perRack=%d m=%d: greedy and formula plans coincide; the case cannot tell them apart", perRack, m)
