@@ -1,10 +1,38 @@
 package collective
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"wrht/internal/tensor"
 )
+
+// AllToAllAllReduce builds the one-step (plus local reduction) all-reduce in
+// which every node sends its full buffer to every other node: the primitive
+// Wrht uses among the final representatives, kept as a small correctness
+// fixture for the schedule-form tests.
+func AllToAllAllReduce(n, elems int) (*Schedule, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("collective: all-to-all needs n >= 2, got %d", n)
+	}
+	s := &Schedule{Algorithm: "all-to-all", N: n, Elems: elems}
+	st := Step{Label: "all-to-all exchange"}
+	full := tensor.Region{Offset: 0, Len: elems}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			st.Transfers = append(st.Transfers, Transfer{
+				Src: src, Dst: dst, Region: full, Op: OpReduce,
+			})
+		}
+	}
+	s.Steps = append(s.Steps, st)
+	return s, nil
+}
 
 // Every algorithm constructor, paired with the node counts it supports.
 type algCase struct {

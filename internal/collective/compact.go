@@ -98,65 +98,6 @@ func (s *Schedule) Compact() *CompactSchedule {
 	return b.Finish()
 }
 
-// Validate checks the same structural invariants as Schedule.Validate,
-// directly on the columnar form. The per-step conflicting-writes check runs
-// on a reusable per-destination linked list (two scratch slices for the
-// whole schedule) instead of a per-step map, so validating is
-// allocation-light even for million-transfer schedules.
-func (c *CompactSchedule) Validate() error {
-	if c.N < 1 {
-		return fmt.Errorf("collective: schedule has N=%d", c.N)
-	}
-	if c.Elems < 0 {
-		return fmt.Errorf("collective: schedule has Elems=%d", c.Elems)
-	}
-	// head[dst] is the flat index of dst's most recent write in the current
-	// step (-1 = none); next chains earlier writes within the step.
-	head := make([]int32, c.N)
-	for i := range head {
-		head[i] = -1
-	}
-	next := make([]int32, len(c.src))
-	for si := 0; si < c.NumSteps(); si++ {
-		lo, hi := c.StepBounds(si)
-		for i := lo; i < hi; i++ {
-			tr := c.Transfer(i)
-			ti := i - lo
-			if tr.Src < 0 || tr.Src >= c.N || tr.Dst < 0 || tr.Dst >= c.N {
-				return fmt.Errorf("collective: step %d transfer %d (%v) node out of range [0,%d)",
-					si, ti, tr, c.N)
-			}
-			if tr.Src == tr.Dst {
-				return fmt.Errorf("collective: step %d transfer %d is a self-transfer (%v)", si, ti, tr)
-			}
-			if !tr.Region.Valid(c.Elems) {
-				return fmt.Errorf("collective: step %d transfer %d region %v outside buffer of %d",
-					si, ti, tr.Region, c.Elems)
-			}
-			if tr.Width < 0 {
-				return fmt.Errorf("collective: step %d transfer %d negative width", si, ti)
-			}
-			for j := head[tr.Dst]; j >= 0; j = next[j] {
-				prev := tensor.Region{Offset: int(c.off[j]), Len: int(c.ln[j])}
-				if !prev.Overlaps(tr.Region) {
-					continue
-				}
-				if c.op[j] == OpCopy || tr.Op == OpCopy {
-					return fmt.Errorf("collective: step %d: conflicting writes to node %d region %v",
-						si, tr.Dst, tr.Region)
-				}
-			}
-			next[i] = head[tr.Dst]
-			head[tr.Dst] = int32(i)
-		}
-		// Unlink this step's chains for the next step.
-		for i := lo; i < hi; i++ {
-			head[c.dst[i]] = -1
-		}
-	}
-	return nil
-}
-
 // csPool recycles CompactSchedule backing arrays between builds.
 var csPool = sync.Pool{New: func() any { return new(CompactSchedule) }}
 

@@ -88,28 +88,3 @@ func RingAllReduceClassed(n, elems int) (*ClassSchedule, error) {
 	}
 	return b.Finish(), nil
 }
-
-// AllToAllAllReduce builds the one-step (plus local reduction) all-reduce in
-// which every node sends its full buffer to every other node. It is only
-// practical for small n but is the primitive Wrht uses among the final
-// representatives, and a useful correctness reference.
-func AllToAllAllReduce(n, elems int) (*Schedule, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("collective: all-to-all needs n >= 2, got %d", n)
-	}
-	s := &Schedule{Algorithm: "all-to-all", N: n, Elems: elems}
-	st := Step{Label: "all-to-all exchange"}
-	full := tensor.Region{Offset: 0, Len: elems}
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			st.Transfers = append(st.Transfers, Transfer{
-				Src: src, Dst: dst, Region: full, Op: OpReduce,
-			})
-		}
-	}
-	s.Steps = append(s.Steps, st)
-	return s, nil
-}

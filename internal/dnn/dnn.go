@@ -49,9 +49,6 @@ func (m Model) GradientBytes(bytesPerElem int) int64 {
 	return m.TotalParams() * int64(bytesPerElem)
 }
 
-// GradientElems returns the number of gradient elements (== parameters).
-func (m Model) GradientElems() int64 { return m.TotalParams() }
-
 func (m Model) String() string {
 	return fmt.Sprintf("%s(%.4gM params)", m.Name, float64(m.TotalParams())/1e6)
 }

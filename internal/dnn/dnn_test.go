@@ -46,9 +46,6 @@ func TestGradientBytes(t *testing.T) {
 	if got := m.GradientBytes(2); got != 2*62_378_344 {
 		t.Fatalf("FP16 gradient bytes = %d", got)
 	}
-	if m.GradientElems() != m.TotalParams() {
-		t.Fatal("GradientElems != TotalParams")
-	}
 }
 
 func TestPaperModelsOrder(t *testing.T) {

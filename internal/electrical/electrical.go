@@ -1,12 +1,10 @@
 // Package electrical is the repository's stand-in for SimGrid: a flow-level
-// simulator of electrical packet networks. Concurrent flows share link
+// simulator of the electrical baselines' substrate, a non-blocking switched
+// cluster (DESIGN.md §4 — the most favorable network for E-Ring and RD,
+// making Wrht's reported gains conservative). Concurrent flows share link
 // bandwidth max-min fairly (progressive filling, the same fluid model
 // SimGrid's network models use); an event loop advances time to each flow
-// completion and re-solves the remaining rates. Three topologies cover the
-// paper's electrical baselines: a non-blocking switched cluster (default for
-// E-Ring and RD — the most favorable to the electrical algorithms, making
-// Wrht's reported gains conservative), a physical ring, and a two-level
-// fat-tree with configurable oversubscription.
+// completion and re-solves the remaining rates.
 package electrical
 
 import (
@@ -40,32 +38,27 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Network is a directed-link topology with a routing function.
+// Network is a non-blocking switched cluster: each host has one uplink and
+// one downlink; the crossbar itself is not a bottleneck.
 type Network struct {
 	name     string
 	numNodes int
-	// capBps[l] is link l's capacity in bits/s.
+	// capBps[l] is link l's capacity in bits/s. Links [0,n) are uplinks,
+	// [n,2n) downlinks.
 	capBps []float64
-	// route appends the link indices a src→dst flow traverses to buf and
-	// returns the grown slice (append-style so hot paths can reuse arenas).
-	route func(src, dst int, buf []int) []int
 }
 
 // Name identifies the topology (for reports).
 func (nw *Network) Name() string { return nw.name }
 
-// NumNodes returns the number of end hosts.
-func (nw *Network) NumNodes() int { return nw.numNodes }
+// route appends the link indices a src→dst flow traverses — src's uplink,
+// then dst's downlink — to buf and returns the grown slice.
+func (nw *Network) route(src, dst int, buf []int) []int {
+	return append(buf, src, nw.numNodes+dst)
+}
 
-// NumLinks returns the number of directed links.
-func (nw *Network) NumLinks() int { return len(nw.capBps) }
-
-// Route exposes the path of a flow (for tests).
-func (nw *Network) Route(src, dst int) []int { return nw.route(src, dst, nil) }
-
-// NewSwitchedCluster models n hosts on a non-blocking switch: each host has
-// one uplink and one downlink of linkGbps; the crossbar itself is not a
-// bottleneck. Links [0,n) are uplinks, [n,2n) downlinks.
+// NewSwitchedCluster models n hosts on a non-blocking switch with links of
+// linkGbps.
 func NewSwitchedCluster(n int, linkGbps float64) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("electrical: cluster needs >= 2 hosts, got %d", n)
@@ -81,83 +74,6 @@ func NewSwitchedCluster(n int, linkGbps float64) (*Network, error) {
 		name:     fmt.Sprintf("switched-cluster(%d)", n),
 		numNodes: n,
 		capBps:   caps,
-		route: func(src, dst int, buf []int) []int {
-			return append(buf, src, n+dst)
-		},
-	}, nil
-}
-
-// NewRingNetwork models n hosts connected in a bidirectional ring of
-// linkGbps links; flows take the shortest direction (CW on ties).
-// Links [0,n) are CW (i -> i+1), [n,2n) are CCW (i -> i-1).
-func NewRingNetwork(n int, linkGbps float64) (*Network, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("electrical: ring needs >= 2 hosts, got %d", n)
-	}
-	if linkGbps <= 0 {
-		return nil, fmt.Errorf("electrical: link rate %v", linkGbps)
-	}
-	caps := make([]float64, 2*n)
-	for i := range caps {
-		caps[i] = linkGbps * 1e9
-	}
-	return &Network{
-		name:     fmt.Sprintf("ring(%d)", n),
-		numNodes: n,
-		capBps:   caps,
-		route: func(src, dst int, buf []int) []int {
-			cw := ((dst-src)%n + n) % n
-			ccw := n - cw
-			if cw <= ccw {
-				for k, cur := 0, src; k < cw; k++ {
-					buf = append(buf, cur)
-					cur = (cur + 1) % n
-				}
-			} else {
-				for k, cur := 0, src; k < ccw; k++ {
-					buf = append(buf, n+cur)
-					cur = (cur - 1 + n) % n
-				}
-			}
-			return buf
-		},
-	}, nil
-}
-
-// NewFatTree models a two-level leaf/spine network: hosts sit in pods of
-// podSize under a leaf switch; every leaf connects to one spine with an
-// uplink of podSize*linkGbps/oversub. oversub = 1 is non-blocking; larger
-// values starve cross-pod traffic, letting experiments show electrical
-// congestion (something the optical ring does not suffer).
-func NewFatTree(n, podSize int, linkGbps, oversub float64) (*Network, error) {
-	if n < 2 || podSize < 1 || n%podSize != 0 {
-		return nil, fmt.Errorf("electrical: fat-tree needs podSize | n, got n=%d podSize=%d", n, podSize)
-	}
-	if linkGbps <= 0 || oversub < 1 {
-		return nil, fmt.Errorf("electrical: bad rates linkGbps=%v oversub=%v", linkGbps, oversub)
-	}
-	pods := n / podSize
-	// Links: host up [0,n), host down [n,2n),
-	// leaf up [2n, 2n+pods), leaf down [2n+pods, 2n+2*pods).
-	caps := make([]float64, 2*n+2*pods)
-	for i := 0; i < 2*n; i++ {
-		caps[i] = linkGbps * 1e9
-	}
-	uplink := float64(podSize) * linkGbps * 1e9 / oversub
-	for i := 2 * n; i < len(caps); i++ {
-		caps[i] = uplink
-	}
-	return &Network{
-		name:     fmt.Sprintf("fat-tree(%d,pod=%d,os=%.1f)", n, podSize, oversub),
-		numNodes: n,
-		capBps:   caps,
-		route: func(src, dst int, buf []int) []int {
-			ps, pd := src/podSize, dst/podSize
-			if ps == pd {
-				return append(buf, src, n+dst)
-			}
-			return append(buf, src, 2*n+ps, 2*n+pods+pd, n+dst)
-		},
 	}, nil
 }
 
@@ -165,20 +81,6 @@ func NewFatTree(n, podSize int, linkGbps, oversub float64) (*Network, error) {
 type Flow struct {
 	Src, Dst int
 	Bits     float64
-}
-
-// FlowTimes simulates the given flows all starting at t=0 and returns the
-// completion time of each plus the makespan. Rates follow max-min fairness,
-// re-solved at every flow completion (progressive filling).
-func (nw *Network) FlowTimes(flows []Flow) (makespan float64, done []float64, err error) {
-	s := NewSolver(nw)
-	makespan, err = s.run(flows)
-	if err != nil {
-		return 0, nil, err
-	}
-	done = make([]float64, len(flows))
-	copy(done, s.doneAt)
-	return makespan, done, nil
 }
 
 // StepCost prices one synchronous step: fixed per-step latency plus the

@@ -13,12 +13,20 @@ func almost(a, b, rel float64) bool {
 	return math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
 }
 
+// flowTimes simulates the flows all starting at t=0 on a fresh solver and
+// returns the makespan and each flow's completion time.
+func flowTimes(nw *Network, flows []Flow) (float64, []float64, error) {
+	s := NewSolver(nw)
+	mk, err := s.run(flows)
+	return mk, s.doneAt, err
+}
+
 func TestSwitchedClusterSingleFlow(t *testing.T) {
 	nw, err := NewSwitchedCluster(4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk, done, err := nw.FlowTimes([]Flow{{Src: 0, Dst: 1, Bits: 100e9}})
+	mk, done, err := flowTimes(nw, []Flow{{Src: 0, Dst: 1, Bits: 100e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +38,7 @@ func TestSwitchedClusterSingleFlow(t *testing.T) {
 func TestSwitchedClusterFanInShares(t *testing.T) {
 	// Two flows into the same destination share its downlink: each gets 50.
 	nw, _ := NewSwitchedCluster(4, 100)
-	mk, done, err := nw.FlowTimes([]Flow{
+	mk, done, err := flowTimes(nw, []Flow{
 		{Src: 0, Dst: 2, Bits: 100e9},
 		{Src: 1, Dst: 2, Bits: 100e9},
 	})
@@ -50,7 +58,7 @@ func TestMaxMinShortFlowReleasesBandwidth(t *testing.T) {
 	// the long one speeds up: 50 Gb/s for 1 s (50 Gb done), then 100 Gb/s
 	// for the remaining 50 Gb → total 1.5 s.
 	nw, _ := NewSwitchedCluster(4, 100)
-	mk, done, err := nw.FlowTimes([]Flow{
+	mk, done, err := flowTimes(nw, []Flow{
 		{Src: 0, Dst: 2, Bits: 50e9},
 		{Src: 1, Dst: 2, Bits: 100e9},
 	})
@@ -74,75 +82,12 @@ func TestPermutationTrafficIsNonBlocking(t *testing.T) {
 	for i := range flows {
 		flows[i] = Flow{Src: i, Dst: (i + 7) % n, Bits: 1e9}
 	}
-	mk, _, err := nw.FlowTimes(flows)
+	mk, _, err := flowTimes(nw, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almost(mk, 0.01, 1e-6) {
 		t.Fatalf("permutation makespan %v, want 10 ms", mk)
-	}
-}
-
-func TestRingNetworkRouting(t *testing.T) {
-	nw, err := NewRingNetwork(8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0→2 goes CW over links 0,1.
-	p := nw.Route(0, 2)
-	if len(p) != 2 || p[0] != 0 || p[1] != 1 {
-		t.Fatalf("Route(0,2) = %v", p)
-	}
-	// 0→6 goes CCW over links n+0, n+7.
-	p = nw.Route(0, 6)
-	if len(p) != 2 || p[0] != 8 || p[1] != 8+7 {
-		t.Fatalf("Route(0,6) = %v", p)
-	}
-}
-
-func TestRingNetworkContention(t *testing.T) {
-	// Two CW flows crossing the same ring link halve each other.
-	nw, _ := NewRingNetwork(8, 100)
-	mk, _, err := nw.FlowTimes([]Flow{
-		{Src: 0, Dst: 3, Bits: 100e9},
-		{Src: 1, Dst: 3, Bits: 100e9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(mk, 2.0, 1e-6) {
-		t.Fatalf("contended ring makespan %v, want 2 s", mk)
-	}
-}
-
-func TestFatTreeOversubscription(t *testing.T) {
-	// 8 hosts, pods of 4, oversub 4: leaf uplink = 4*100/4 = 100 Gb/s.
-	// Four cross-pod flows from pod 0 share one 100 Gb/s uplink: 25 each.
-	nw, err := NewFatTree(8, 4, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := make([]Flow, 4)
-	for i := range flows {
-		flows[i] = Flow{Src: i, Dst: 4 + i, Bits: 25e9}
-	}
-	mk, _, err := nw.FlowTimes(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(mk, 1.0, 1e-6) {
-		t.Fatalf("oversubscribed makespan %v, want 1 s", mk)
-	}
-	// Same flows within the pod: full rate, 0.25 s.
-	for i := range flows {
-		flows[i] = Flow{Src: i, Dst: (i + 1) % 4, Bits: 25e9}
-	}
-	mk, _, err = nw.FlowTimes(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(mk, 0.25, 1e-6) {
-		t.Fatalf("intra-pod makespan %v, want 0.25 s", mk)
 	}
 }
 
@@ -152,23 +97,7 @@ func TestMaxMinFairnessProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(14) + 2
-		var nw *Network
-		var err error
-		switch trial % 3 {
-		case 0:
-			nw, err = NewSwitchedCluster(n, 100)
-		case 1:
-			nw, err = NewRingNetwork(n, 100)
-		default:
-			pod := 1
-			for _, p := range []int{4, 2, 1} {
-				if n%p == 0 {
-					pod = p
-					break
-				}
-			}
-			nw, err = NewFatTree(n, pod, 100, 2)
-		}
+		nw, err := NewSwitchedCluster(n, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +112,7 @@ func TestMaxMinFairnessProperty(t *testing.T) {
 				dst = rng.Intn(n)
 			}
 			flows[i] = Flow{Src: src, Dst: dst, Bits: 1e9}
-			paths[i] = nw.Route(src, dst)
+			paths[i] = nw.route(src, dst, nil)
 			active[i] = true
 		}
 		s := NewSolver(nw)
@@ -198,7 +127,7 @@ func TestMaxMinFairnessProperty(t *testing.T) {
 		rates := s.rates
 
 		// No link oversubscribed.
-		load := make([]float64, nw.NumLinks())
+		load := make([]float64, len(nw.capBps))
 		for i, p := range paths {
 			for _, l := range p {
 				load[l] += rates[i]
@@ -247,13 +176,13 @@ func TestStepCost(t *testing.T) {
 
 func TestFlowValidation(t *testing.T) {
 	nw, _ := NewSwitchedCluster(4, 100)
-	if _, _, err := nw.FlowTimes([]Flow{{Src: 0, Dst: 0, Bits: 1}}); err == nil {
+	if _, _, err := flowTimes(nw, []Flow{{Src: 0, Dst: 0, Bits: 1}}); err == nil {
 		t.Fatal("self-flow accepted")
 	}
-	if _, _, err := nw.FlowTimes([]Flow{{Src: 0, Dst: 9, Bits: 1}}); err == nil {
+	if _, _, err := flowTimes(nw, []Flow{{Src: 0, Dst: 9, Bits: 1}}); err == nil {
 		t.Fatal("out-of-range accepted")
 	}
-	if _, _, err := nw.FlowTimes([]Flow{{Src: 0, Dst: 1, Bits: -5}}); err == nil {
+	if _, _, err := flowTimes(nw, []Flow{{Src: 0, Dst: 1, Bits: -5}}); err == nil {
 		t.Fatal("negative bits accepted")
 	}
 }
@@ -262,20 +191,14 @@ func TestTopologyValidation(t *testing.T) {
 	if _, err := NewSwitchedCluster(1, 100); err == nil {
 		t.Fatal("1-host cluster accepted")
 	}
-	if _, err := NewRingNetwork(4, 0); err == nil {
-		t.Fatal("0-rate ring accepted")
-	}
-	if _, err := NewFatTree(10, 4, 100, 2); err == nil {
-		t.Fatal("non-dividing pod accepted")
-	}
-	if _, err := NewFatTree(8, 4, 100, 0.5); err == nil {
-		t.Fatal("oversub < 1 accepted")
+	if _, err := NewSwitchedCluster(4, 0); err == nil {
+		t.Fatal("0-rate cluster accepted")
 	}
 }
 
 func TestZeroBitFlowsCompleteInstantly(t *testing.T) {
 	nw, _ := NewSwitchedCluster(4, 100)
-	mk, done, err := nw.FlowTimes([]Flow{
+	mk, done, err := flowTimes(nw, []Flow{
 		{Src: 0, Dst: 1, Bits: 0},
 		{Src: 1, Dst: 2, Bits: 1e9},
 	})
@@ -298,7 +221,7 @@ func TestERingStepAtScaleIsLineRate(t *testing.T) {
 	for i := range flows {
 		flows[i] = Flow{Src: i, Dst: (i + 1) % n, Bits: 4.3e6}
 	}
-	mk, _, err := nw.FlowTimes(flows)
+	mk, _, err := flowTimes(nw, flows)
 	if err != nil {
 		t.Fatal(err)
 	}

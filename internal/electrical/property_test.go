@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func randomTopology(rng *rand.Rand, n int) (*Network, error) {
-	switch rng.Intn(3) {
-	case 0:
-		return NewSwitchedCluster(n, 100)
-	case 1:
-		return NewRingNetwork(n, 100)
-	default:
-		pod := 1
-		for _, p := range []int{4, 2, 1} {
-			if n%p == 0 {
-				pod = p
-				break
-			}
-		}
-		return NewFatTree(n, pod, 100, 2)
-	}
-}
-
 func randomFlows(rng *rand.Rand, n, count int) []Flow {
 	flows := make([]Flow, count)
 	for i := range flows {
@@ -40,12 +22,12 @@ func TestMakespanMonotoneInFlowSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 60; trial++ {
 		n := rng.Intn(14) + 2
-		nw, err := randomTopology(rng, n)
+		nw, err := NewSwitchedCluster(n, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		flows := randomFlows(rng, n, rng.Intn(12)+1)
-		mk1, _, err := nw.FlowTimes(flows)
+		mk1, _, err := flowTimes(nw, flows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +35,7 @@ func TestMakespanMonotoneInFlowSize(t *testing.T) {
 		for i := range bigger {
 			bigger[i].Bits *= 2
 		}
-		mk2, _, err := nw.FlowTimes(bigger)
+		mk2, _, err := flowTimes(nw, bigger)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,17 +49,17 @@ func TestAddingFlowNeverSpeedsUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 60; trial++ {
 		n := rng.Intn(14) + 2
-		nw, err := randomTopology(rng, n)
+		nw, err := NewSwitchedCluster(n, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		flows := randomFlows(rng, n, rng.Intn(10)+1)
-		mk1, _, err := nw.FlowTimes(flows)
+		mk1, _, err := flowTimes(nw, flows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		more := append(append([]Flow(nil), flows...), randomFlows(rng, n, 1)...)
-		mk2, _, err := nw.FlowTimes(more)
+		mk2, _, err := flowTimes(nw, more)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +73,7 @@ func TestRoutesStayInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(20) + 2
-		nw, err := randomTopology(rng, n)
+		nw, err := NewSwitchedCluster(n, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,13 +83,13 @@ func TestRoutesStayInRange(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			path := nw.Route(src, dst)
+			path := nw.route(src, dst, nil)
 			if len(path) == 0 {
 				t.Fatalf("%s: empty path %d->%d", nw.Name(), src, dst)
 			}
 			for _, l := range path {
-				if l < 0 || l >= nw.NumLinks() {
-					t.Fatalf("%s: link %d out of range (%d links)", nw.Name(), l, nw.NumLinks())
+				if l < 0 || l >= len(nw.capBps) {
+					t.Fatalf("%s: link %d out of range (%d links)", nw.Name(), l, len(nw.capBps))
 				}
 			}
 		}
@@ -116,12 +98,12 @@ func TestRoutesStayInRange(t *testing.T) {
 
 func TestPerFlowCompletionNeverExceedsMakespan(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
-	nw, err := NewFatTree(8, 4, 100, 4)
+	nw, err := NewSwitchedCluster(8, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flows := randomFlows(rng, 8, 12)
-	mk, done, err := nw.FlowTimes(flows)
+	mk, done, err := flowTimes(nw, flows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,9 +117,8 @@ type ScheduleKey struct {
 
 // SimKey identifies one priced simulation: the schedule identity plus the
 // complete substrate configuration. Both options structs are comparable
-// value types (ElectricalOptions.Network must be nil — derived from the
-// schedule — for the result to be cacheable; callers on the cached path
-// guarantee this).
+// value types; the electrical cluster itself follows from the schedule's
+// host count.
 type SimKey struct {
 	Sched      ScheduleKey
 	Electrical bool

@@ -8,7 +8,6 @@ import (
 	"wrht/internal/faults"
 	"wrht/internal/obs"
 	"wrht/internal/sim"
-	"wrht/internal/stats"
 )
 
 // SchedOpts configures a Scheduler beyond its budget and policy.
@@ -200,16 +199,9 @@ type scheduler struct {
 	liveJobs  int       // running + waiting
 	queuedMin int       // Σ MinWavelengths over queued jobs
 	prioLoad  map[int]int
-	// Lite aggregates over completed jobs.
-	liteDone      int
-	liteRejected  int
-	liteSumQueue  float64
-	liteMaxQueue  float64
-	liteSumSlow   float64
-	liteSumSlowSq float64
-	liteMakespan  float64
-	litePreempts  int
-	liteReconfigs int
+	// agg tallies rejected and completed jobs as they finish under Lite;
+	// full mode tallies its records in order at finalize.
+	agg tally
 
 	// shareWidth holds the per-share wavelength counts under
 	// StaticPartition (the remainder of an inexact division makes the
@@ -661,7 +653,7 @@ func (s *scheduler) admit(r *jobRec) {
 		r.st.Rejected = true
 		s.emit(r, EvReject, 0)
 		if s.lite {
-			s.liteRejected++
+			s.agg.add(r.st)
 			s.recycle(r)
 		}
 		return
@@ -800,28 +792,77 @@ func (s *scheduler) complete(r *jobRec, epoch int) {
 	s.dispatch()
 }
 
-// liteFinish folds a completed job into the Lite aggregates and recycles
-// its record.
+// liteFinish folds a completed job into the Lite tally and recycles its
+// record.
 func (s *scheduler) liteFinish(r *jobRec) {
-	alone, err := s.price(r, r.MaxWavelengths)
-	if err != nil {
+	if err := s.settle(r); err != nil {
 		s.fail(err)
 		return
 	}
-	slow := (r.st.DoneSec - r.st.ArrivalSec) / alone
-	s.liteDone++
-	s.liteSumQueue += r.st.QueueSec
-	if r.st.QueueSec > s.liteMaxQueue {
-		s.liteMaxQueue = r.st.QueueSec
-	}
-	s.liteSumSlow += slow
-	s.liteSumSlowSq += slow * slow
-	if r.st.DoneSec > s.liteMakespan {
-		s.liteMakespan = r.st.DoneSec
-	}
-	s.litePreempts += r.st.Preemptions
-	s.liteReconfigs += r.st.Reconfigs
+	s.agg.add(r.st)
 	s.recycle(r)
+}
+
+// settle prices a completed job alone at its maximum width and records its
+// slowdown against that.
+func (s *scheduler) settle(r *jobRec) error {
+	alone, err := s.price(r, r.MaxWavelengths)
+	if err != nil {
+		return err
+	}
+	r.st.AloneSec = alone
+	r.st.Slowdown = (r.st.DoneSec - r.st.ArrivalSec) / alone
+	return nil
+}
+
+// tally aggregates jobs into a Result's summary fields. Every sum runs in
+// the order jobs are added.
+type tally struct {
+	done, rejected      int
+	preempts, reconfigs int
+	sumQueue, maxQueue  float64
+	sumSlow, sumSlowSq  float64
+	makespan            float64
+}
+
+// add folds in one rejected or completed job.
+func (t *tally) add(st JobStats) {
+	if st.Rejected {
+		t.rejected++
+		return
+	}
+	t.done++
+	t.sumQueue += st.QueueSec
+	if st.QueueSec > t.maxQueue {
+		t.maxQueue = st.QueueSec
+	}
+	t.sumSlow += st.Slowdown
+	t.sumSlowSq += st.Slowdown * st.Slowdown
+	if st.DoneSec > t.makespan {
+		t.makespan = st.DoneSec
+	}
+	t.preempts += st.Preemptions
+	t.reconfigs += st.Reconfigs
+}
+
+// fill writes the tally's counts, makespan, queueing and slowdown summaries
+// (Jain's index for Fairness) into res.
+func (t *tally) fill(res *Result) {
+	res.RejectedJobs = t.rejected
+	res.CompletedJobs = t.done
+	res.Preemptions = t.preempts
+	res.Reconfigs = t.reconfigs
+	res.MakespanSec = t.makespan
+	if t.done > 0 {
+		res.MeanQueueSec = t.sumQueue / float64(t.done)
+		res.MeanSlowdown = t.sumSlow / float64(t.done)
+	}
+	res.MaxQueueSec = t.maxQueue
+	res.SlowdownSum = t.sumSlow
+	res.SlowdownSumSq = t.sumSlowSq
+	if t.sumSlowSq > 0 {
+		res.Fairness = t.sumSlow * t.sumSlow / (float64(t.done) * t.sumSlowSq)
+	}
 }
 
 // recycle returns a retired record to the freelist under Lite mode (full
@@ -1058,80 +1099,34 @@ func (s *scheduler) finalize() (Result, error) {
 		LostWorkSec:     s.lostWorkSec,
 		Availability:    1,
 	}
+	agg := s.agg // a copy, so finalize stays repeatable
 	if s.lite {
 		if s.liveJobs > 0 {
 			return Result{}, fmt.Errorf("fabric: %d jobs never completed (deadlock?)", s.liveJobs)
 		}
-		if s.liteDone == 0 && s.failedJobs == 0 && s.evictedAway == 0 {
-			return Result{}, fmt.Errorf("fabric: every job was rejected")
-		}
-		res.RejectedJobs = s.liteRejected
-		res.CompletedJobs = s.liteDone
-		res.Preemptions = s.litePreempts
-		res.Reconfigs = s.liteReconfigs
-		res.MakespanSec = s.liteMakespan
-		if s.liteDone > 0 {
-			res.MeanQueueSec = s.liteSumQueue / float64(s.liteDone)
-			res.MeanSlowdown = s.liteSumSlow / float64(s.liteDone)
-		}
-		res.MaxQueueSec = s.liteMaxQueue
-		res.SlowdownSum = s.liteSumSlow
-		res.SlowdownSumSq = s.liteSumSlowSq
-		if s.liteSumSlowSq > 0 {
-			res.Fairness = s.liteSumSlow * s.liteSumSlow /
-				(float64(s.liteDone) * s.liteSumSlowSq)
-		}
-		s.setRates(&res)
-		return res, nil
-	}
-	var queues, slowdowns []float64
-	for _, r := range s.recs {
-		if r.state == stRejected {
-			res.RejectedJobs++
+	} else {
+		for _, r := range s.recs {
+			switch r.state {
+			case stEvicted:
+				continue // left in an outage; the fleet replays it elsewhere
+			case stDone:
+				if err := s.settle(r); err != nil {
+					return Result{}, err
+				}
+				agg.add(r.st)
+			case stRejected:
+				agg.add(r.st)
+			case stFailed:
+			default:
+				return Result{}, fmt.Errorf("fabric: job %q never completed (deadlock?)", r.Name)
+			}
 			res.Jobs = append(res.Jobs, r.st)
-			continue
 		}
-		if r.state == stEvicted {
-			continue // left in an outage; the fleet replays it elsewhere
-		}
-		if r.state == stFailed {
-			res.Jobs = append(res.Jobs, r.st)
-			continue
-		}
-		if r.state != stDone {
-			return Result{}, fmt.Errorf("fabric: job %q never completed (deadlock?)", r.Name)
-		}
-		alone, err := s.price(r, r.MaxWavelengths)
-		if err != nil {
-			return Result{}, err
-		}
-		r.st.AloneSec = alone
-		r.st.Slowdown = (r.st.DoneSec - r.st.ArrivalSec) / alone
-		if r.st.DoneSec > res.MakespanSec {
-			res.MakespanSec = r.st.DoneSec
-		}
-		res.Preemptions += r.st.Preemptions
-		res.Reconfigs += r.st.Reconfigs
-		queues = append(queues, r.st.QueueSec)
-		slowdowns = append(slowdowns, r.st.Slowdown)
-		res.Jobs = append(res.Jobs, r.st)
 	}
-	if len(slowdowns) == 0 {
-		if s.failedJobs == 0 && s.evictedAway == 0 {
-			return Result{}, fmt.Errorf("fabric: every job was rejected")
-		}
-		s.setRates(&res)
-		return res, nil
+	if agg.done == 0 && s.failedJobs == 0 && s.evictedAway == 0 {
+		return Result{}, fmt.Errorf("fabric: every job was rejected")
 	}
-	res.CompletedJobs = len(slowdowns)
-	for _, x := range slowdowns {
-		res.SlowdownSum += x
-		res.SlowdownSumSq += x * x
-	}
-	res.MeanQueueSec = stats.Mean(queues)
-	res.MaxQueueSec = stats.Max(queues)
-	res.MeanSlowdown = stats.Mean(slowdowns)
-	res.Fairness = stats.JainIndex(slowdowns)
+	agg.fill(&res)
 	s.setRates(&res)
 	return res, nil
 }

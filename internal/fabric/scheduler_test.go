@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wrht/internal/sim"
+	"wrht/internal/stats"
 )
 
 // runLite co-simulates jobs through the external-engine Scheduler API with
@@ -30,7 +31,9 @@ func runLite(t *testing.T, budget int, jobs []Job, pol Policy) Result {
 }
 
 // TestLiteAggregatesMatchFull pins that Lite mode (no events, no per-job
-// stats, recycled records) reproduces the full mode's aggregates exactly.
+// stats, recycled records) reproduces the full mode's aggregates exactly,
+// and that the full mode's aggregates are, bit for bit, the slice summaries
+// of its per-job stats.
 func TestLiteAggregatesMatchFull(t *testing.T) {
 	mixes := []struct {
 		name   string
@@ -79,6 +82,20 @@ func TestLiteAggregatesMatchFull(t *testing.T) {
 				if !approx(fl.l, fl.f) {
 					t.Fatalf("%s: %s diverges: lite %v, full %v", name, fl.what, fl.l, fl.f)
 				}
+			}
+			var queues, slowdowns []float64
+			for _, st := range full.Jobs {
+				if !st.Rejected && !st.Failed {
+					queues = append(queues, st.QueueSec)
+					slowdowns = append(slowdowns, st.Slowdown)
+				}
+			}
+			if full.CompletedJobs != len(slowdowns) ||
+				full.MeanQueueSec != stats.Mean(queues) ||
+				full.MaxQueueSec != stats.Max(queues) ||
+				full.MeanSlowdown != stats.Mean(slowdowns) ||
+				full.Fairness != stats.JainIndex(slowdowns) {
+				t.Fatalf("%s: full aggregates differ from the per-job summaries: %+v", name, full)
 			}
 		}
 	}

@@ -7,9 +7,6 @@
 package model
 
 import (
-	"fmt"
-	"math"
-
 	"wrht/internal/core"
 	"wrht/internal/electrical"
 	"wrht/internal/optical"
@@ -123,58 +120,4 @@ func Wrht(plan *core.Plan, bytes int64, p optical.Params) float64 {
 // (core.PredictPipelinedTime's documented round-splitting approximation).
 func WrhtPipelined(plan *core.Plan, bytes int64, p optical.Params, chunks int) float64 {
 	return plan.PredictPipelinedTime(CostParamsOf(p), bytes, chunks)
-}
-
-// WrhtAuto builds the optimizer-chosen plan for (n, w implied by p) and
-// predicts its time.
-func WrhtAuto(n int, bytes int64, p optical.Params) (*core.Plan, float64, error) {
-	opts := core.DefaultOptions()
-	opts.Cost = CostParamsOf(p)
-	plan, err := core.BuildPlan(n, p.Wavelengths, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return plan, Wrht(plan, bytes, p), nil
-}
-
-// Reduction returns the paper's headline metric: the fractional time
-// reduction of ours versus baseline (e.g. 0.7576 for "75.76%").
-func Reduction(baseline, ours float64) float64 {
-	if baseline <= 0 {
-		return 0
-	}
-	return 1 - ours/baseline
-}
-
-// CrossoverBytes finds, by bisection over [lo, hi], the buffer size at which
-// two time functions cross (f(lo)-g(lo) and f(hi)-g(hi) must differ in
-// sign). It returns an error when no crossover exists in the interval.
-func CrossoverBytes(f, g func(bytes int64) float64, lo, hi int64) (int64, error) {
-	if lo <= 0 || hi <= lo {
-		return 0, fmt.Errorf("model: bad interval [%d, %d]", lo, hi)
-	}
-	d := func(b int64) float64 { return f(b) - g(b) }
-	dl, dh := d(lo), d(hi)
-	if dl == 0 {
-		return lo, nil
-	}
-	if dh == 0 {
-		return hi, nil
-	}
-	if math.Signbit(dl) == math.Signbit(dh) {
-		return 0, fmt.Errorf("model: no crossover in [%d, %d] (Δlo=%g, Δhi=%g)", lo, hi, dl, dh)
-	}
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		dm := d(mid)
-		if dm == 0 {
-			return mid, nil
-		}
-		if math.Signbit(dm) == math.Signbit(dl) {
-			lo, dl = mid, dm
-		} else {
-			hi = mid
-		}
-	}
-	return hi, nil
 }

@@ -110,11 +110,26 @@ func TestORingMatchesSimulator(t *testing.T) {
 	}
 }
 
+// wrhtAuto plans Wrht with the optimizer's group size and predicts its time.
+func wrhtAuto(n int, bytes int64, p optical.Params) (*core.Plan, float64, error) {
+	opts := core.DefaultOptions()
+	opts.Cost = CostParamsOf(p)
+	plan, err := core.ChooseM(n, p.Wavelengths, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	return plan, Wrht(plan, bytes, p), nil
+}
+
+// reduction is the paper's headline metric: the fractional time reduction
+// of ours versus baseline (0.7576 for "75.76%").
+func reduction(baseline, ours float64) float64 { return 1 - ours/baseline }
+
 func TestWrhtAutoMatchesSimulator(t *testing.T) {
 	p := optical.DefaultParams()
 	for _, n := range []int{128, 256} {
 		bytes := int64(1 << 24)
-		plan, pred, err := WrhtAuto(n, bytes, p)
+		plan, pred, err := wrhtAuto(n, bytes, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +158,7 @@ func TestPaperOrderingHolds(t *testing.T) {
 	for _, m := range dnn.PaperModels() {
 		bytes := m.GradientBytes(4)
 		for _, n := range []int{128, 256, 512, 1024} {
-			_, wrht, err := WrhtAuto(n, bytes, op)
+			_, wrht, err := wrhtAuto(n, bytes, op)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,10 +171,10 @@ func TestPaperOrderingHolds(t *testing.T) {
 			}
 			// Headline-scale factors: vs O-Ring the reduction should be deep
 			// (paper: 91.86%); vs E-Ring substantial (paper: 75.76%).
-			if r := Reduction(oRing, wrht); r < 0.75 {
+			if r := reduction(oRing, wrht); r < 0.75 {
 				t.Errorf("%s n=%d: reduction vs O-Ring only %.1f%%", m.Name, n, 100*r)
 			}
-			if r := Reduction(eRing, wrht); r < 0.40 {
+			if r := reduction(eRing, wrht); r < 0.40 {
 				t.Errorf("%s n=%d: reduction vs E-Ring only %.1f%%", m.Name, n, 100*r)
 			}
 		}
@@ -188,9 +203,17 @@ func TestCrossoverStripedRingVsWrht(t *testing.T) {
 	}
 	wrht := func(b int64) float64 { return Wrht(plan, b, op) }
 	ringS := func(b int64) float64 { return ORingStriped(n, b, op) }
-	cross, err := CrossoverBytes(wrht, ringS, 1<<10, 1<<34)
-	if err != nil {
-		t.Fatal(err)
+	// Bisect [1 KiB, 16 GiB] for the first size at which Wrht stops winning.
+	lo, cross := int64(1<<10), int64(1<<34)
+	if !(wrht(lo) < ringS(lo)) || wrht(cross) < ringS(cross) {
+		t.Fatalf("no crossover in [%d, %d] B", lo, cross)
+	}
+	for cross-lo > 1 {
+		if mid := lo + (cross-lo)/2; wrht(mid) < ringS(mid) {
+			lo = mid
+		} else {
+			cross = mid
+		}
 	}
 	// Small buffers: Wrht wins; large: striped ring wins.
 	if !(wrht(cross/4) < ringS(cross/4)) {
@@ -198,26 +221,6 @@ func TestCrossoverStripedRingVsWrht(t *testing.T) {
 	}
 	if !(wrht(cross*4) > ringS(cross*4)) {
 		t.Errorf("above crossover (%d B) striped ring should win", cross*4)
-	}
-}
-
-func TestCrossoverValidation(t *testing.T) {
-	f := func(b int64) float64 { return 1 }
-	g := func(b int64) float64 { return 2 }
-	if _, err := CrossoverBytes(f, g, 1, 100); err == nil {
-		t.Fatal("no-crossover accepted")
-	}
-	if _, err := CrossoverBytes(f, g, 100, 1); err == nil {
-		t.Fatal("bad interval accepted")
-	}
-}
-
-func TestReduction(t *testing.T) {
-	if r := Reduction(100, 25); r != 0.75 {
-		t.Fatalf("Reduction = %v", r)
-	}
-	if r := Reduction(0, 5); r != 0 {
-		t.Fatalf("Reduction with zero baseline = %v", r)
 	}
 }
 
@@ -232,13 +235,13 @@ func TestHeadlineReductionsNearPaper(t *testing.T) {
 	for _, m := range dnn.PaperModels() {
 		bytes := m.GradientBytes(4)
 		for _, n := range []int{128, 256, 512, 1024} {
-			_, wrht, err := WrhtAuto(n, bytes, op)
+			_, wrht, err := wrhtAuto(n, bytes, op)
 			if err != nil {
 				t.Fatal(err)
 			}
 			elec := (ERing(n, bytes, ep) + RD(n, bytes, ep)) / 2
-			vsElec = append(vsElec, Reduction(elec, wrht))
-			vsORing = append(vsORing, Reduction(ORing(n, bytes, op), wrht))
+			vsElec = append(vsElec, reduction(elec, wrht))
+			vsORing = append(vsORing, reduction(ORing(n, bytes, op), wrht))
 		}
 	}
 	avg := func(xs []float64) float64 {

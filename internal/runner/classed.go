@@ -174,14 +174,13 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 }
 
 // RunElectricalClassedObserved prices the classed schedule on the
-// electrical substrate: steps certified as partial permutations on the
-// default non-blocking cluster are priced through the class-level fluid
-// solver (one representative flow per class, bit-identical by the symmetry
-// of max-min fairness); everything else — including every step on a custom
-// Network — is materialized and priced by the exact per-flow path. Results
-// are bit-identical to RunElectrical on the expanded schedule. A non-nil
-// recorder gets a span per step on process proc plus classed-vs-exact
-// flow-solver counters (see RunOpticalClassedObserved for the contract).
+// non-blocking switched cluster: steps certified as partial permutations are
+// priced through the class-level fluid solver (one representative flow per
+// class, bit-identical by the symmetry of max-min fairness); every other step
+// is materialized and priced by the exact per-flow path. Results are
+// bit-identical to RunElectrical on the expanded schedule. A non-nil recorder
+// gets a span per step on process proc plus classed-vs-exact flow-solver
+// counters (see RunOpticalClassedObserved for the contract).
 func RunElectricalClassedObserved(cls *collective.ClassSchedule, opts ElectricalOptions, rec *obs.Recorder, proc string) (Result, error) {
 	if err := cls.Validate(); err != nil {
 		return Result{}, err
@@ -192,18 +191,9 @@ func RunElectricalClassedObserved(cls *collective.ClassSchedule, opts Electrical
 	if opts.BytesPerElem < 1 {
 		return Result{}, fmt.Errorf("runner: BytesPerElem %d", opts.BytesPerElem)
 	}
-	defaultNet := opts.Network == nil
-	nw := opts.Network
-	if defaultNet {
-		var err error
-		nw, err = electrical.NewSwitchedCluster(cls.N, opts.Params.LinkGbps)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	if nw.NumNodes() != cls.N {
-		return Result{}, fmt.Errorf("runner: network has %d hosts, schedule needs %d",
-			nw.NumNodes(), cls.N)
+	nw, err := electrical.NewSwitchedCluster(cls.N, opts.Params.LinkGbps)
+	if err != nil {
+		return Result{}, err
 	}
 	res := Result{
 		Algorithm: cls.Algorithm,
@@ -221,9 +211,8 @@ func RunElectricalClassedObserved(cls *collective.ClassSchedule, opts Electrical
 	now := 0.0
 	for si := 0; si < cls.NumSteps(); si++ {
 		var d float64
-		var err error
 		classed := false
-		if _, _, _, perm, sym := cls.Sym(si); sym && perm && defaultNet {
+		if _, _, _, perm, sym := cls.Sym(si); sym && perm {
 			classed = true
 			bits = bits[:0]
 			lo, hi := cls.ClassBounds(si)

@@ -8,6 +8,7 @@ import (
 
 	"wrht/internal/collective"
 	"wrht/internal/electrical"
+	"wrht/internal/obs"
 	"wrht/internal/ring"
 	"wrht/internal/tensor"
 	"wrht/internal/wdm"
@@ -103,32 +104,35 @@ func TestRunOpticalClassedGoldenEquality(t *testing.T) {
 
 // TestRunElectricalClassedGoldenEquality: classed electrical pricing — the
 // class-level fluid solve on permutation steps, the per-flow fallback
-// everywhere else — is bit-identical to the boxed oracle on the default
-// cluster and on a custom ring network (where the quotient never applies).
+// everywhere else — is bit-identical to the boxed oracle, and the cases
+// reach both paths.
 func TestRunElectricalClassedGoldenEquality(t *testing.T) {
+	opts := ElectricalOptions{Params: electrical.DefaultParams()}
+	rec := obs.New()
 	for _, s := range classedGoldenCases(t) {
 		cls := s.Classes()
-		nets := []*electrical.Network{nil}
-		if ringNet, err := electrical.NewRingNetwork(s.N, 100); err == nil {
-			nets = append(nets, ringNet)
+		want, errWant := RunElectrical(s, opts)
+		got, errGot := RunElectricalClassedObserved(cls, opts, nil, "")
+		if (errWant == nil) != (errGot == nil) {
+			t.Fatalf("%s: error divergence: boxed=%v classed=%v", s.Algorithm, errWant, errGot)
 		}
-		for _, nw := range nets {
-			opts := ElectricalOptions{Params: electrical.DefaultParams(), Network: nw}
-			want, errWant := RunElectrical(s, opts)
-			got, errGot := RunElectricalClassedObserved(cls, opts, nil, "")
-			if (errWant == nil) != (errGot == nil) {
-				t.Fatalf("%s: error divergence: boxed=%v classed=%v", s.Algorithm, errWant, errGot)
-			}
-			if errWant != nil {
-				continue
-			}
+		if errWant == nil {
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s (net=%v): classed electrical result diverges\n got %+v\nwant %+v",
-					s.Algorithm, nw != nil, got, want)
+				t.Fatalf("%s: classed electrical result diverges\n got %+v\nwant %+v",
+					s.Algorithm, got, want)
+			}
+			if _, err := RunElectricalClassedObserved(cls, opts, rec, s.Algorithm); err != nil {
+				t.Fatalf("%s: observed: %v", s.Algorithm, err)
 			}
 		}
 		cls.Release()
 	}
+	classed := rec.Counter("pricer.electrical.steps.classed")
+	exact := rec.Counter("pricer.electrical.steps.exact")
+	if classed == 0 || exact == 0 {
+		t.Fatalf("cases priced %d classed and %d exact steps; both paths must be held to the oracle", classed, exact)
+	}
+	t.Logf("%d classed and %d exact steps held to the oracle", classed, exact)
 }
 
 // TestRunOpticalClassedFabricReplay: with fabric validation requested the

@@ -69,29 +69,23 @@ func TestRunOpticalCompactGoldenEquality(t *testing.T) {
 }
 
 // TestRunElectricalCompactGoldenEquality mirrors the optical golden test on
-// the electrical substrate, on the default cluster and a custom network.
+// the electrical substrate.
 func TestRunElectricalCompactGoldenEquality(t *testing.T) {
+	opts := ElectricalOptions{Params: electrical.DefaultParams()}
 	for _, s := range goldenSchedules(t) {
-		nets := []*electrical.Network{nil}
-		if ringNet, err := electrical.NewRingNetwork(s.N, 100); err == nil {
-			nets = append(nets, ringNet)
+		want, err := RunElectrical(s, opts)
+		if err != nil {
+			t.Fatalf("%s: boxed: %v", s.Algorithm, err)
 		}
-		for _, nw := range nets {
-			opts := ElectricalOptions{Params: electrical.DefaultParams(), Network: nw}
-			want, err := RunElectrical(s, opts)
-			if err != nil {
-				t.Fatalf("%s: boxed: %v", s.Algorithm, err)
-			}
-			cls := s.Classes()
-			got, err := RunElectricalClassedObserved(cls, opts, nil, "")
-			if err != nil {
-				t.Fatalf("%s: classed: %v", s.Algorithm, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: classed electrical result diverges\n got %+v\nwant %+v",
-					s.Algorithm, got, want)
-			}
-			cls.Release()
+		cls := s.Classes()
+		got, err := RunElectricalClassedObserved(cls, opts, nil, "")
+		if err != nil {
+			t.Fatalf("%s: classed: %v", s.Algorithm, err)
 		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: classed electrical result diverges\n got %+v\nwant %+v",
+				s.Algorithm, got, want)
+		}
+		cls.Release()
 	}
 }

@@ -1,7 +1,8 @@
-// Package runner executes collective schedules against the optical and
-// electrical substrates, producing timing results, and replays optical
-// schedules through the reservation fabric to certify that the wavelength
-// assignments are physically realizable. It is the glue between algorithm
+// Package runner executes collective schedules against the two substrates —
+// the WDM optical ring and the electrical baselines' non-blocking switched
+// cluster — producing timing results, and replays optical schedules through
+// the reservation fabric to certify that the wavelength assignments are
+// physically realizable. It is the glue between algorithm
 // (internal/collective, internal/core) and substrate (internal/optical,
 // internal/electrical); every number in EXPERIMENTS.md comes out of this
 // package.
@@ -183,17 +184,16 @@ func replayRounds(topo ring.Topology, p optical.Params, fabric *optical.Fabric,
 	return nil
 }
 
-// ElectricalOptions configures electrical execution.
+// ElectricalOptions configures electrical execution on the one electrical
+// substrate, a non-blocking switched cluster of the schedule's host count
+// (DESIGN.md §4).
 type ElectricalOptions struct {
 	Params electrical.Params
-	// Network is the topology to run on; its host count must match the
-	// schedule. Nil selects a non-blocking switched cluster.
-	Network *electrical.Network
 	// BytesPerElem converts schedule regions (elements) to bytes; 0 means 4.
 	BytesPerElem int
 }
 
-// RunElectrical prices the boxed schedule on the electrical substrate
+// RunElectrical prices the boxed schedule on the switched cluster
 // (reference oracle).
 func RunElectrical(s *collective.Schedule, opts ElectricalOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
@@ -205,17 +205,9 @@ func RunElectrical(s *collective.Schedule, opts ElectricalOptions) (Result, erro
 	if opts.BytesPerElem < 1 {
 		return Result{}, fmt.Errorf("runner: BytesPerElem %d", opts.BytesPerElem)
 	}
-	nw := opts.Network
-	if nw == nil {
-		var err error
-		nw, err = electrical.NewSwitchedCluster(s.N, opts.Params.LinkGbps)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	if nw.NumNodes() != s.N {
-		return Result{}, fmt.Errorf("runner: network has %d hosts, schedule needs %d",
-			nw.NumNodes(), s.N)
+	nw, err := electrical.NewSwitchedCluster(s.N, opts.Params.LinkGbps)
+	if err != nil {
+		return Result{}, err
 	}
 	res := Result{
 		Algorithm: s.Algorithm,

@@ -150,14 +150,6 @@ func TestRunElectricalRDHandComputed(t *testing.T) {
 	}
 }
 
-func TestRunElectricalNetworkMismatch(t *testing.T) {
-	s, _ := collective.RingAllReduce(8, 64)
-	nw, _ := electrical.NewSwitchedCluster(16, 100)
-	if _, err := RunElectrical(s, ElectricalOptions{Params: electrical.DefaultParams(), Network: nw}); err == nil {
-		t.Fatal("host-count mismatch accepted")
-	}
-}
-
 func TestRunOpticalUnroutedUsesShortestPath(t *testing.T) {
 	// An unrouted transfer from 0 to n-1 should take 1 hop (CCW), not n-1.
 	s := &collective.Schedule{Algorithm: "probe", N: 8, Elems: 1024, Steps: []collective.Step{{

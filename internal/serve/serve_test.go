@@ -269,6 +269,19 @@ func TestDegradeShedsExpensiveClassesFirst(t *testing.T) {
 		close(block)
 		wg.Wait() // all flood goroutines drain before testHook resets
 	}()
+	// Probe only once the flood fills the class. A probe that found a free
+	// queue slot would wait there for the class's one-minute deadline, and
+	// with no further arrivals the degrader would never be sampled again.
+	// The short probe deadline bounds any such wait all the same.
+	adm := srv.admits[ClassSweep]
+	for filled := time.Now(); adm.inSystem.Load() < adm.capacity; time.Sleep(time.Millisecond) {
+		if time.Since(filled) > 5*time.Second {
+			t.Fatalf("sweep flood never filled the class: %d of %d in system", adm.inSystem.Load(), adm.capacity)
+		}
+	}
+	probeBody := func(i int) string {
+		return fmt.Sprintf(`{"Spec": {"Nodes": [8], "MessageBytes": [%d]}, "DeadlineMillis": 100}`, 1024+i)
+	}
 
 	shed := func() int {
 		mu.Lock()
@@ -285,7 +298,7 @@ func TestDegradeShedsExpensiveClassesFirst(t *testing.T) {
 	// 429s, and the sustained pressure (past UpHold) steps the tier up.
 	waited := time.Now()
 	for (shed() == 0 || srv.deg.current() < tierNoSweeps) && time.Since(waited) < 5*time.Second {
-		st, _ := postJSON(t, ts.URL+"/v1/sweep", sweepBody(100+int(time.Since(waited))))
+		st, _ := postJSON(t, ts.URL+"/v1/sweep", probeBody(100+int(time.Since(waited))))
 		if st == http.StatusOK {
 			t.Fatalf("sweep accepted while queue saturated")
 		}
@@ -300,7 +313,7 @@ func TestDegradeShedsExpensiveClassesFirst(t *testing.T) {
 		t.Fatalf("commtime during degrade: status = %d", status)
 	}
 	// Fresh sweeps are rejected at the degrade gate (503), before admission.
-	status, m := postJSON(t, ts.URL+"/v1/sweep", sweepBody(999))
+	status, m := postJSON(t, ts.URL+"/v1/sweep", probeBody(999))
 	if status != http.StatusServiceUnavailable && status != http.StatusTooManyRequests {
 		t.Fatalf("sweep during degrade: status = %d body %v", status, m)
 	}

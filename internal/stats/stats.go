@@ -143,36 +143,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive values (0 if any value is
-// non-positive or the input is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Median returns the median (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	mid := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[mid]
-	}
-	return (c[mid-1] + c[mid]) / 2
-}
-
 // Percentile returns the p-th percentile (0 < p <= 100) by the nearest-rank
 // method: the smallest value with at least p% of the sample at or below it.
 // Empty input returns 0. Nearest-rank is exact and deterministic — no
@@ -223,19 +193,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Normalize divides every value by unit (the paper's figures use a common
-// time unit across subplots). unit must be non-zero.
-func Normalize(xs []float64, unit float64) []float64 {
-	if unit == 0 {
-		panic("stats: zero normalization unit")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / unit
-	}
-	return out
 }
 
 // FormatSeconds renders a duration with an adaptive unit (ns/µs/ms/s).

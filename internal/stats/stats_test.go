@@ -50,37 +50,12 @@ func TestAddRowfTypes(t *testing.T) {
 }
 
 func TestMeans(t *testing.T) {
-	if Mean(nil) != 0 || GeoMean(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Fatal("empty inputs should give 0")
 	}
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean broken")
 	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("GeoMean = %v", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("GeoMean with negative should be 0")
-	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd Median broken")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even Median broken")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4}, 2)
-	if out[0] != 1 || out[1] != 2 {
-		t.Fatalf("Normalize = %v", out)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero unit accepted")
-		}
-	}()
-	Normalize([]float64{1}, 0)
 }
 
 func TestFormatSeconds(t *testing.T) {

@@ -7,10 +7,7 @@
 // sums are exact (no floating-point reassociation error) up to 2^53.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Region identifies a contiguous span [Offset, Offset+Len) of a flat buffer,
 // in elements.
@@ -79,11 +76,6 @@ func AddRegion(dst, src []float64, r Region) {
 	}
 }
 
-// CopyRegion copies src's region into dst's same region.
-func CopyRegion(dst, src []float64, r Region) {
-	copy(dst[r.Offset:r.End()], src[r.Offset:r.End()])
-}
-
 // Add accumulates src into dst elementwise. Lengths must match.
 func Add(dst, src []float64) {
 	if len(dst) != len(src) {
@@ -122,38 +114,6 @@ func ExpectedSum(n, i int) float64 {
 	// = (i%97+1) * n(n+1)/2 + n*(i%13)
 	return float64(i%97+1)*float64(n)*float64(n+1)/2 + float64(n)*float64(i%13)
 }
-
-// AllClose reports whether a and b agree elementwise within absolute
-// tolerance tol. Lengths must match exactly.
-func AllClose(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxAbsDiff returns the largest elementwise |a[i]-b[i]| and its index.
-// Lengths must match.
-func MaxAbsDiff(a, b []float64) (float64, int) {
-	if len(a) != len(b) {
-		panic("tensor: MaxAbsDiff length mismatch")
-	}
-	worst, at := 0.0, -1
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > worst {
-			worst, at = d, i
-		}
-	}
-	return worst, at
-}
-
-// Zeros returns a freshly allocated zero buffer of n elements.
-func Zeros(n int) []float64 { return make([]float64, n) }
 
 // Clone returns a copy of buf.
 func Clone(buf []float64) []float64 {

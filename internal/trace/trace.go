@@ -49,23 +49,6 @@ func DefaultCompute(m dnn.Model) ComputeModel {
 	}
 }
 
-// ComputeFromFLOPs derives the compute model from the model's layer-accurate
-// FLOP table: forward = batch·FLOPs/(TFLOPS·efficiency), backward = 2×
-// forward (the standard backprop cost ratio). efficiency is the achieved
-// fraction of peak (dense CNNs on fp32 GPUs typically reach 0.3–0.5).
-func ComputeFromFLOPs(m dnn.Model, batch int, tflops, efficiency float64) (ComputeModel, error) {
-	if batch < 1 || tflops <= 0 || efficiency <= 0 || efficiency > 1 {
-		return ComputeModel{}, fmt.Errorf("trace: bad compute derivation (batch=%d tflops=%v eff=%v)",
-			batch, tflops, efficiency)
-	}
-	fl := m.TotalFLOPs()
-	if fl <= 0 {
-		return ComputeModel{}, fmt.Errorf("trace: model %s has no FLOP table", m.Name)
-	}
-	fwd := float64(batch) * float64(fl) / (tflops * 1e12 * efficiency)
-	return ComputeModel{ForwardSec: fwd, BackwardSec: 2 * fwd}, nil
-}
-
 // CommTimer prices one fused-bucket all-reduce of the given byte size.
 type CommTimer func(bytes int64) float64
 

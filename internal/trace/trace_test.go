@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"wrht/internal/core"
 	"wrht/internal/dnn"
 	"wrht/internal/electrical"
 	"wrht/internal/model"
@@ -77,12 +78,25 @@ func TestBucketingImprovesOverlap(t *testing.T) {
 	}
 }
 
+// wrhtPlan is the optimizer's Wrht plan for n nodes on p's wavelengths.
+func wrhtPlan(t *testing.T, n int, p optical.Params) *core.Plan {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Cost = model.CostParamsOf(p)
+	plan, err := core.ChooseM(n, p.Wavelengths, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func TestPaperMotivationCommShare(t *testing.T) {
 	// The paper's intro: all-reduce occupies 50–90% of per-iteration time at
 	// scale on electrical networks. Check E-Ring at n=1024 lands in that
 	// band for the large models, and that Wrht cuts the share.
 	ep := electrical.DefaultParams()
 	op := optical.DefaultParams()
+	plan := wrhtPlan(t, 1024, op)
 	for _, m := range []dnn.Model{dnn.AlexNet(), dnn.VGG16()} {
 		cm := DefaultCompute(m)
 		eComm := func(b int64) float64 { return model.ERing(1024, b, ep) }
@@ -94,13 +108,7 @@ func TestPaperMotivationCommShare(t *testing.T) {
 			t.Errorf("%s: E-Ring comm share %.0f%%, expected the paper's 50–90%% band",
 				m.Name, 100*res.CommShare)
 		}
-		wComm := func(b int64) float64 {
-			_, tm, err := model.WrhtAuto(1024, b, op)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tm
-		}
+		wComm := func(b int64) float64 { return model.Wrht(plan, b, op) }
 		wres, err := SimulateIteration(m, cm, 25<<20, 4, wComm)
 		if err != nil {
 			t.Fatal(err)
@@ -150,48 +158,18 @@ func TestDefaultComputeCoversCatalogAndFallback(t *testing.T) {
 	}
 }
 
-func TestComputeFromFLOPs(t *testing.T) {
-	m := dnn.VGG16()
-	cm, err := ComputeFromFLOPs(m, 32, 15.7, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 32 × 30.94 GFLOPs / (15.7 TFLOPS × 0.4) ≈ 158 ms forward.
-	if cm.ForwardSec < 0.1 || cm.ForwardSec > 0.25 {
-		t.Fatalf("VGG16 forward %v s, expected ≈0.16 s", cm.ForwardSec)
-	}
-	if math.Abs(cm.BackwardSec-2*cm.ForwardSec) > 1e-12 {
-		t.Fatalf("backward should be 2x forward")
-	}
-	if _, err := ComputeFromFLOPs(m, 0, 15.7, 0.4); err == nil {
-		t.Fatal("batch=0 accepted")
-	}
-	if _, err := ComputeFromFLOPs(m, 32, 15.7, 1.5); err == nil {
-		t.Fatal("efficiency>1 accepted")
-	}
-	if _, err := ComputeFromFLOPs(dnn.Model{Name: "empty"}, 32, 15.7, 0.4); err == nil {
-		t.Fatal("FLOP-less model accepted")
-	}
-}
-
 func TestFLOPsDerivedIterationSensible(t *testing.T) {
 	// FLOPs-derived compute and the synthetic defaults must agree on the
 	// qualitative outcome: Wrht hides most communication, E-Ring does not.
 	op := optical.DefaultParams()
+	plan := wrhtPlan(t, 1024, op)
 	ep := electrical.DefaultParams()
 	m := dnn.ResNet50()
-	cm, err := ComputeFromFLOPs(m, 32, 15.7, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Batch 32 at 40% of a 15.7 TFLOPS peak; backward costs twice forward.
+	fwd := 32 * float64(m.TotalFLOPs()) / (15.7e12 * 0.4)
+	cm := ComputeModel{ForwardSec: fwd, BackwardSec: 2 * fwd}
 	eComm := func(b int64) float64 { return model.ERing(1024, b, ep) }
-	wComm := func(b int64) float64 {
-		_, tm, err := model.WrhtAuto(1024, b, op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tm
-	}
+	wComm := func(b int64) float64 { return model.Wrht(plan, b, op) }
 	e, err := SimulateIteration(m, cm, 25<<20, 4, eComm)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"wrht/internal/electrical"
+	"wrht/internal/exp"
+	"wrht/internal/obs"
+	"wrht/internal/runner"
 )
 
 func observeTestJobs() []JobSpec {
@@ -273,5 +278,27 @@ func TestInspectScheduleClasses(t *testing.T) {
 
 	if _, err := InspectScheduleClasses(cfg, AlgWrht, 0); err == nil {
 		t.Fatal("non-positive size accepted")
+	}
+}
+
+// TestSimProcNamesStable pins the recorder process names of two simulation
+// keys byte for byte: exported traces name every simulation by a hash of
+// its key, so a change to the hashed text moves every trace.
+func TestSimProcNamesStable(t *testing.T) {
+	s := newSession()
+	s.rec.Store(obs.New())
+	elec := exp.SimKey{
+		Sched:      exp.ScheduleKey{Algorithm: "rd", N: 64, Elems: 1 << 20},
+		Electrical: true,
+		ElecOpts:   runner.ElectricalOptions{Params: electrical.DefaultParams(), BytesPerElem: 4},
+	}
+	opt := exp.SimKey{Sched: exp.ScheduleKey{N: 64, Elems: 1 << 20}, OptOpts: runner.DefaultOpticalOptions()}
+	for key, want := range map[exp.SimKey]string{
+		elec: "price electrical rd N=64 elems=1048576 · key ecc87ce2c2d9cf8a",
+		opt:  "price optical wrht N=64 elems=1048576 · key d5fcece8492ad270",
+	} {
+		if got := s.simProc(key); got != want {
+			t.Errorf("simProc = %q, want %q", got, want)
+		}
 	}
 }

@@ -12,18 +12,17 @@ import (
 	"testing"
 )
 
-// TestBoxedRunnersAreTestOnly: production prices only through the classed
-// runners. runner.RunOptical and runner.RunElectrical are the boxed
-// reference oracle; outside internal/runner no non-test file of the module
-// may call them.
-func TestBoxedRunnersAreTestOnly(t *testing.T) {
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+// walkSources parses every non-test Go file of the module rooted at root,
+// skipping testdata, hidden directories and nested modules, and hands each
+// to visit with its slash-separated directory relative to root.
+func walkSources(t *testing.T, fset *token.FileSet, root string, visit func(dir string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path == "." {
+			if path == root {
 				return nil
 			}
 			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
@@ -34,13 +33,34 @@ func TestBoxedRunnersAreTestOnly(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
-			filepath.ToSlash(filepath.Dir(path)) == "internal/runner" {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(rel), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBoxedRunnersAreTestOnly: production prices only through the classed
+// runners. runner.RunOptical and runner.RunElectrical are the boxed
+// reference oracle; outside internal/runner no non-test file of the module
+// may call them.
+func TestBoxedRunnersAreTestOnly(t *testing.T) {
+	fset := token.NewFileSet()
+	walkSources(t, fset, ".", func(dir string, f *ast.File) {
+		if dir == "internal/runner" {
+			return
 		}
 		names := map[string]bool{}
 		for _, imp := range f.Imports {
@@ -53,7 +73,7 @@ func TestBoxedRunnersAreTestOnly(t *testing.T) {
 			}
 		}
 		if len(names) == 0 {
-			return nil
+			return
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -67,9 +87,96 @@ func TestBoxedRunnersAreTestOnly(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// exportsWithoutCallers lists, with the reason each stays, the exported
+// functions and methods under internal/ that no non-test file names.
+var exportsWithoutCallers = map[string]string{
+	"runner.RunOptical":         "boxed reference oracle the classed runners are held to",
+	"runner.RunElectrical":      "boxed reference oracle the classed runners are held to",
+	"core.MStar":                "the paper's m* formula, checked against the planner",
+	"wdm.AllToAllDemands":       "naive demand set the balanced routing is checked against",
+	"wdm.OptimalColors":         "exhaustive optimum the wavelength heuristics are checked against",
+	"sim.Engine.Reset":          "engine contract: reuse after a run",
+	"sim.Engine.RunUntil":       "engine contract: bounded run",
+	"ring.MustNew":              "test-support constructor",
+	"ring.Topology.Links":       "test-support accessor",
+	"obs.Recorder.FloatCounter": "test-support accessor",
+	"obs.Histogram.Quantile":    "test-support accessor",
+	"stats.JainIndex":           "reference the fabric's fairness tally is checked against",
+	"tensor.Scale":              "test-support: buffer scaling for reduction property tests",
+	"dnn.Model.TotalFLOPs":      "catalog data checked against published GMACs",
+}
+
+// TestInternalExportsHaveCallers: every exported top-level function or
+// method declared under internal/ is named by some non-test file of the
+// module or of perfbench/ other than a function declaration, or is listed in
+// exportsWithoutCallers with the reason it stays. Names are matched as
+// identifiers, so a method counts as named wherever any same-named
+// identifier appears.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	type decl struct {
+		key string // pkg.Func or pkg.Type.Method
+		pos token.Position
+	}
+	fset := token.NewFileSet()
+	var decls []decl
+	named := map[string]bool{}
+	for _, root := range []string{".", "perfbench"} {
+		walkSources(t, fset, root, func(dir string, f *ast.File) {
+			declared := map[*ast.Ident]bool{}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					declared[fn.Name] = true
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !declared[id] {
+					named[id.Name] = true
+				}
+				return true
+			})
+			if root != "." || !strings.HasPrefix(dir, "internal/") {
+				return
+			}
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
+				}
+				key := f.Name.Name + "." + fn.Name.Name
+				if fn.Recv != nil {
+					typ := fn.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					switch ix := typ.(type) {
+					case *ast.IndexExpr:
+						typ = ix.X
+					case *ast.IndexListExpr:
+						typ = ix.X
+					}
+					key = f.Name.Name + "." + typ.(*ast.Ident).Name + "." + fn.Name.Name
+				}
+				decls = append(decls, decl{key, fset.Position(fn.Name.Pos())})
+			}
+		})
+	}
+	declaredKeys := map[string]bool{}
+	for _, d := range decls {
+		declaredKeys[d.key] = true
+		_, allowed := exportsWithoutCallers[d.key]
+		switch name := d.key[strings.LastIndex(d.key, ".")+1:]; {
+		case !named[name] && !allowed:
+			t.Errorf("%s: %s has no caller outside tests; delete it or list it in exportsWithoutCallers with a reason", d.pos, d.key)
+		case named[name] && allowed:
+			t.Errorf("%s is listed in exportsWithoutCallers but a non-test file names it; drop the entry", d.key)
+		}
+	}
+	for key := range exportsWithoutCallers {
+		if !declaredKeys[key] {
+			t.Errorf("exportsWithoutCallers lists %s, which is not declared under internal/", key)
+		}
 	}
 }

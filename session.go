@@ -53,8 +53,12 @@ func (s *session) simProc(key exp.SimKey) string {
 	if s.recorder() == nil {
 		return ""
 	}
+	// The hashed text keeps the layout the key printed with while electrical
+	// options also named a network (nil on every cached path), so exported
+	// trace process names stay byte-stable.
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", key)
+	fmt.Fprintf(h, "{Sched:%+v Electrical:%t OptOpts:%+v ElecOpts:{Params:%+v Network:<nil> BytesPerElem:%d}}",
+		key.Sched, key.Electrical, key.OptOpts, key.ElecOpts.Params, key.ElecOpts.BytesPerElem)
 	substrate := "optical"
 	if key.Electrical {
 		substrate = "electrical"
@@ -95,9 +99,8 @@ func (s *session) schedule(key exp.ScheduleKey, build func() (*collective.ClassS
 }
 
 // simulate prices the classed schedule on the substrate key names (the WDM
-// ring, or the electrical network when key.Electrical), memoized by key when
-// a session is present. An electrical key's Network must be nil on the
-// cached path (it is derived from the schedule).
+// ring, or the switched electrical cluster when key.Electrical), memoized by
+// key when a session is present.
 func (s *session) simulate(key exp.SimKey, cls *collective.ClassSchedule) (runner.Result, error) {
 	run := func(rec *obs.Recorder, proc string) (runner.Result, error) {
 		if key.Electrical {
@@ -105,7 +108,7 @@ func (s *session) simulate(key exp.SimKey, cls *collective.ClassSchedule) (runne
 		}
 		return runner.RunOpticalClassedObserved(cls, key.OptOpts, rec, proc)
 	}
-	if s == nil || key.ElecOpts.Network != nil {
+	if s == nil {
 		return run(nil, "")
 	}
 	return s.sims.Do(key, func() (runner.Result, error) {
