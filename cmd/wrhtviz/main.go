@@ -36,6 +36,16 @@ func main() {
 	)
 	flag.Parse()
 
+	simOpts := opticalsim.DefaultOptions()
+	switch *mode {
+	case "barrier":
+	case "async":
+		simOpts.Mode = opticalsim.Async
+	default:
+		fmt.Fprintf(os.Stderr, "wrhtviz: unknown -mode %q (barrier | async)\n", *mode)
+		os.Exit(1)
+	}
+
 	elems := int(*bytes / 4)
 	var cls *collective.ClassSchedule
 	var err error
@@ -59,10 +69,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	simOpts := opticalsim.DefaultOptions()
-	if *mode == "async" {
-		simOpts.Mode = opticalsim.Async
-	}
 	res, err := opticalsim.Run(cls, simOpts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wrhtviz:", err)

@@ -277,7 +277,7 @@ func referenceScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOut
 			}
 		}
 		if len(demands) > 0 {
-			rounds, err := wdm.Rounds(topo, demands, cfg.Optical.Wavelengths, wdm.FirstFit, wdm.AsGiven)
+			rounds, err := wdm.NewWorkspace(topo).RoundsReused(demands, cfg.Optical.Wavelengths, wdm.FirstFit, wdm.AsGiven)
 			if err != nil {
 				return nil, err
 			}

@@ -196,9 +196,11 @@ func (c *ClassSchedule) OrbitBounds(s int) (lo, hi int) {
 
 // OrbitAt returns the orbit transfer pattern at column index i (block 0's
 // endpoints; block b adds b·period to both, mod N). The region is not part
-// of the pattern — lengths vary per block and live in the classes.
-func (c *ClassSchedule) OrbitAt(i int) (src, dst, width int, dir ring.Direction, routed bool) {
-	return int(c.orbSrc[i]), int(c.orbDst[i]), int(c.orbWidth[i]), c.orbDir[i], c.orbRouted[i]
+// of the pattern — lengths vary per block and live in the classes — so it
+// is left zero.
+func (c *ClassSchedule) OrbitAt(i int) Transfer {
+	return Transfer{Src: int(c.orbSrc[i]), Dst: int(c.orbDst[i]), Op: c.orbOp[i],
+		Routed: c.orbRouted[i], Dir: c.orbDir[i], Width: int(c.orbWidth[i])}
 }
 
 // region returns transfer j (step-local, block-major) of symmetric step st.
@@ -237,15 +239,10 @@ func (c *ClassSchedule) ForEachTransfer(s int, fn func(Transfer)) {
 	for b := 0; b < int(st.blocks); b++ {
 		shift := b * int(st.period)
 		for k := 0; k < o; k++ {
-			i := int(st.orbLo) + k
-			fn(Transfer{
-				Src:    (int(c.orbSrc[i]) + shift) % c.N,
-				Dst:    (int(c.orbDst[i]) + shift) % c.N,
-				Region: c.region(st, j),
-				Op:     c.orbOp[i],
-				Routed: c.orbRouted[i], Dir: c.orbDir[i],
-				Width: int(c.orbWidth[i]),
-			})
+			tr := c.OrbitAt(int(st.orbLo) + k)
+			tr.Src, tr.Dst = (tr.Src+shift)%c.N, (tr.Dst+shift)%c.N
+			tr.Region = c.region(st, j)
+			fn(tr)
 			j++
 		}
 	}

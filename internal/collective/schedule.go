@@ -59,6 +59,15 @@ type Transfer struct {
 	Width int
 }
 
+// Arc returns the ring path the optical substrate lights for the transfer:
+// Dir when Routed, the shortest direction (CW on ties) otherwise.
+func (tr Transfer) Arc(t ring.Topology) ring.Arc {
+	if tr.Routed {
+		return ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
+	}
+	return t.ShortestArc(tr.Src, tr.Dst)
+}
+
 func (tr Transfer) String() string {
 	return fmt.Sprintf("%d->%d %v %v", tr.Src, tr.Dst, tr.Region, tr.Op)
 }

@@ -4,11 +4,14 @@
 // GbpsPerWavelength each, and a transfer occupies its wavelength(s) on every
 // directed link along its arc for the duration of the transmission.
 //
-// The package prices synchronous communication steps (StepCost) by running
-// real wavelength assignment over the step's arcs — splitting the step into
-// sequential rounds when the demand exceeds the wavelength budget — and
-// offers an event-level Fabric that replays complete schedules to certify
-// that no (link, wavelength, time) is ever double-booked.
+// The package prices synchronous communication steps (StepPricer, StepCost)
+// by running real wavelength assignment over the step's arcs — splitting
+// the step into sequential rounds when the demand exceeds the wavelength
+// budget — and offers an event-level Fabric that replays complete schedules
+// to certify that no (link, wavelength, time) is ever double-booked.
+// StepPricer owns the transfer→stripe rule for every optical consumer: the
+// classed runner, the schedule outline and the event simulator all read
+// their per-step stripes from its results.
 package optical
 
 import (
@@ -99,8 +102,9 @@ func (p Params) TransferSec(bytes int64, width, hops int) float64 {
 type TransferSpec struct {
 	Arc   ring.Arc
 	Bytes int64
-	// Width is the stripe width (wavelengths used in parallel); clamped to
-	// [1, Params.Wavelengths].
+	// Width is the stripe-width hint (wavelengths used in parallel). A hint
+	// below 1 takes the pricer's default width, and every width is clamped
+	// to Params.Wavelengths.
 	Width int
 }
 
@@ -113,8 +117,11 @@ type StepResult struct {
 	// WavelengthsUsed is the largest number of distinct wavelengths lit in
 	// any round.
 	WavelengthsUsed int
-	// Assignments holds the per-round wavelength assignments (indices refer
-	// to the non-empty transfers passed to StepCost, in order).
+	// Active holds the step's non-empty transfers in input order with their
+	// widths resolved and clamped: the stripes Price lit.
+	Active []TransferSpec
+	// Assignments holds the per-round wavelength assignments; their demand
+	// indices refer to Active. PriceSymmetric fills neither field.
 	Assignments []wdm.Round
 }
 
@@ -122,10 +129,11 @@ type StepResult struct {
 // under the given policy (splitting into sequential rounds when they exceed
 // the budget); each round lasts as long as its slowest transfer, rounds
 // serialize, and the step pays the fixed reconfiguration overhead once.
-// Zero-byte transfers are skipped. For a multi-step schedule, a StepPricer
-// amortizes the assignment scratch across steps.
+// Zero-byte transfers are skipped and width hints below 1 take one
+// wavelength. For a multi-step schedule, a StepPricer amortizes the
+// assignment scratch across steps.
 func StepCost(topo ring.Topology, p Params, transfers []TransferSpec, policy wdm.Policy) (StepResult, error) {
-	sp, err := NewStepPricer(topo, p, policy)
+	sp, err := NewStepPricer(topo, p, policy, 1)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -135,29 +143,51 @@ func StepCost(topo ring.Topology, p Params, transfers []TransferSpec, policy wdm
 // StepPricer prices a sequence of synchronous steps on one ring, reusing the
 // wavelength-assignment workspace and the demand buffers across steps so the
 // per-step allocation cost is bounded by the result (rounds and stripes),
-// not the step size. Not safe for concurrent use.
+// not the step size. It is the one owner of the rule that turns a transfer
+// into a lit stripe: the width hint, the clamp to the budget, the zero-byte
+// skip and the round split. Not safe for concurrent use.
 type StepPricer struct {
-	topo    ring.Topology
-	p       Params
-	policy  wdm.Policy
-	ws      *wdm.Workspace
-	sym     *wdm.SymmetricAssigner
-	demands []wdm.Demand
-	active  []TransferSpec
+	topo         ring.Topology
+	p            Params
+	policy       wdm.Policy
+	defaultWidth int
+	ws           *wdm.Workspace
+	sym          *wdm.SymmetricAssigner
+	demands      []wdm.Demand
+	active       []TransferSpec
 }
 
-// NewStepPricer validates the parameters once and returns a pricer.
-func NewStepPricer(topo ring.Topology, p Params, policy wdm.Policy) (*StepPricer, error) {
+// NewStepPricer validates the parameters and the default stripe width once
+// and returns a pricer. The default width applies to width hints below 1:
+// 1 reproduces the paper's single-wavelength baselines, 0 means 1, and a
+// negative default is an error.
+func NewStepPricer(topo ring.Topology, p Params, policy wdm.Policy, defaultWidth int) (*StepPricer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &StepPricer{topo: topo, p: p, policy: policy, ws: wdm.NewWorkspace(topo)}, nil
+	if defaultWidth < 0 {
+		return nil, fmt.Errorf("optical: default width %d", defaultWidth)
+	}
+	return &StepPricer{topo: topo, p: p, policy: policy, defaultWidth: max(defaultWidth, 1),
+		ws: wdm.NewWorkspace(topo)}, nil
 }
 
-// Price prices one step. The result's Assignments are views into the
-// pricer's reusable round storage and are valid only until the next Price
-// call (multi-step runners consume them — e.g. for fabric replay — before
-// pricing the next step).
+// width resolves a stripe-width hint: below 1 takes the default width, and
+// the result is clamped to the wavelength budget.
+//
+//wrht:noalloc
+func (sp *StepPricer) width(hint int) int {
+	if hint < 1 {
+		hint = sp.defaultWidth
+	}
+	return min(hint, sp.p.Wavelengths)
+}
+
+// Price prices one step. The result's Active transfers and Assignments are
+// views into the pricer's reusable storage and are valid only until the
+// next Price call (multi-step consumers — fabric replay, the event
+// simulator, the schedule outline — read them before pricing the next
+// step).
 //
 //wrht:noalloc
 func (sp *StepPricer) Price(transfers []TransferSpec) (StepResult, error) {
@@ -171,19 +201,12 @@ func (sp *StepPricer) Price(transfers []TransferSpec) (StepResult, error) {
 		if tr.Bytes == 0 {
 			continue
 		}
-		width := tr.Width
-		if width < 1 {
-			width = 1
-		}
-		if width > p.Wavelengths {
-			width = p.Wavelengths
-		}
-		demands = append(demands, wdm.Demand{Arc: tr.Arc, Width: width})
-		tr.Width = width
+		tr.Width = sp.width(tr.Width)
+		demands = append(demands, wdm.Demand{Arc: tr.Arc, Width: tr.Width})
 		active = append(active, tr)
 	}
 	sp.demands, sp.active = demands, active
-	res := StepResult{Duration: p.StepOverheadSec(), Rounds: 0}
+	res := StepResult{Duration: p.StepOverheadSec()}
 	if len(active) == 0 {
 		return res, nil
 	}
@@ -191,8 +214,7 @@ func (sp *StepPricer) Price(transfers []TransferSpec) (StepResult, error) {
 	if err != nil {
 		return StepResult{}, err
 	}
-	res.Rounds = len(rounds)
-	res.Assignments = rounds
+	res.Rounds, res.Active, res.Assignments = len(rounds), active, rounds
 	for _, rd := range rounds {
 		longest := 0.0
 		for _, di := range rd.Demands {
@@ -210,14 +232,13 @@ func (sp *StepPricer) Price(transfers []TransferSpec) (StepResult, error) {
 	return res, nil
 }
 
-// ClassSpec is one pricing equivalence class of a step: Count transfers of
-// Bytes bytes striped over Width wavelengths across Hops ring links. Widths
-// must already be resolved (no zero hints) but not clamped — PriceSymmetric
-// clamps exactly as Price does.
+// ClassSpec is one pricing equivalence class of a step: transfers of Bytes
+// bytes striped over Width wavelengths across Hops ring links. Width is a
+// hint that PriceSymmetric resolves exactly as Price resolves
+// TransferSpec.Width.
 type ClassSpec struct {
 	Bytes       int64
 	Width, Hops int
-	Count       int
 }
 
 // PriceSymmetric prices one step from its classes and rotational-symmetry
@@ -255,13 +276,7 @@ func (sp *StepPricer) PriceSymmetric(orbit []wdm.Demand, classes []ClassSpec, di
 			continue
 		}
 		actives++
-		width := c.Width
-		if width < 1 {
-			width = 1
-		}
-		if width > p.Wavelengths {
-			width = p.Wavelengths
-		}
+		width := sp.width(c.Width)
 		if width > maxWidth {
 			maxWidth = width
 		}
@@ -288,14 +303,7 @@ func (sp *StepPricer) PriceSymmetric(orbit []wdm.Demand, classes []ClassSpec, di
 	}
 	sp.demands = sp.demands[:0]
 	for _, d := range orbit {
-		w := d.Width
-		if w < 1 {
-			w = 1
-		}
-		if w > p.Wavelengths {
-			w = p.Wavelengths
-		}
-		d.Width = w
+		d.Width = sp.width(d.Width)
 		sp.demands = append(sp.demands, d)
 	}
 	colors, ok, err := sp.sym.SingleRoundColors(sp.demands, p.Wavelengths)

@@ -3,7 +3,9 @@
 // evaluation runs on. Where internal/optical prices synchronous steps in
 // closed form, this package simulates every transfer as an event: wavelength
 // reservations on the fabric, per-transfer SerDes/E-O/O-E and propagation,
-// and (optionally) receiver-side reduction compute.
+// and (optionally) receiver-side reduction compute. Each step's transfers
+// and wavelengths are the ones optical.StepPricer assigned under First Fit,
+// so the simulator replays the assignment the step pricing charges.
 //
 // Two execution modes:
 //
@@ -54,9 +56,8 @@ func (m Mode) String() string {
 type Options struct {
 	Params optical.Params
 	Mode   Mode
-	// Assigner picks the wavelength-assignment heuristic (per step).
-	Assigner wdm.Policy
-	// DefaultWidth applies to transfers without a stripe hint (1 = paper).
+	// DefaultWidth applies to transfers without a stripe hint (1 = paper;
+	// 0 means 1).
 	DefaultWidth int
 	// BytesPerElem converts schedule regions to bytes (0 = 4, FP32).
 	BytesPerElem int
@@ -70,7 +71,6 @@ func DefaultOptions() Options {
 	return Options{
 		Params:       optical.DefaultParams(),
 		Mode:         Barrier,
-		Assigner:     wdm.FirstFit,
 		DefaultWidth: 1,
 		BytesPerElem: 4,
 	}
@@ -104,90 +104,78 @@ type lowered struct {
 	step     []int32
 	arc      []ring.Arc
 	bytes    []int64
-	// stripe is assigned per step before any transfer of the step runs.
+	// stripe holds each transfer's wavelengths: read-only views into one
+	// exactly sized run-owned array per step.
 	stripe [][]int
 }
 
 // Run simulates the classed schedule and returns the transfer timeline.
-// Every step is lowered transfer by transfer (ClassSchedule.ForEachTransfer)
-// into flat columns, so no per-transfer boxing happens between the schedule
-// and the event slab.
+// Every step is priced by a First-Fit optical.StepPricer, and its active
+// transfers and stripes are copied into flat columns, so both modes replay
+// exactly the wavelength assignment the step-synchronous pricing charges.
 func Run(cls *collective.ClassSchedule, opts Options) (Result, error) {
 	if err := cls.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := opts.Params.Validate(); err != nil {
+	topo, err := ring.New(cls.N)
+	if err != nil {
+		return Result{}, err
+	}
+	pricer, err := optical.NewStepPricer(topo, opts.Params, wdm.FirstFit, opts.DefaultWidth)
+	if err != nil {
 		return Result{}, err
 	}
 	if opts.BytesPerElem == 0 {
 		opts.BytesPerElem = 4
 	}
-	if opts.BytesPerElem < 1 || opts.DefaultWidth < 0 || opts.ReduceGBps < 0 {
+	if opts.BytesPerElem < 1 || opts.ReduceGBps < 0 {
 		return Result{}, fmt.Errorf("opticalsim: invalid options %+v", opts)
-	}
-	if opts.DefaultWidth == 0 {
-		opts.DefaultWidth = 1
-	}
-	topo, err := ring.New(cls.N)
-	if err != nil {
-		return Result{}, err
 	}
 	fabric, err := optical.NewFabric(topo, opts.Params)
 	if err != nil {
 		return Result{}, err
 	}
 
-	// Lower schedule transfers and assign wavelengths per step (the same
-	// per-step conflict structure both modes use; Async only relaxes time).
+	// Price every step (the same per-step conflict structure both modes
+	// use; Async only relaxes time) and keep its stripes.
 	numSteps := cls.NumSteps()
+	total := cls.TotalTransfers()
 	low := &lowered{
 		numSteps: numSteps,
 		stepOff:  make([]int32, 1, numSteps+1),
+		step:     make([]int32, 0, total),
+		arc:      make([]ring.Arc, 0, total),
+		bytes:    make([]int64, 0, total),
+		stripe:   make([][]int, 0, total),
 	}
-	total := cls.TotalTransfers()
-	low.step = make([]int32, 0, total)
-	low.arc = make([]ring.Arc, 0, total)
-	low.bytes = make([]int64, 0, total)
-	low.stripe = make([][]int, 0, total)
-	ws := wdm.NewWorkspace(topo)
-	var demands []wdm.Demand
-	var step int32
-	lower := func(tr collective.Transfer) {
-		bytes := int64(tr.Region.Len) * int64(opts.BytesPerElem)
-		if bytes == 0 {
-			return
-		}
-		arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
-		if !tr.Routed {
-			arc = topo.ShortestArc(tr.Src, tr.Dst)
-		}
-		width := tr.Width
-		if width < 1 {
-			width = opts.DefaultWidth
-		}
-		if width > opts.Params.Wavelengths {
-			width = opts.Params.Wavelengths
-		}
-		low.step = append(low.step, step)
-		low.arc = append(low.arc, arc)
-		low.bytes = append(low.bytes, bytes)
-		low.stripe = append(low.stripe, nil)
-		demands = append(demands, wdm.Demand{Arc: arc, Width: width})
-	}
+	var specs []optical.TransferSpec
 	for si := 0; si < numSteps; si++ {
-		stepStart := len(low.step)
-		demands = demands[:0]
-		step = int32(si)
-		cls.ForEachTransfer(si, lower)
-		if len(demands) > 0 {
-			rounds, err := ws.Rounds(demands, opts.Params.Wavelengths, opts.Assigner, wdm.AsGiven)
-			if err != nil {
-				return Result{}, fmt.Errorf("opticalsim: step %d: %w", si, err)
-			}
-			for _, rd := range rounds {
-				for i, di := range rd.Demands {
-					low.stripe[stepStart+di] = rd.Assignment.Stripes[i]
-				}
+		specs = specs[:0]
+		cls.ForEachTransfer(si, func(tr collective.Transfer) {
+			specs = append(specs, optical.TransferSpec{
+				Arc:   tr.Arc(topo),
+				Bytes: int64(tr.Region.Len) * int64(opts.BytesPerElem),
+				Width: tr.Width,
+			})
+		})
+		sr, err := pricer.Price(specs)
+		if err != nil {
+			return Result{}, fmt.Errorf("opticalsim: step %d: %w", si, err)
+		}
+		base, width := len(low.step), 0
+		for _, tr := range sr.Active {
+			low.step = append(low.step, int32(si))
+			low.arc = append(low.arc, tr.Arc)
+			low.bytes = append(low.bytes, tr.Bytes)
+			low.stripe = append(low.stripe, nil)
+			width += tr.Width
+		}
+		arena := make([]int, 0, width)
+		for _, rd := range sr.Assignments {
+			for i, di := range rd.Demands {
+				at := len(arena)
+				arena = append(arena, rd.Assignment.Stripes[i]...)
+				low.stripe[base+di] = arena[at:len(arena):len(arena)]
 			}
 		}
 		low.stepOff = append(low.stepOff, int32(len(low.step)))

@@ -36,12 +36,6 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 	if opts.BytesPerElem < 1 {
 		return Result{}, fmt.Errorf("runner: BytesPerElem %d", opts.BytesPerElem)
 	}
-	if opts.DefaultWidth < 0 {
-		return Result{}, fmt.Errorf("runner: DefaultWidth %d", opts.DefaultWidth)
-	}
-	if opts.DefaultWidth == 0 {
-		opts.DefaultWidth = 1
-	}
 	topo, err := ring.New(cls.N)
 	if err != nil {
 		return Result{}, err
@@ -58,14 +52,14 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 			return Result{}, err
 		}
 	}
-	pricer, err := optical.NewStepPricer(topo, opts.Params, opts.Assigner)
+	pricer, err := optical.NewStepPricer(topo, opts.Params, opts.Assigner, opts.DefaultWidth)
 	if err != nil {
 		return Result{}, err
 	}
 	var (
-		specs, active []optical.TransferSpec
-		orbit         []wdm.Demand
-		classes       []optical.ClassSpec
+		specs   []optical.TransferSpec
+		orbit   []wdm.Demand
+		classes []optical.ClassSpec
 	)
 	stepTrack, widthTrack := obs.NoTrack, obs.NoTrack
 	if rec.Enabled() {
@@ -77,34 +71,22 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 	for si := 0; si < cls.NumSteps(); si++ {
 		var sr optical.StepResult
 		priced := false
-		if _, _, disjoint, _, sym := cls.Sym(si); sym && opts.Assigner == wdm.FirstFit && fabric == nil {
+		if _, _, disjoint, _, sym := cls.Sym(si); sym && fabric == nil {
 			classes = classes[:0]
 			lo, hi := cls.ClassBounds(si)
 			for i := lo; i < hi; i++ {
 				c := cls.Class(i)
-				width := int(c.Width)
-				if width == 0 {
-					width = opts.DefaultWidth
-				}
 				classes = append(classes, optical.ClassSpec{
 					Bytes: int64(c.Len) * int64(opts.BytesPerElem),
-					Width: width,
+					Width: int(c.Width),
 					Hops:  int(c.Hops),
-					Count: int(c.Count),
 				})
 			}
 			orbit = orbit[:0]
 			olo, ohi := cls.OrbitBounds(si)
 			for i := olo; i < ohi; i++ {
-				src, dst, width, dir, routed := cls.OrbitAt(i)
-				arc := ring.Arc{Src: src, Dst: dst, Dir: dir}
-				if !routed {
-					arc = topo.ShortestArc(src, dst)
-				}
-				if width == 0 {
-					width = opts.DefaultWidth
-				}
-				orbit = append(orbit, wdm.Demand{Arc: arc, Width: width})
+				tr := cls.OrbitAt(i)
+				orbit = append(orbit, wdm.Demand{Arc: tr.Arc(topo), Width: tr.Width})
 			}
 			sr, priced, err = pricer.PriceSymmetric(orbit, classes, disjoint)
 			if err != nil {
@@ -114,18 +96,10 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 		if !priced {
 			specs = specs[:0]
 			cls.ForEachTransfer(si, func(tr collective.Transfer) {
-				arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
-				if !tr.Routed {
-					arc = topo.ShortestArc(tr.Src, tr.Dst)
-				}
-				width := tr.Width
-				if width == 0 {
-					width = opts.DefaultWidth
-				}
 				specs = append(specs, optical.TransferSpec{
-					Arc:   arc,
+					Arc:   tr.Arc(topo),
 					Bytes: int64(tr.Region.Len) * int64(opts.BytesPerElem),
-					Width: width,
+					Width: tr.Width,
 				})
 			})
 			sr, err = pricer.Price(specs)
@@ -133,8 +107,7 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 				return Result{}, fmt.Errorf("runner: step %d (%s): %w", si, cls.StepLabel(si), err)
 			}
 			if fabric != nil {
-				active = activeSpecs(opts.Params, specs, active[:0])
-				if err := replayRounds(topo, opts.Params, fabric, active, sr, now); err != nil {
+				if err := replayRounds(topo, opts.Params, fabric, sr, now); err != nil {
 					return Result{}, fmt.Errorf("runner: step %d (%s): %w", si, cls.StepLabel(si), err)
 				}
 			}

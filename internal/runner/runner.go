@@ -134,8 +134,7 @@ func RunOptical(s *collective.Schedule, opts OpticalOptions) (Result, error) {
 			res.ExtraRounds += sr.Rounds - 1
 		}
 		if fabric != nil {
-			active := activeSpecs(opts.Params, specs, make([]optical.TransferSpec, 0, len(specs)))
-			if err := replayRounds(topo, opts.Params, fabric, active, sr, now); err != nil {
+			if err := replayRounds(topo, opts.Params, fabric, sr, now); err != nil {
 				return Result{}, fmt.Errorf("runner: step %d (%s): %w", si, st.Label, err)
 			}
 		}
@@ -144,33 +143,15 @@ func RunOptical(s *collective.Schedule, opts OpticalOptions) (Result, error) {
 	return res, nil
 }
 
-// activeSpecs reconstructs the active set exactly as StepCost filtered it,
-// appending to buf.
-func activeSpecs(p optical.Params, specs []optical.TransferSpec, buf []optical.TransferSpec) []optical.TransferSpec {
-	for _, tr := range specs {
-		if tr.Bytes == 0 {
-			continue
-		}
-		if tr.Width < 1 {
-			tr.Width = 1
-		}
-		if tr.Width > p.Wavelengths {
-			tr.Width = p.Wavelengths
-		}
-		buf = append(buf, tr)
-	}
-	return buf
-}
-
 // replayRounds books the step's active transfers on the fabric, round by
-// round, mirroring the timing StepCost charged.
+// round, mirroring the timing the pricer charged.
 func replayRounds(topo ring.Topology, p optical.Params, fabric *optical.Fabric,
-	active []optical.TransferSpec, sr optical.StepResult, stepStart float64) error {
+	sr optical.StepResult, stepStart float64) error {
 	start := stepStart + p.StepOverheadSec()
 	for _, rd := range sr.Assignments {
 		longest := 0.0
 		for i, di := range rd.Demands {
-			tr := active[di]
+			tr := sr.Active[di]
 			d := p.TransferSec(tr.Bytes, tr.Width, topo.Hops(tr.Arc))
 			if err := fabric.Reserve(tr.Arc, rd.Assignment.Stripes[i], start, d); err != nil {
 				return err

@@ -27,18 +27,18 @@ func TestRoundsConsistentWithAssign(t *testing.T) {
 			}
 		}
 		if maxWidth > w {
-			continue // Rounds would reject; covered elsewhere
+			continue // RoundsReused would reject; covered elsewhere
 		}
-		rounds, err := Rounds(top, demands, w, FirstFit, AsGiven)
+		rounds, err := NewWorkspace(top).RoundsReused(demands, w, FirstFit, AsGiven)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if asg.NumColors <= w && len(rounds) != 1 {
-			t.Fatalf("assignment fits %d <= %d colors but Rounds split into %d",
+			t.Fatalf("assignment fits %d <= %d colors but RoundsReused split into %d",
 				asg.NumColors, w, len(rounds))
 		}
 		if asg.NumColors > w && len(rounds) == 1 {
-			t.Fatalf("assignment needs %d > %d colors but Rounds produced one round",
+			t.Fatalf("assignment needs %d > %d colors but RoundsReused produced one round",
 				asg.NumColors, w)
 		}
 	}

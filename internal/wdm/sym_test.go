@@ -8,9 +8,9 @@ import (
 	"wrht/internal/ring"
 )
 
-// TestRoundsReusedMatchesRounds: the arena-backed variant returns value-equal
-// results to Rounds for random demand sets, budgets, policies, and orders —
-// and keeps doing so across reuse of one workspace.
+// TestRoundsReusedMatchesRounds: one workspace reused across trials returns
+// value-equal rounds to a fresh workspace per trial for random demand sets,
+// budgets, policies, and orders, so the arenas carry nothing between calls.
 func TestRoundsReusedMatchesRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{4, 9, 16} {
@@ -21,7 +21,7 @@ func TestRoundsReusedMatchesRounds(t *testing.T) {
 			w := 3 + rng.Intn(8)
 			policy := Policy(rng.Intn(2))
 			order := Order(rng.Intn(2))
-			want, errWant := Rounds(topo, demands, w, policy, order)
+			want, errWant := NewWorkspace(topo).RoundsReused(demands, w, policy, order)
 			got, errGot := ws.RoundsReused(demands, w, policy, order)
 			if (errWant == nil) != (errGot == nil) {
 				t.Fatalf("n=%d trial %d: error divergence: %v vs %v", n, trial, errWant, errGot)
@@ -39,8 +39,8 @@ func TestRoundsReusedMatchesRounds(t *testing.T) {
 
 // TestSymmetricSingleRoundColorsMatchesRounds: on orbit demand sets that fit
 // one round, the symmetric assigner reports exactly the colors a full
-// First-Fit Rounds run uses; when the orbit cannot fit, it reports ok=false
-// exactly when Rounds needs more than one round.
+// First-Fit RoundsReused run uses; when the orbit cannot fit, it reports
+// ok=false exactly when the full run needs more than one round.
 func TestSymmetricSingleRoundColorsMatchesRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	topo := ring.MustNew(24)
@@ -52,7 +52,7 @@ func TestSymmetricSingleRoundColorsMatchesRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rounds, err := Rounds(topo, orbit, w, FirstFit, AsGiven)
+		rounds, err := NewWorkspace(topo).RoundsReused(orbit, w, FirstFit, AsGiven)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestSymmetricAssignerReplication(t *testing.T) {
 			full = append(full, d)
 		}
 	}
-	rounds, err := Rounds(topo, full, w, FirstFit, AsGiven)
+	rounds, err := NewWorkspace(topo).RoundsReused(full, w, FirstFit, AsGiven)
 	if err != nil {
 		t.Fatal(err)
 	}

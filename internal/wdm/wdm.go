@@ -85,10 +85,10 @@ type Assignment struct {
 }
 
 // Workspace holds the reusable scratch state of repeated assignment calls:
-// the per-(color, link) occupancy table, the BestFit candidate buffer, and
-// the link/order buffers. One Workspace serves any number of sequential
-// Assign/Rounds calls on the same topology with zero steady-state
-// allocation beyond the result slices; it is not safe for concurrent use.
+// the per-(color, link) occupancy table, the BestFit candidate buffer, the
+// link/order buffers and the round arenas. One Workspace serves any number
+// of sequential RoundsReused calls on the same topology with zero
+// steady-state allocation; it is not safe for concurrent use.
 type Workspace struct {
 	topo     ring.Topology
 	numLinks int
@@ -210,14 +210,10 @@ func arcLinks(t ring.Topology, a ring.Arc) ([]int, error) {
 }
 
 // Assign colors every demand with Width wavelengths under the given policy
-// and ordering, with no limit on the number of wavelengths. Use Rounds to
-// respect a hardware wavelength budget.
+// and ordering, with no limit on the number of wavelengths. Use
+// RoundsReused to respect a hardware wavelength budget.
 func Assign(t ring.Topology, demands []Demand, policy Policy, order Order) (Assignment, error) {
-	return NewWorkspace(t).Assign(demands, policy, order)
-}
-
-// Assign is the package-level Assign running on this workspace's scratch.
-func (ws *Workspace) Assign(demands []Demand, policy Policy, order Order) (Assignment, error) {
+	ws := NewWorkspace(t)
 	idx, err := ws.orderIndices(demands, order)
 	if err != nil {
 		return Assignment{}, err
@@ -356,38 +352,19 @@ type Round struct {
 	Assignment Assignment
 }
 
-// Rounds splits demands into sequential rounds such that each round's
+// RoundsReused splits demands into sequential rounds such that each round's
 // assignment uses at most w wavelengths. Demands are considered in the given
 // order; a demand that does not fit in the open round closes it and starts a
 // new one. A demand whose Width alone exceeds w is an error.
-func Rounds(t ring.Topology, demands []Demand, w int, policy Policy, order Order) ([]Round, error) {
-	return NewWorkspace(t).Rounds(demands, w, policy, order)
-}
-
-// Rounds is the package-level Rounds running on this workspace's scratch.
-// Result storage is freshly allocated (one backing array per call for the
-// stripes, demand indices, and rounds) and stays valid across later
-// workspace reuse.
-func (ws *Workspace) Rounds(demands []Demand, w int, policy Policy, order Order) ([]Round, error) {
-	return ws.roundsImpl(demands, w, policy, order, false)
-}
-
-// RoundsReused is Rounds with every piece of result storage owned by the
-// workspace: the returned rounds, their Demands index slices, and their
-// stripes are all views into reusable arenas, valid only until the next
-// Rounds/RoundsReused call. It is the allocation-free form multi-step
-// pricers use (optical.StepPricer prices thousands of ring steps per
-// schedule); use Rounds when the result must outlive the workspace's next
-// call.
+//
+// Every piece of result storage is owned by the workspace: the returned
+// rounds, their Demands index slices, and their stripes are all views into
+// reusable arenas, valid only until the next RoundsReused call. That keeps
+// multi-step pricing allocation-free (optical.StepPricer prices thousands
+// of ring steps per schedule); a caller that keeps a result past the next
+// call copies it. The arenas are pre-sized so appends never reallocate
+// mid-run.
 func (ws *Workspace) RoundsReused(demands []Demand, w int, policy Policy, order Order) ([]Round, error) {
-	return ws.roundsImpl(demands, w, policy, order, true)
-}
-
-// roundsImpl is the single round-splitting loop behind Rounds and
-// RoundsReused; `reuse` selects workspace-owned arenas versus fresh
-// allocations for the result storage. The arenas are pre-sized so appends
-// never reallocate mid-run (the returned views alias them).
-func (ws *Workspace) roundsImpl(demands []Demand, w int, policy Policy, order Order, reuse bool) ([]Round, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("wdm: wavelength budget %d", w)
 	}
@@ -395,31 +372,19 @@ func (ws *Workspace) roundsImpl(demands []Demand, w int, policy Policy, order Or
 	if err != nil {
 		return nil, err
 	}
-	var (
-		arena        []int
-		demArena     []int
-		stripesArena [][]int
-		rounds       []Round
-	)
-	if reuse {
-		if cap(ws.stripeArena) < totalWidth(demands) {
-			ws.stripeArena = make([]int, 0, totalWidth(demands))
-		}
-		if cap(ws.demArena) < len(demands) {
-			ws.demArena = make([]int, 0, len(demands))
-		}
-		if cap(ws.stripesArena) < len(demands) {
-			ws.stripesArena = make([][]int, 0, len(demands))
-		}
-		arena = ws.stripeArena[:0]
-		demArena = ws.demArena[:0]
-		stripesArena = ws.stripesArena[:0]
-		rounds = ws.rounds[:0]
-	} else {
-		arena = make([]int, 0, totalWidth(demands))
-		demArena = make([]int, 0, len(demands))
-		stripesArena = make([][]int, 0, len(demands))
+	if cap(ws.stripeArena) < totalWidth(demands) {
+		ws.stripeArena = make([]int, 0, totalWidth(demands))
 	}
+	if cap(ws.demArena) < len(demands) {
+		ws.demArena = make([]int, 0, len(demands))
+	}
+	if cap(ws.stripesArena) < len(demands) {
+		ws.stripesArena = make([][]int, 0, len(demands))
+	}
+	arena := ws.stripeArena[:0]
+	demArena := ws.demArena[:0]
+	stripesArena := ws.stripesArena[:0]
+	rounds := ws.rounds[:0]
 	open := false
 	demLo, strLo := 0, 0
 	flush := func() {
@@ -466,9 +431,7 @@ func (ws *Workspace) roundsImpl(demands []Demand, w int, policy Policy, order Or
 		stripesArena = append(stripesArena, stripe)
 	}
 	flush()
-	if reuse {
-		ws.stripeArena, ws.demArena, ws.stripesArena, ws.rounds = arena, demArena, stripesArena, rounds
-	}
+	ws.stripeArena, ws.demArena, ws.stripesArena, ws.rounds = arena, demArena, stripesArena, rounds
 	return rounds, nil
 }
 

@@ -212,7 +212,7 @@ func TestRoundsRespectBudget(t *testing.T) {
 		top := ring.MustNew(rng.Intn(16) + 2)
 		demands := randomDemands(rng, top, rng.Intn(25)+1, 3)
 		w := rng.Intn(6) + 3
-		rounds, err := Rounds(top, demands, w, FirstFit, AsGiven)
+		rounds, err := NewWorkspace(top).RoundsReused(demands, w, FirstFit, AsGiven)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestRoundsSingleWhenFits(t *testing.T) {
 		{Arc: ring.Arc{Src: 0, Dst: 1, Dir: ring.CW}, Width: 2},
 		{Arc: ring.Arc{Src: 6, Dst: 7, Dir: ring.CW}, Width: 2},
 	}
-	rounds, err := Rounds(top, demands, 2, FirstFit, AsGiven)
+	rounds, err := NewWorkspace(top).RoundsReused(demands, 2, FirstFit, AsGiven)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestRoundsSingleWhenFits(t *testing.T) {
 func TestRoundsWidthTooLarge(t *testing.T) {
 	top := ring.MustNew(4)
 	demands := []Demand{{Arc: ring.Arc{Src: 0, Dst: 1, Dir: ring.CW}, Width: 5}}
-	if _, err := Rounds(top, demands, 4, FirstFit, AsGiven); err == nil {
+	if _, err := NewWorkspace(top).RoundsReused(demands, 4, FirstFit, AsGiven); err == nil {
 		t.Fatal("width > budget must error")
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"wrht/internal/collective"
+	"wrht/internal/optical"
 	"wrht/internal/ring"
-	"wrht/internal/runner"
 	"wrht/internal/wdm"
 )
 
@@ -26,8 +26,9 @@ type StepOutline struct {
 }
 
 // ScheduleOutline builds the algorithm's schedule for a buffer of the given
-// size and returns a per-step outline, including per-step optical timings
-// and wavelength counts.
+// size and returns a per-step outline. Each step's seconds, wavelength count
+// and arcs come from one First-Fit optical.StepPricer call, the pricing that
+// CommunicationTime charges.
 func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, error) {
 	b, err := lowerBuffer(cfg, alg, bytes, nil)
 	if err != nil {
@@ -39,56 +40,35 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 	if err != nil {
 		return nil, err
 	}
-
-	opts := runner.DefaultOpticalOptions()
-	opts.Params = cfg.Optical
-	opts.BytesPerElem = cfg.BytesPerElem
-	opts.DefaultWidth = defaultWidth(cfg, alg)
-	res, err := runner.RunOpticalClassedObserved(cls, opts, nil, "")
+	pricer, err := optical.NewStepPricer(topo, cfg.Optical, wdm.FirstFit, defaultWidth(cfg, alg))
 	if err != nil {
 		return nil, err
 	}
 
 	out := make([]StepOutline, 0, cls.NumSteps())
-	var demands []wdm.Demand
+	var specs []optical.TransferSpec
 	for si := 0; si < cls.NumSteps(); si++ {
-		o := StepOutline{
-			Index:     si + 1,
-			Label:     cls.StepLabel(si),
-			Transfers: cls.StepTransfers(si),
-			Seconds:   res.StepSec[si],
-		}
-		demands = demands[:0]
+		specs = specs[:0]
 		cls.ForEachTransfer(si, func(tr collective.Transfer) {
-			if tr.Region.Len == 0 {
-				return
-			}
-			arc := ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
-			if !tr.Routed {
-				arc = topo.ShortestArc(tr.Src, tr.Dst)
-			}
-			width := tr.Width
-			if width < 1 {
-				width = opts.DefaultWidth
-			}
-			if width > cfg.Optical.Wavelengths {
-				width = cfg.Optical.Wavelengths
-			}
-			demands = append(demands, wdm.Demand{Arc: arc, Width: width})
-			if len(o.Arcs) < 64 {
-				o.Arcs = append(o.Arcs, fmt.Sprintf("%d->%d[x%d]", tr.Src, tr.Dst, width))
-			}
+			specs = append(specs, optical.TransferSpec{
+				Arc:   tr.Arc(topo),
+				Bytes: int64(tr.Region.Len) * int64(cfg.BytesPerElem),
+				Width: tr.Width,
+			})
 		})
-		if len(demands) > 0 {
-			rounds, err := wdm.Rounds(topo, demands, cfg.Optical.Wavelengths, wdm.FirstFit, wdm.AsGiven)
-			if err != nil {
-				return nil, err
-			}
-			for _, rd := range rounds {
-				if rd.Assignment.NumColors > o.Wavelengths {
-					o.Wavelengths = rd.Assignment.NumColors
-				}
-			}
+		sr, err := pricer.Price(specs)
+		if err != nil {
+			return nil, fmt.Errorf("wrht: step %d (%s): %w", si, cls.StepLabel(si), err)
+		}
+		o := StepOutline{
+			Index:       si + 1,
+			Label:       cls.StepLabel(si),
+			Transfers:   cls.StepTransfers(si),
+			Wavelengths: sr.WavelengthsUsed,
+			Seconds:     sr.Duration,
+		}
+		for _, tr := range sr.Active[:min(len(sr.Active), 64)] {
+			o.Arcs = append(o.Arcs, fmt.Sprintf("%d->%d[x%d]", tr.Arc.Src, tr.Arc.Dst, tr.Width))
 		}
 		out = append(out, o)
 	}
