@@ -106,7 +106,7 @@ func goldenConfigs() []Config {
 }
 
 // TestCommunicationTimeGoldenEquality: every priced number out of the
-// compact, pooled, memoized fast path is bit-identical to the historical
+// classed, pooled, memoized fast path is bit-identical to the historical
 // boxed path, across the canonical grid axes and every algorithm.
 func TestCommunicationTimeGoldenEquality(t *testing.T) {
 	const bytes = 3 << 20
@@ -312,7 +312,7 @@ func TestScheduleOutlineGoldenEquality(t *testing.T) {
 }
 
 // referenceEventLevelTime runs the message-level simulator on the boxed
-// schedule's own lowering (its compact fingerprint) rather than on the
+// schedule's own lowering (its class fingerprint) rather than on the
 // schedule production builds — the oracle for EventLevelTime.
 func referenceEventLevelTime(cfg Config, alg Algorithm, bytes int64, async bool) (Result, error) {
 	elems := int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -11,7 +12,7 @@ import (
 
 // ClassSchedule is the symmetry-aware pricing fingerprint of a schedule.
 //
-// Where CompactSchedule stores every point-to-point transfer, ClassSchedule
+// Where the boxed Schedule stores every point-to-point transfer, ClassSchedule
 // stores, per step, (a) the transfer equivalence classes by (region length,
 // hop count, stripe width) — the only coordinates substrate pricing depends
 // on, since a step's cost is its slowest transfer plus fixed overheads — and
@@ -217,7 +218,7 @@ func (c *ClassSchedule) region(st *classStep, j int) tensor.Region {
 }
 
 // ForEachTransfer materializes step s's transfers in the exact order the
-// compact form stores them (block-major for symmetric steps), calling fn for
+// boxed schedule lists them (block-major for symmetric steps), calling fn for
 // each. This is the per-step fallback path of the classed runners and the
 // bridge the equality tests walk.
 func (c *ClassSchedule) ForEachTransfer(s int, fn func(Transfer)) {
@@ -265,7 +266,7 @@ func (c *ClassSchedule) Expand() *Schedule {
 // Validate checks the structural invariants pricing relies on: node indices
 // in range, no self-transfers, non-negative regions and widths, sane
 // certificates. (Overlapping-write validation needs the full per-transfer
-// form and lives on Schedule/CompactSchedule.)
+// form and lives on Schedule.)
 func (c *ClassSchedule) Validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("collective: class schedule has N=%d", c.N)
@@ -339,7 +340,7 @@ type ClassScheduleBuilder struct {
 
 	// scratch
 	ivCW, ivCCW []interval
-	pts         []int32
+	hops        []int32
 	clsScratch  map[classKey]int32
 	clsOrder    []classKey
 }
@@ -347,6 +348,21 @@ type ClassScheduleBuilder struct {
 type interval struct{ start, h int32 }
 
 type classKey struct{ ln, hops, width int32 }
+
+// MaxElems is the largest buffer, in elements, a ClassSchedule describes: its
+// columns store region offsets and lengths as int32. Callers that turn a byte
+// count into elements check against it; the builder panics on a region
+// beyond it rather than wrap.
+const MaxElems = math.MaxInt32
+
+// region32 narrows r to the int32 region columns, panicking on a region that
+// does not fit (a buffer nobody checked against MaxElems).
+func region32(r tensor.Region) (off, ln int32) {
+	if int(int32(r.Offset)) != r.Offset || int(int32(r.Len)) != r.Len {
+		panic(fmt.Sprintf("collective: region %v exceeds the %d-element int32 range", r, MaxElems))
+	}
+	return int32(r.Offset), int32(r.Len)
+}
 
 // NewClassScheduleBuilder starts a schedule for n nodes over elems elements.
 func NewClassScheduleBuilder(algorithm string, n, elems int) *ClassScheduleBuilder {
@@ -372,8 +388,9 @@ func NewClassScheduleBuilder(algorithm string, n, elems int) *ClassScheduleBuild
 func (b *ClassScheduleBuilder) SetLenRing(chunks []tensor.Region) {
 	cs := b.cs
 	for _, r := range chunks {
-		cs.lenRing = append(cs.lenRing, int32(r.Len))
-		cs.offRing = append(cs.offRing, int32(r.Offset))
+		off, ln := region32(r)
+		cs.lenRing = append(cs.lenRing, ln)
+		cs.offRing = append(cs.offRing, off)
 	}
 	counts := map[int32]int32{}
 	for _, l := range cs.lenRing {
@@ -403,10 +420,11 @@ func (b *ClassScheduleBuilder) Add(tr Transfer) {
 	if !b.open || st.sym {
 		panic("collective: ClassScheduleBuilder.Add outside a materialized step")
 	}
+	off, ln := region32(tr.Region)
 	cs.fbSrc = append(cs.fbSrc, int32(tr.Src))
 	cs.fbDst = append(cs.fbDst, int32(tr.Dst))
-	cs.fbLen = append(cs.fbLen, int32(tr.Region.Len))
-	cs.fbOff = append(cs.fbOff, int32(tr.Region.Offset))
+	cs.fbLen = append(cs.fbLen, ln)
+	cs.fbOff = append(cs.fbOff, off)
 	cs.fbWidth = append(cs.fbWidth, int32(tr.Width))
 	cs.fbDir = append(cs.fbDir, tr.Dir)
 	cs.fbRouted = append(cs.fbRouted, tr.Routed)
@@ -417,10 +435,11 @@ func (b *ClassScheduleBuilder) Add(tr Transfer) {
 // StartSymUniform opens a symmetric step whose transfers all move the same
 // region (the Wrht tree-level shape).
 func (b *ClassScheduleBuilder) StartSymUniform(label string, period, blocks int, region tensor.Region) {
+	off, ln := region32(region)
 	b.closeStep()
 	b.openStep(label, classStep{
 		sym: true, period: int32(period), blocks: int32(blocks),
-		mode: lenUniform, lenParam: int32(region.Len), offParam: int32(region.Offset),
+		mode: lenUniform, lenParam: ln, offParam: off,
 	})
 }
 
@@ -465,8 +484,9 @@ func (b *ClassScheduleBuilder) AddOrbit(tr Transfer) {
 	cs.orbOp = append(cs.orbOp, tr.Op)
 	st.orbHi++
 	if st.mode == lenExplicit {
-		cs.lens = append(cs.lens, int32(tr.Region.Len))
-		cs.offs = append(cs.offs, int32(tr.Region.Offset))
+		off, ln := region32(tr.Region)
+		cs.lens = append(cs.lens, ln)
+		cs.offs = append(cs.offs, off)
 	}
 }
 
@@ -477,8 +497,9 @@ func (b *ClassScheduleBuilder) AddRegion(r tensor.Region) {
 	if !b.open || !st.sym || st.mode != lenExplicit {
 		panic("collective: ClassScheduleBuilder.AddRegion outside an explicit symmetric step")
 	}
-	cs.lens = append(cs.lens, int32(r.Len))
-	cs.offs = append(cs.offs, int32(r.Offset))
+	off, ln := region32(r)
+	cs.lens = append(cs.lens, ln)
+	cs.offs = append(cs.offs, off)
 }
 
 // Finish seals and returns the schedule; the builder must not be used again.
@@ -498,24 +519,6 @@ func (b *ClassScheduleBuilder) openStep(label string, st classStep) {
 	}
 	cs.steps = append(cs.steps, st)
 	b.open, b.sym = true, st.sym
-}
-
-// effArc resolves a transfer pattern's effective direction and hop count,
-// mirroring the runner: routed transfers travel their pinned direction,
-// unrouted ones the shortest (CW on ties).
-func effArc(n, src, dst int, dir ring.Direction, routed bool) (ring.Direction, int) {
-	cw := ((dst-src)%n + n) % n
-	ccw := n - cw
-	if routed {
-		if dir == ring.CW {
-			return ring.CW, cw
-		}
-		return ring.CCW, ccw
-	}
-	if cw <= ccw {
-		return ring.CW, cw
-	}
-	return ring.CCW, ccw
 }
 
 // closeStep verifies an open symmetric step's certificate and computes its
@@ -541,7 +544,7 @@ func (b *ClassScheduleBuilder) closeStep() {
 		cs.demotedSteps++
 		return
 	}
-	b.buildClasses(st, o)
+	b.buildClasses(st)
 	cs.certSteps++
 }
 
@@ -562,17 +565,17 @@ func (b *ClassScheduleBuilder) verifySym(st *classStep, o int) bool {
 	}
 	b.ivCW, b.ivCCW = b.ivCW[:0], b.ivCCW[:0]
 	for i := int(st.orbLo); i < int(st.orbHi); i++ {
-		src, dst := int(cs.orbSrc[i]), int(cs.orbDst[i])
-		if src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
+		tr := cs.OrbitAt(i)
+		if tr.Src < 0 || tr.Src >= n || tr.Dst < 0 || tr.Dst >= n || tr.Src == tr.Dst {
 			return false
 		}
-		dir, h := effArc(n, src, dst, cs.orbDir[i], cs.orbRouted[i])
+		arc, h := tr.Arc(n)
 		// CW arcs cover CW link positions [src, src+h); CCW arcs cover CCW
 		// link positions [dst+1, dst+1+h).
-		if dir == ring.CW {
-			b.ivCW = append(b.ivCW, interval{int32(src), int32(h)})
+		if arc.Dir == ring.CW {
+			b.ivCW = append(b.ivCW, interval{int32(tr.Src), int32(h)})
 		} else {
-			b.ivCCW = append(b.ivCCW, interval{int32((dst + 1) % n), int32(h)})
+			b.ivCCW = append(b.ivCCW, interval{int32((tr.Dst + 1) % n), int32(h)})
 		}
 	}
 	okCW, djCW := windowCheck(b.ivCW, p, n)
@@ -686,7 +689,7 @@ func (b *ClassScheduleBuilder) demote(st *classStep, o int) {
 }
 
 // buildClasses computes the step's pricing classes.
-func (b *ClassScheduleBuilder) buildClasses(st *classStep, o int) {
+func (b *ClassScheduleBuilder) buildClasses(st *classStep) {
 	cs := b.cs
 	emit := func(k classKey, count int32) {
 		if prev, ok := b.clsScratch[k]; ok {
@@ -701,24 +704,25 @@ func (b *ClassScheduleBuilder) buildClasses(st *classStep, o int) {
 		cs.clsWidth = append(cs.clsWidth, k.width)
 		st.clsHi++
 	}
+	b.hops = b.hops[:0]
+	for i := int(st.orbLo); i < int(st.orbHi); i++ {
+		_, h := cs.OrbitAt(i).Arc(cs.N)
+		b.hops = append(b.hops, int32(h))
+	}
 	switch st.mode {
 	case lenUniform:
-		for i := int(st.orbLo); i < int(st.orbHi); i++ {
-			_, h := effArc(cs.N, int(cs.orbSrc[i]), int(cs.orbDst[i]), cs.orbDir[i], cs.orbRouted[i])
-			emit(classKey{st.lenParam, int32(h), cs.orbWidth[i]}, st.blocks)
+		for k, h := range b.hops {
+			emit(classKey{st.lenParam, h, cs.orbWidth[int(st.orbLo)+k]}, st.blocks)
 		}
 	case lenRotated:
-		_, h := effArc(cs.N, int(cs.orbSrc[st.orbLo]), int(cs.orbDst[st.orbLo]), cs.orbDir[st.orbLo], cs.orbRouted[st.orbLo])
 		for _, rc := range b.ringClasses {
-			emit(classKey{rc.Len, int32(h), cs.orbWidth[st.orbLo]}, rc.Count)
+			emit(classKey{rc.Len, b.hops[0], cs.orbWidth[st.orbLo]}, rc.Count)
 		}
 	default: // lenExplicit
 		j := int(st.lenLo)
 		for blk := 0; blk < int(st.blocks); blk++ {
-			for k := 0; k < o; k++ {
-				i := int(st.orbLo) + k
-				_, h := effArc(cs.N, int(cs.orbSrc[i]), int(cs.orbDst[i]), cs.orbDir[i], cs.orbRouted[i])
-				emit(classKey{cs.lens[j], int32(h), cs.orbWidth[i]}, 1)
+			for k, h := range b.hops {
+				emit(classKey{cs.lens[j], h, cs.orbWidth[int(st.orbLo)+k]}, 1)
 				j++
 			}
 		}
@@ -729,38 +733,27 @@ func (b *ClassScheduleBuilder) buildClasses(st *classStep, o int) {
 	b.clsOrder = b.clsOrder[:0]
 }
 
-// Classes fingerprints the boxed schedule into classed form, through a
-// transient compact schedule that goes back to the pool.
+// Classes fingerprints the boxed schedule into classed form: per step it
+// detects the smallest block-major rotational orbit (falling back to full
+// materialization when there is none or when the orbit's link windows cannot
+// be verified) and groups the transfers into pricing classes. The result
+// shares no memory with s.
 func (s *Schedule) Classes() *ClassSchedule {
-	cs := s.Compact()
-	defer cs.Release()
-	return cs.Classes()
-}
-
-// Classes derives the symmetry-aware pricing fingerprint of the compact
-// schedule: per step it detects the smallest block-major rotational orbit
-// (falling back to full materialization when there is none or when the
-// orbit's link windows cannot be verified) and groups the transfers into
-// pricing classes. The result is self-contained — it copies what it needs
-// and survives the compact schedule's Release.
-func (c *CompactSchedule) Classes() *ClassSchedule {
-	b := NewClassScheduleBuilder(c.Algorithm, c.N, c.Elems)
-	for si := 0; si < c.NumSteps(); si++ {
-		lo, hi := c.StepBounds(si)
-		t := hi - lo
-		o, p := c.detectOrbit(lo, hi)
-		if o > 0 {
-			b.StartSymExplicit(c.StepLabel(si), p, t/o)
-			for j := 0; j < o; j++ {
-				b.AddOrbit(c.Transfer(lo + j))
+	b := NewClassScheduleBuilder(s.Algorithm, s.N, s.Elems)
+	for _, st := range s.Steps {
+		trs := st.Transfers
+		if o, p := detectOrbit(s.N, trs); o > 0 {
+			b.StartSymExplicit(st.Label, p, len(trs)/o)
+			for _, tr := range trs[:o] {
+				b.AddOrbit(tr)
 			}
-			for j := o; j < t; j++ {
-				b.AddRegion(tensor.Region{Offset: int(c.off[lo+j]), Len: int(c.ln[lo+j])})
+			for _, tr := range trs[o:] {
+				b.AddRegion(tr.Region)
 			}
 		} else {
-			b.StartStep(c.StepLabel(si))
-			for j := lo; j < hi; j++ {
-				b.Add(c.Transfer(j))
+			b.StartStep(st.Label)
+			for _, tr := range trs {
+				b.Add(tr)
 			}
 		}
 	}
@@ -768,31 +761,23 @@ func (c *CompactSchedule) Classes() *ClassSchedule {
 }
 
 // detectOrbit returns the smallest proper orbit size o (and the block node
-// stride p) such that the step's transfers are the first o replicated
-// block-major at stride p, or (0, 0) when no proper orbit exists.
-func (c *CompactSchedule) detectOrbit(lo, hi int) (int, int) {
-	t := hi - lo
-	if t < 2 {
-		return 0, 0
-	}
-	n := c.N
+// stride p) such that the step's transfers on an n-node ring are the first o
+// replicated block-major at stride p, or (0, 0) when no proper orbit exists.
+func detectOrbit(n int, trs []Transfer) (int, int) {
+	t := len(trs)
 outer:
 	for o := 1; o <= t/2; o++ {
 		if t%o != 0 {
 			continue
 		}
-		blocks := t / o
-		p := ((int(c.src[lo+o])-int(c.src[lo]))%n + n) % n
-		if p < 1 || p*blocks > n {
+		p := ((trs[o].Src-trs[0].Src)%n + n) % n
+		if p < 1 || p*(t/o) > n {
 			continue
 		}
 		for j := o; j < t; j++ {
-			a, b := lo+j, lo+j-o
-			if int(c.src[a]) != (int(c.src[b])+p)%n || int(c.dst[a]) != (int(c.dst[b])+p)%n {
-				continue outer
-			}
-			if c.dir[a] != c.dir[b] || c.routed[a] != c.routed[b] ||
-				c.width[a] != c.width[b] || c.op[a] != c.op[b] {
+			a, b := &trs[j], &trs[j-o]
+			if a.Src != (b.Src+p)%n || a.Dst != (b.Dst+p)%n || a.Dir != b.Dir ||
+				a.Routed != b.Routed || a.Width != b.Width || a.Op != b.Op {
 				continue outer
 			}
 		}

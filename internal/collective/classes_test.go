@@ -47,8 +47,8 @@ func TestRingAllReduceClassedExpandEquality(t *testing.T) {
 	}
 }
 
-// TestClassesFingerprintRoundTrip: Compact → Classes → Expand reproduces the
-// boxed schedule exactly for every canonical algorithm (the fingerprint is
+// TestClassesFingerprintRoundTrip: Classes → Expand reproduces the boxed
+// schedule exactly for every canonical algorithm (the fingerprint is
 // lossless whichever steps it certifies or materializes).
 func TestClassesFingerprintRoundTrip(t *testing.T) {
 	builders := map[string]func(n, elems int) (*Schedule, error){
@@ -65,8 +65,7 @@ func TestClassesFingerprintRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cs := s.Compact()
-				cls := cs.Classes()
+				cls := s.Classes()
 				if got, want := cls.TotalTransfers(), s.TotalTransfers(); got != want {
 					t.Fatalf("%s n=%d: classed transfers %d, want %d", name, n, got, want)
 				}
@@ -80,22 +79,20 @@ func TestClassesFingerprintRoundTrip(t *testing.T) {
 					t.Fatalf("%s n=%d: %v", name, n, err)
 				}
 				cls.Release()
-				cs.Release()
 			}
 		}
 	}
 }
 
 // TestClassesDetectsRingSymmetry: the fingerprint recovers the rotational
-// certificate of ring steps from the raw compact transfers (orbit of one,
-// stride one, link-disjoint, permutation).
+// certificate of ring steps from the boxed transfers (orbit of one, stride
+// one, link-disjoint, permutation).
 func TestClassesDetectsRingSymmetry(t *testing.T) {
 	s, err := RingAllReduce(16, 160)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := s.Compact()
-	cls := cs.Classes()
+	cls := s.Classes()
 	for si := 0; si < cls.NumSteps(); si++ {
 		period, blocks, disjoint, perm, ok := cls.Sym(si)
 		if !ok || period != 1 || blocks != 16 || !disjoint || !perm {
@@ -107,7 +104,6 @@ func TestClassesDetectsRingSymmetry(t *testing.T) {
 		}
 	}
 	cls.Release()
-	cs.Release()
 }
 
 // randomSchedule builds a valid random schedule: arbitrary transfer patterns
@@ -176,9 +172,8 @@ func randomSymmetricSchedule(rng *rand.Rand, n, elems, steps int) *Schedule {
 }
 
 // TestClassesRandomizedRoundTrip (property): for randomized schedules —
-// symmetric and asymmetric alike — boxed → compact → boxed and
-// compact → classes → boxed are both the identity, and the classed totals
-// match. This is the structural half of the classed-equality property; the
+// symmetric and asymmetric alike — boxed → classes → boxed is the identity,
+// and the classed totals match. This is the structural half of the classed-equality property; the
 // pricing half lives in internal/runner.
 func TestClassesRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -194,11 +189,7 @@ func TestClassesRandomizedRoundTrip(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid random schedule: %v", trial, err)
 		}
-		cs := s.Compact()
-		if !reflect.DeepEqual(normalize(cs.Expand()), normalize(s)) {
-			t.Fatalf("trial %d: compact round trip diverged", trial)
-		}
-		cls := cs.Classes()
+		cls := s.Classes()
 		if !reflect.DeepEqual(normalize(cls.Expand()), normalize(s)) {
 			t.Fatalf("trial %d: classes round trip diverged", trial)
 		}
@@ -209,7 +200,6 @@ func TestClassesRandomizedRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: classed traffic %d, want %d", trial, got, want)
 		}
 		cls.Release()
-		cs.Release()
 	}
 }
 
@@ -229,8 +219,7 @@ func TestCertStatsPartition(t *testing.T) {
 		randomSchedule(rng, 9, 300, 4),
 	}
 	for _, s := range cases {
-		cs := s.Compact()
-		cls := cs.Classes()
+		cls := s.Classes()
 		cert, mat, dem := cls.CertStats()
 		if cert+mat != cls.NumSteps() {
 			t.Fatalf("%s: certified %d + materialized %d != steps %d",
@@ -250,12 +239,10 @@ func TestCertStatsPartition(t *testing.T) {
 				s.Algorithm, symSteps, cert)
 		}
 		cls.Release()
-		cs.Release()
 	}
 
 	// The ring is fully certified end to end.
-	cs := ringSched.Compact()
-	cls := cs.Classes()
+	cls := ringSched.Classes()
 	if cert, mat, dem := cls.CertStats(); cert != cls.NumSteps() || mat != 0 || dem != 0 {
 		t.Fatalf("ring CertStats = (%d, %d, %d), want (%d, 0, 0)", cert, mat, dem, cls.NumSteps())
 	}
@@ -263,5 +250,17 @@ func TestCertStatsPartition(t *testing.T) {
 		t.Fatal("ring schedule reports zero pricing classes")
 	}
 	cls.Release()
-	cs.Release()
+}
+
+// normalize maps empty transfer slices to nil so DeepEqual ignores the
+// nil-vs-empty distinction Expand cannot reconstruct.
+func normalize(s *Schedule) *Schedule {
+	c := *s
+	c.Steps = append([]Step(nil), s.Steps...)
+	for i := range c.Steps {
+		if len(c.Steps[i].Transfers) == 0 {
+			c.Steps[i].Transfers = nil
+		}
+	}
+	return &c
 }

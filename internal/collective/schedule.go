@@ -59,13 +59,18 @@ type Transfer struct {
 	Width int
 }
 
-// Arc returns the ring path the optical substrate lights for the transfer:
-// Dir when Routed, the shortest direction (CW on ties) otherwise.
-func (tr Transfer) Arc(t ring.Topology) ring.Arc {
-	if tr.Routed {
-		return ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: tr.Dir}
+// Arc returns the ring path the optical substrate lights for the transfer on
+// an n-node ring, and the path's hop count: Dir when Routed, the shortest
+// direction (CW on ties) otherwise. This is the one arc rule: the class
+// builder's hop counts and certificate windows and every optical lowering
+// read it.
+func (tr Transfer) Arc(n int) (ring.Arc, int) {
+	cw := ((tr.Dst-tr.Src)%n + n) % n
+	ccw := (n - cw) % n
+	if tr.Routed && tr.Dir != ring.CW || !tr.Routed && cw > ccw {
+		return ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: ring.CCW}, ccw
 	}
-	return t.ShortestArc(tr.Src, tr.Dst)
+	return ring.Arc{Src: tr.Src, Dst: tr.Dst, Dir: ring.CW}, cw
 }
 
 func (tr Transfer) String() string {

@@ -152,8 +152,9 @@ func Run(cls *collective.ClassSchedule, opts Options) (Result, error) {
 	for si := 0; si < numSteps; si++ {
 		specs = specs[:0]
 		cls.ForEachTransfer(si, func(tr collective.Transfer) {
+			arc, _ := tr.Arc(cls.N)
 			specs = append(specs, optical.TransferSpec{
-				Arc:   tr.Arc(topo),
+				Arc:   arc,
 				Bytes: int64(tr.Region.Len) * int64(opts.BytesPerElem),
 				Width: tr.Width,
 			})

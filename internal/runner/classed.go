@@ -86,7 +86,8 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 			olo, ohi := cls.OrbitBounds(si)
 			for i := olo; i < ohi; i++ {
 				tr := cls.OrbitAt(i)
-				orbit = append(orbit, wdm.Demand{Arc: tr.Arc(topo), Width: tr.Width})
+				arc, _ := tr.Arc(cls.N)
+				orbit = append(orbit, wdm.Demand{Arc: arc, Width: tr.Width})
 			}
 			sr, priced, err = pricer.PriceSymmetric(orbit, classes, disjoint)
 			if err != nil {
@@ -96,8 +97,9 @@ func RunOpticalClassedObserved(cls *collective.ClassSchedule, opts OpticalOption
 		if !priced {
 			specs = specs[:0]
 			cls.ForEachTransfer(si, func(tr collective.Transfer) {
+				arc, _ := tr.Arc(cls.N)
 				specs = append(specs, optical.TransferSpec{
-					Arc:   tr.Arc(topo),
+					Arc:   arc,
 					Bytes: int64(tr.Region.Len) * int64(opts.BytesPerElem),
 					Width: tr.Width,
 				})

@@ -7,12 +7,14 @@
 // internal/electrical); every number in EXPERIMENTS.md comes out of this
 // package.
 //
-// Production prices one schedule form: the symmetry-aware
-// collective.ClassSchedule, through RunOpticalClassedObserved and
-// RunElectricalClassedObserved (a nil recorder turns observation off).
-// RunOptical and RunElectrical price the boxed collective.Schedule step by
-// step with no reuse or symmetry shortcuts; they are the reference oracle
-// the golden tests hold the classed runners to, and only tests call them.
+// Schedules come in two forms, and production prices one of them: the
+// symmetry-aware collective.ClassSchedule, through RunOpticalClassedObserved
+// and RunElectricalClassedObserved (a nil recorder turns observation off).
+// The other is the boxed collective.Schedule that the classical builders
+// emit and Schedule.Classes fingerprints into classed form. RunOptical and
+// RunElectrical price it step by step with no reuse or symmetry shortcuts;
+// they are the reference oracle the golden tests hold the classed runners
+// to, and only tests call them.
 package runner
 
 import (

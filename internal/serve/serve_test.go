@@ -68,6 +68,23 @@ func TestCommTimeBasic(t *testing.T) {
 	}
 }
 
+// TestCommTimeOversizedBufferIs400: a 1 TiB buffer passes the payload bound
+// but exceeds the schedule element limit, so the engine rejects it and the
+// answer is 400: never a panic (500 plus a quarantined key) and never a 200
+// carrying a price wrapped through int32.
+func TestCommTimeOversizedBufferIs400(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, alg := range []string{"rd", "wrht", "e-ring"} {
+		body := fmt.Sprintf(`{"Nodes": 16, "Algorithm": %q, "Bytes": %d}`, alg, maxBytes)
+		if status, m := postJSON(t, ts.URL+"/v1/commtime", body); status != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, body %v, want 400", alg, status, m)
+		}
+	}
+	if q := s.flights.quarantined(); q != 0 {
+		t.Fatalf("%d keys quarantined by oversized buffers", q)
+	}
+}
+
 // TestShedFastWhenQueueFull pins the 429 fast path: with the class's single
 // worker blocked and its queue full, excess requests are shed immediately —
 // never behind the blocked worker.

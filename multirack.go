@@ -53,11 +53,14 @@ func multiRackTime(cfg Config, racks, nodesPerRack int, bytes int64, sess *sessi
 		// not a silent negative element count.
 		return MultiRackResult{}, fmt.Errorf("wrht: BytesPerElem %d", cfg.BytesPerElem)
 	}
+	elems := bufferElems(bytes, bpe)
+	if err := checkElems(elems); err != nil {
+		return MultiRackResult{}, err
+	}
 	plan, err := sess.rackPlan(cfg, racks, nodesPerRack)
 	if err != nil {
 		return MultiRackResult{}, err
 	}
-	elems := int((bytes + int64(bpe) - 1) / int64(bpe))
 	tb, err := plan.Time(elems, bpe, cfg.Optical, cfg.Electrical)
 	if err != nil {
 		return MultiRackResult{}, err

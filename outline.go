@@ -50,8 +50,9 @@ func ScheduleOutline(cfg Config, alg Algorithm, bytes int64) ([]StepOutline, err
 	for si := 0; si < cls.NumSteps(); si++ {
 		specs = specs[:0]
 		cls.ForEachTransfer(si, func(tr collective.Transfer) {
+			arc, _ := tr.Arc(cls.N)
 			specs = append(specs, optical.TransferSpec{
-				Arc:   tr.Arc(topo),
+				Arc:   arc,
 				Bytes: int64(tr.Region.Len) * int64(cfg.BytesPerElem),
 				Width: tr.Width,
 			})

@@ -299,6 +299,9 @@ func pipelineChunks(cfg Config) int {
 // theirs, while the Wrht variants are identified by their plan signature.
 func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*collective.ClassSchedule, *core.Plan, exp.ScheduleKey, error) {
 	key := exp.ScheduleKey{N: cfg.Nodes, Elems: elems}
+	if err := checkElems(elems); err != nil {
+		return nil, nil, key, err
+	}
 	var build func() (*collective.ClassSchedule, error)
 	var plan *core.Plan
 	switch alg {
@@ -363,6 +366,25 @@ func buildClassSchedule(cfg Config, alg Algorithm, elems int, sess *session) (*c
 		return nil, nil, key, err
 	}
 	return cls, plan, key, nil
+}
+
+// bufferElems rounds bytes up to whole elements of bpe bytes each, without
+// the overflow bytes+bpe-1 would hit near math.MaxInt64.
+func bufferElems(bytes int64, bpe int) int {
+	n := bytes / int64(bpe)
+	if bytes%int64(bpe) != 0 {
+		n++
+	}
+	return int(n)
+}
+
+// checkElems rejects a buffer too large for the schedule forms, which index
+// regions as int32.
+func checkElems(elems int) error {
+	if elems > collective.MaxElems {
+		return fmt.Errorf("wrht: buffer of %d elements exceeds the %d-element schedule limit", elems, collective.MaxElems)
+	}
+	return nil
 }
 
 // classesOf fingerprints a boxed schedule construction result into classed
@@ -453,7 +475,7 @@ func lowerBuffer(cfg Config, alg Algorithm, bytes int64, sess *session) (lowered
 	if bytes <= 0 {
 		return lowered{}, fmt.Errorf("wrht: non-positive buffer size %d", bytes)
 	}
-	b := lowered{elems: int((bytes + int64(cfg.BytesPerElem) - 1) / int64(cfg.BytesPerElem))}
+	b := lowered{elems: bufferElems(bytes, cfg.BytesPerElem)}
 	var err error
 	b.cls, b.plan, b.key, err = buildClassSchedule(cfg, alg, b.elems, sess)
 	return b, err

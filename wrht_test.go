@@ -1,8 +1,11 @@
 package wrht
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"wrht/internal/collective"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -155,6 +158,82 @@ func TestCommunicationTimeValidation(t *testing.T) {
 	bad.Nodes = 0
 	if _, err := CommunicationTime(bad, AlgWrht, 1024); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestOversizedBuffersRejected: a buffer past collective.MaxElems elements
+// (8 GiB at FP32) is an error at every buffer-sized entry point. The
+// schedule forms index regions as int32, so such a buffer used to wrap into
+// a tiny wrong price, fail validation, or panic, depending on the path.
+// math.MaxInt64 bytes checks that rounding up to whole elements cannot
+// overflow into a negative count. A 4 KiB control buffer must pass every
+// entry, so each rejection is the size's doing.
+func TestOversizedBuffersRejected(t *testing.T) {
+	cfg := DefaultConfig(16)
+	fabrics := []FleetFabricSpec{{Nodes: 16, Wavelengths: 8}}
+	for _, bytes := range []int64{4 << 10, 4 << 31, 1 << 40, math.MaxInt64} {
+		oversized := bytes/int64(cfg.BytesPerElem) > collective.MaxElems
+		entries := map[string]func() error{
+			"Compare": func() error { _, err := Compare(cfg, Algorithms(), bytes); return err },
+			"SweepSession.CommunicationTimeContext": func() error {
+				_, err := NewSweepSession().CommunicationTimeContext(context.Background(), cfg, AlgRD, bytes)
+				return err
+			},
+			"EnergyEstimate/rd":   func() error { _, err := EnergyEstimate(cfg, AlgRD, bytes); return err },
+			"EnergyEstimate/wrht": func() error { _, err := EnergyEstimate(cfg, AlgWrht, bytes); return err },
+			"EventLevelTime":      func() error { _, err := EventLevelTime(cfg, AlgWrht, bytes, true); return err },
+			"ScheduleOutline":     func() error { _, err := ScheduleOutline(cfg, AlgORing, bytes); return err },
+			"InspectScheduleClasses": func() error {
+				_, err := InspectScheduleClasses(cfg, AlgHD, bytes)
+				return err
+			},
+			"VerifyAlgorithm": func() error { return VerifyAlgorithm(cfg, AlgRD, int(bytes/4)) },
+			"MultiRackTime":   func() error { _, err := MultiRackTime(cfg, 2, 8, bytes); return err },
+			"SimulateFabric": func() error {
+				_, err := SimulateFabric(cfg, []JobSpec{{Bytes: bytes}}, FabricPolicy{Kind: FabricStatic})
+				return err
+			},
+			"SimulateFleet": func() error {
+				_, err := SimulateFleet(cfg, fabrics, []FleetShape{{Bytes: bytes}},
+					[]FleetJob{{Affinity: -1}}, FleetOptions{})
+				return err
+			},
+			"RunSweep": func() error {
+				res, err := RunSweep(SweepSpec{Base: cfg, MessageBytes: []int64{bytes},
+					Algorithms: []Algorithm{AlgWrht, AlgBinomial}})
+				if err != nil {
+					return err
+				}
+				for _, c := range res.Cells {
+					if c.Err == nil {
+						return nil
+					}
+				}
+				return res.Cells[0].Err
+			},
+		}
+		for _, alg := range Algorithms() {
+			entries["CommunicationTime/"+string(alg)] = func() error {
+				_, err := CommunicationTime(cfg, alg, bytes)
+				return err
+			}
+		}
+		for name, call := range entries {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(%d bytes) panicked: %v", name, bytes, r)
+					}
+				}()
+				err := call()
+				switch {
+				case oversized && err == nil:
+					t.Errorf("%s(%d bytes) accepted a buffer past %d elements", name, bytes, collective.MaxElems)
+				case !oversized && err != nil:
+					t.Errorf("%s(%d bytes): %v", name, bytes, err)
+				}
+			}()
+		}
 	}
 }
 
