@@ -6,50 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wrht/internal/collective"
 	"wrht/internal/core"
 	"wrht/internal/runner"
 )
-
-func TestGridSizeAndDeterministicOrder(t *testing.T) {
-	g := Grid{
-		Nodes:        []int{16, 32},
-		MessageBytes: []int64{1 << 10, 1 << 20, 1 << 30},
-		Algorithms:   []string{"wrht", "o-ring"},
-	}
-	if got := g.Size(); got != 12 {
-		t.Fatalf("Size() = %d, want 12", got)
-	}
-	pts := g.Points()
-	if len(pts) != 12 {
-		t.Fatalf("%d points", len(pts))
-	}
-	for i, p := range pts {
-		if p.Index != i {
-			t.Fatalf("point %d has Index %d", i, p.Index)
-		}
-	}
-	// Fixed nesting: nodes outermost, then message sizes, then algorithms.
-	want := Point{Index: 1, Nodes: 16, MessageBytes: 1 << 10, Algorithm: "o-ring"}
-	if pts[1] != want {
-		t.Fatalf("pts[1] = %+v, want %+v", pts[1], want)
-	}
-	want = Point{Index: 8, Nodes: 32, MessageBytes: 1 << 20, Algorithm: "wrht"}
-	if pts[8] != want {
-		t.Fatalf("pts[8] = %+v, want %+v", pts[8], want)
-	}
-	if !reflect.DeepEqual(pts, g.Points()) {
-		t.Fatal("re-enumeration changed the point list")
-	}
-}
-
-func TestGridEmptyAxesCollapse(t *testing.T) {
-	pts := Grid{}.Points()
-	if len(pts) != 1 || pts[0] != (Point{}) {
-		t.Fatalf("empty grid: %+v", pts)
-	}
-}
 
 func TestRunStableOrderAndErrorCapture(t *testing.T) {
 	const n = 100
@@ -58,7 +20,7 @@ func TestRunStableOrderAndErrorCapture(t *testing.T) {
 		want = append(want, i*i)
 	}
 	for _, par := range []int{0, 1, 3, 16, 200} {
-		res, errs := Run(n, par, func(i int) (int, error) {
+		res, errs := Run(nil, n, par, func(i int) (int, error) {
 			if i%7 == 0 {
 				return -1, fmt.Errorf("point %d failed", i)
 			}
@@ -76,6 +38,34 @@ func TestRunStableOrderAndErrorCapture(t *testing.T) {
 					par, i, res[i], errs[i], want[i])
 			}
 		}
+	}
+}
+
+// TestRunRepanicsOnCaller: a panicking point must not kill the process
+// from a worker goroutine; Run stops handing out indices and re-panics the
+// first value on the caller, where an ordinary recover catches it.
+func TestRunRepanicsOnCaller(t *testing.T) {
+	const n = 1000
+	var ran atomic.Int64
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		Run(nil, n, 4, func(i int) (int, error) {
+			ran.Add(1)
+			if i == 17 {
+				panic("point 17")
+			}
+			// Slow enough that draining every index after the panic would
+			// take a third of a second on the three surviving workers.
+			time.Sleep(time.Millisecond)
+			return i, nil
+		})
+		return nil
+	}()
+	if got != "point 17" {
+		t.Fatalf("recovered %v, want the point's panic value", got)
+	}
+	if ran.Load() == n {
+		t.Fatal("pool kept handing out indices after the panic")
 	}
 }
 

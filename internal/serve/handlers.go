@@ -214,35 +214,13 @@ func (r *FleetRequest) normalize() error {
 	return nil
 }
 
-// sweepPoints estimates the grid size of a spec: the product of every
-// non-empty axis, matching the sweep engine's cross-product semantics
-// closely enough to bound cost (the engine may reject combinations the
-// estimate accepts, never the reverse).
-func sweepPoints(spec wrht.SweepSpec) int {
-	n := 1
-	mul := func(k int) {
-		if k > 0 && n <= maxSweepPoints {
-			n *= k
-		}
-	}
-	mul(len(spec.Nodes))
-	mul(len(spec.Wavelengths))
-	mul(len(spec.Models))
-	mul(len(spec.MessageBytes))
-	mul(len(spec.Algorithms))
-	mul(len(spec.GroupSizes))
-	mul(len(spec.GreedyA2A))
-	mul(len(spec.PipelineChunks))
-	mul(len(spec.FabricMixes))
-	mul(len(spec.FabricPolicies))
-	mul(len(spec.Racks))
-	mul(len(spec.NodesPerRack))
-	return n
-}
-
 func (r *SweepRequest) normalize() error {
-	if n := sweepPoints(r.Spec); n > maxSweepPoints {
-		return badf("sweep grid has %d+ points, limit %d", n, maxSweepPoints)
+	n, err := r.Spec.Points()
+	if err != nil {
+		return badf("%v", err)
+	}
+	if n > maxSweepPoints {
+		return badf("sweep grid has %d points, limit %d", n, maxSweepPoints)
 	}
 	for _, n := range r.Spec.Nodes {
 		if n > maxNodes {

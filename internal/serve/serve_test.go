@@ -437,20 +437,30 @@ func TestSweepEndpoint(t *testing.T) {
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d, want 4", len(cells))
 	}
-	// Grid limit enforcement.
+
+	// Every limit rejects with 400 before admission, so no rejected body
+	// may reach the engines. The grid limit counts the grid that actually
+	// runs: 64 node counts × 64 budgets × one mix is 4096 axis entries,
+	// but the defaulted FabricPolicies make it 16384 co-simulations. The
+	// per-point cost limits (the base wavelength budget, used when the
+	// Wavelengths axis is empty, and the multi-rack worker count) are
+	// checked on otherwise well-formed specs.
+	testHook = func(endpoint, key string) { t.Errorf("%s reached the engines", endpoint) }
+	defer func() { testHook = nil }()
 	big := `{"Spec": {"Nodes": [` + strings.Repeat("8,", 99) + `8], "MessageBytes": [` +
 		strings.Repeat("1024,", 99) + `1024]}}`
-	if status, _ := postJSON(t, ts.URL+"/v1/sweep", big); status != http.StatusBadRequest {
-		t.Fatalf("oversized grid: status = %d", status)
-	}
-	// Per-point cost limits: the base wavelength budget (used when the
-	// Wavelengths axis is empty) and the multi-rack worker count.
-	for _, body := range []string{
-		`{"Spec": {"Base": {"Optical": {"Wavelengths": 65536}}, "Nodes": [1024]}}`,
-		`{"Spec": {"Racks": [2048], "NodesPerRack": [2048]}}`,
+	fabric := `{"Spec": {"Nodes": [` + strings.Repeat("16,", 63) + `16], "Wavelengths": [` +
+		strings.Repeat("8,", 63) + `8], "FabricMixes": [{"Jobs": [{"Name": "a", "Bytes": 1024}]}]}}`
+	for body, want := range map[string]string{
+		big:    "10000 points",
+		fabric: "16384 points",
+		`{"Spec": {"Nodes": [16], "Models": ["VGG16"], "MessageBytes": [1024]}}`:                           "both Models and MessageBytes",
+		`{"Spec": {"Base": {"Optical": {"Wavelengths": 65536}}, "Nodes": [1024], "MessageBytes": [1024]}}`: "base wavelengths 65536",
+		`{"Spec": {"Racks": [2048], "NodesPerRack": [2048], "MessageBytes": [1024]}}`:                      "racks 2048 × nodes per rack 2048",
 	} {
-		if status, _ := postJSON(t, ts.URL+"/v1/sweep", body); status != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400", body, status)
+		status, m := postJSON(t, ts.URL+"/v1/sweep", body)
+		if msg, _ := m["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, want) {
+			t.Fatalf("%.60s…: status = %d, error %q; want 400 mentioning %q", body, status, msg, want)
 		}
 	}
 }

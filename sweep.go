@@ -3,6 +3,7 @@ package wrht
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"wrht/internal/dnn"
 	"wrht/internal/exp"
@@ -20,9 +21,13 @@ import (
 //   - multi-rack (Racks set): racks × nodes-per-rack × wavelengths ×
 //     workloads × Wrht options, priced by MultiRackTime.
 //
-// RunSweep evaluates the grid on a worker pool while all workers share one
-// memoized Wrht plan cache, so the redundant core.BuildPlan work that
-// dominates wide serial sweeps is paid once per distinct
+// The grid is the nested cartesian product of the non-empty axes in a fixed
+// order, nodes outermost: nodes, racks, nodes per rack, wavelengths, models,
+// message bytes, algorithms, group sizes, greedy flags, pipeline chunks,
+// fabric mixes, fabric policies. Points returns its size without pricing
+// anything. RunSweep evaluates the grid on a worker pool while all workers
+// share one memoized Wrht plan cache, so the redundant core.BuildPlan work
+// that dominates wide serial sweeps is paid once per distinct
 // (nodes, wavelengths, options) key.
 type SweepSpec struct {
 	// Base is the template configuration every point starts from. The zero
@@ -167,28 +172,40 @@ func RunSweep(spec SweepSpec) (*SweepResult, error) {
 	return runSweep(nil, spec, newSession())
 }
 
+// Points returns the number of cells RunSweep returns for the spec,
+// saturating at math.MaxInt, or the error RunSweep returns for a malformed
+// spec. Defaulted axes (Algorithms, FabricPolicies) count at their default
+// lengths.
+func (spec SweepSpec) Points() (int, error) {
+	spec, _, err := spec.resolved()
+	if err != nil {
+		return 0, err
+	}
+	return gridSize(spec.axes()), nil
+}
+
 // runSweep is RunSweep on an explicit session (SweepSession reuses one
 // across calls, making the caches cross-run) and an optional cancellation
 // context: once ctx is done, unevaluated points fill their Err slots with
 // ctx.Err() and in-flight fabric points abandon their co-simulations at the
 // next event boundary.
 func runSweep(ctx context.Context, spec SweepSpec, sess *session) (*SweepResult, error) {
-	mode, err := spec.mode()
+	spec, mode, err := spec.resolved()
 	if err != nil {
 		return nil, err
 	}
-	spec = spec.normalized(mode)
-	pts := spec.grid(mode).Points()
+	axes := spec.axes()
 	cancel := ctxCancel(ctx)
-	cells, errs := exp.RunContext(ctx, len(pts), spec.Parallelism, func(i int) (SweepCell, error) {
+	cells, errs := exp.Run(ctx, gridSize(axes), spec.Parallelism, func(i int) (SweepCell, error) {
+		pt, mix := point(axes, i)
 		var cell SweepCell
 		switch mode {
 		case sweepFabric:
-			cell = spec.priceFabric(pts[i], sess, cancel)
+			cell = spec.priceFabric(pt, mix, sess, cancel)
 		case sweepMultiRack:
-			cell = spec.priceMultiRack(pts[i], sess)
+			cell = spec.priceMultiRack(pt, sess)
 		default:
-			cell = spec.priceComm(pts[i], sess)
+			cell = spec.priceComm(pt, sess)
 		}
 		return cell, cell.Err
 	})
@@ -212,6 +229,62 @@ func runSweep(ctx context.Context, spec SweepSpec, sess *session) (*SweepResult,
 	return res, nil
 }
 
+// sweepAxis is one grid dimension: its length and how its k-th entry sets
+// a point's coordinate (the mix axis sets the mix index instead).
+type sweepAxis struct {
+	n   int
+	set func(pt *SweepCell, mix *int, k int)
+}
+
+// axes is the grid's one axis table, outermost first. Empty axes add no
+// dimension; their coordinates stay zero, which the pricers read as
+// "pinned to Base".
+func (spec SweepSpec) axes() []sweepAxis {
+	return []sweepAxis{
+		{len(spec.Nodes), func(pt *SweepCell, _ *int, k int) { pt.Nodes = spec.Nodes[k] }},
+		{len(spec.Racks), func(pt *SweepCell, _ *int, k int) { pt.Racks = spec.Racks[k] }},
+		{len(spec.NodesPerRack), func(pt *SweepCell, _ *int, k int) { pt.NodesPerRack = spec.NodesPerRack[k] }},
+		{len(spec.Wavelengths), func(pt *SweepCell, _ *int, k int) { pt.Wavelengths = spec.Wavelengths[k] }},
+		{len(spec.Models), func(pt *SweepCell, _ *int, k int) { pt.Model = spec.Models[k] }},
+		{len(spec.MessageBytes), func(pt *SweepCell, _ *int, k int) { pt.Bytes = spec.MessageBytes[k] }},
+		{len(spec.Algorithms), func(pt *SweepCell, _ *int, k int) { pt.Algorithm = spec.Algorithms[k] }},
+		{len(spec.GroupSizes), func(pt *SweepCell, _ *int, k int) { pt.GroupSize = spec.GroupSizes[k] }},
+		{len(spec.GreedyA2A), func(pt *SweepCell, _ *int, k int) { pt.GreedyA2A = spec.GreedyA2A[k] }},
+		{len(spec.PipelineChunks), func(pt *SweepCell, _ *int, k int) { pt.PipelineChunks = spec.PipelineChunks[k] }},
+		{len(spec.FabricMixes), func(_ *SweepCell, mix *int, k int) { *mix = k }},
+		{len(spec.FabricPolicies), func(pt *SweepCell, _ *int, k int) { pt.FabricPolicy = spec.FabricPolicies[k] }},
+	}
+}
+
+// gridSize is the product of the non-empty axis lengths, saturating at
+// math.MaxInt.
+func gridSize(axes []sweepAxis) int {
+	n := 1
+	for _, a := range axes {
+		if a.n == 0 {
+			continue
+		}
+		if n > math.MaxInt/a.n {
+			return math.MaxInt
+		}
+		n *= a.n
+	}
+	return n
+}
+
+// point decodes grid index i into its coordinates and mix index: a
+// mixed-radix number whose innermost digit is the last non-empty axis.
+func point(axes []sweepAxis, i int) (pt SweepCell, mix int) {
+	pt.Index = i
+	for a := len(axes) - 1; a >= 0; a-- {
+		if n := axes[a].n; n > 0 {
+			axes[a].set(&pt, &mix, i%n)
+			i /= n
+		}
+	}
+	return pt, mix
+}
+
 // base returns the template configuration (evaluation defaults when unset,
 // with Nodes left to the axis).
 func (spec SweepSpec) base() Config {
@@ -223,105 +296,64 @@ func (spec SweepSpec) base() Config {
 	return spec.Base
 }
 
-// mode classifies the spec and rejects inconsistent axis combinations.
-func (spec SweepSpec) mode() (sweepMode, error) {
+// resolved classifies the spec, rejects inconsistent axis combinations and
+// fills the mode's defaulted axes.
+func (spec SweepSpec) resolved() (SweepSpec, sweepMode, error) {
 	fabric := len(spec.FabricMixes) > 0 || len(spec.FabricPolicies) > 0
 	multi := len(spec.Racks) > 0 || len(spec.NodesPerRack) > 0
 	if fabric && multi {
-		return 0, fmt.Errorf("wrht: sweep mixes fabric and multi-rack axes")
+		return spec, 0, fmt.Errorf("wrht: sweep mixes fabric and multi-rack axes")
 	}
 	workloads := len(spec.Models) > 0 || len(spec.MessageBytes) > 0
 	if len(spec.Models) > 0 && len(spec.MessageBytes) > 0 {
-		return 0, fmt.Errorf("wrht: sweep sets both Models and MessageBytes; pick one workload axis")
+		return spec, 0, fmt.Errorf("wrht: sweep sets both Models and MessageBytes; pick one workload axis")
 	}
 	switch {
 	case fabric:
 		if len(spec.FabricMixes) == 0 {
-			return 0, fmt.Errorf("wrht: fabric sweep needs at least one FabricMix")
+			return spec, 0, fmt.Errorf("wrht: fabric sweep needs at least one FabricMix")
 		}
 		if workloads || len(spec.Algorithms) > 0 || len(spec.GroupSizes) > 0 ||
 			len(spec.GreedyA2A) > 0 || len(spec.PipelineChunks) > 0 {
-			return 0, fmt.Errorf("wrht: fabric sweeps take workloads and algorithms from their job mixes; drop the communication axes")
+			return spec, 0, fmt.Errorf("wrht: fabric sweeps take workloads and algorithms from their job mixes; drop the communication axes")
 		}
 		if len(spec.Nodes) == 0 && spec.base().Nodes < 2 {
-			return 0, fmt.Errorf("wrht: fabric sweep needs a Nodes axis or Base.Nodes")
+			return spec, 0, fmt.Errorf("wrht: fabric sweep needs a Nodes axis or Base.Nodes")
 		}
-		return sweepFabric, nil
-	case multi:
-		if len(spec.Racks) == 0 || len(spec.NodesPerRack) == 0 {
-			return 0, fmt.Errorf("wrht: multi-rack sweep needs both Racks and NodesPerRack")
-		}
-		if !workloads {
-			return 0, fmt.Errorf("wrht: multi-rack sweep needs Models or MessageBytes")
-		}
-		if len(spec.Nodes) > 0 {
-			return 0, fmt.Errorf("wrht: multi-rack sweeps derive the worker count from Racks × NodesPerRack; drop the Nodes axis")
-		}
-		if len(spec.Algorithms) > 0 || len(spec.PipelineChunks) > 0 {
-			return 0, fmt.Errorf("wrht: multi-rack sweeps price per-rack Wrht plus the electrical leader ring; drop Algorithms/PipelineChunks")
-		}
-		return sweepMultiRack, nil
-	default:
-		if !workloads {
-			return 0, fmt.Errorf("wrht: sweep needs Models or MessageBytes")
-		}
-		if len(spec.Nodes) == 0 && spec.base().Nodes < 2 {
-			return 0, fmt.Errorf("wrht: sweep needs a Nodes axis or Base.Nodes")
-		}
-		return sweepComm, nil
-	}
-}
-
-// normalized fills the mode's defaulted axes.
-func (spec SweepSpec) normalized(mode sweepMode) SweepSpec {
-	switch mode {
-	case sweepComm:
-		if len(spec.Algorithms) == 0 {
-			spec.Algorithms = []Algorithm{AlgWrht}
-		}
-	case sweepFabric:
 		if len(spec.FabricPolicies) == 0 {
 			spec.FabricPolicies = FabricPolicies()
 		}
-	}
-	return spec
-}
-
-// grid lowers the spec to the engine's domain-neutral axes.
-func (spec SweepSpec) grid(mode sweepMode) exp.Grid {
-	g := exp.Grid{
-		Nodes:          spec.Nodes,
-		Wavelengths:    spec.Wavelengths,
-		Models:         spec.Models,
-		MessageBytes:   spec.MessageBytes,
-		GroupSizes:     spec.GroupSizes,
-		GreedyA2A:      spec.GreedyA2A,
-		PipelineChunks: spec.PipelineChunks,
-		Racks:          spec.Racks,
-		NodesPerRack:   spec.NodesPerRack,
-	}
-	if mode == sweepComm {
-		for _, a := range spec.Algorithms {
-			g.Algorithms = append(g.Algorithms, string(a))
+		return spec, sweepFabric, nil
+	case multi:
+		if len(spec.Racks) == 0 || len(spec.NodesPerRack) == 0 {
+			return spec, 0, fmt.Errorf("wrht: multi-rack sweep needs both Racks and NodesPerRack")
 		}
+		if !workloads {
+			return spec, 0, fmt.Errorf("wrht: multi-rack sweep needs Models or MessageBytes")
+		}
+		if len(spec.Nodes) > 0 {
+			return spec, 0, fmt.Errorf("wrht: multi-rack sweeps derive the worker count from Racks × NodesPerRack; drop the Nodes axis")
+		}
+		if len(spec.Algorithms) > 0 || len(spec.PipelineChunks) > 0 {
+			return spec, 0, fmt.Errorf("wrht: multi-rack sweeps price per-rack Wrht plus the electrical leader ring; drop Algorithms/PipelineChunks")
+		}
+		return spec, sweepMultiRack, nil
+	default:
+		if !workloads {
+			return spec, 0, fmt.Errorf("wrht: sweep needs Models or MessageBytes")
+		}
+		if len(spec.Nodes) == 0 && spec.base().Nodes < 2 {
+			return spec, 0, fmt.Errorf("wrht: sweep needs a Nodes axis or Base.Nodes")
+		}
+		if len(spec.Algorithms) == 0 {
+			spec.Algorithms = []Algorithm{AlgWrht}
+		}
+		return spec, sweepComm, nil
 	}
-	if mode == sweepFabric {
-		g.FabricMixes = indexAxis(len(spec.FabricMixes))
-		g.FabricPolicies = indexAxis(len(spec.FabricPolicies))
-	}
-	return g
-}
-
-func indexAxis(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // pointConfig resolves the point's coordinates onto the base configuration.
-func (spec SweepSpec) pointConfig(pt exp.Point) Config {
+func (spec SweepSpec) pointConfig(pt SweepCell) Config {
 	cfg := spec.base()
 	if pt.Nodes > 0 {
 		cfg.Nodes = pt.Nodes
@@ -344,8 +376,9 @@ func (spec SweepSpec) pointConfig(pt exp.Point) Config {
 	return cfg
 }
 
-// pointBytes resolves the point's workload size.
-func (spec SweepSpec) pointBytes(cfg Config, pt exp.Point) (int64, error) {
+// pointBytes resolves the point's workload size: the model's gradient, or
+// the point's raw message size.
+func (spec SweepSpec) pointBytes(cfg Config, pt SweepCell) (int64, error) {
 	if pt.Model != "" {
 		m, err := dnn.ByName(pt.Model)
 		if err != nil {
@@ -357,33 +390,26 @@ func (spec SweepSpec) pointBytes(cfg Config, pt exp.Point) (int64, error) {
 		}
 		return m.GradientBytes(bpe), nil
 	}
-	if pt.MessageBytes <= 0 {
+	if pt.Bytes <= 0 {
 		return 0, fmt.Errorf("wrht: sweep point %d has no model and non-positive bytes %d",
-			pt.Index, pt.MessageBytes)
+			pt.Index, pt.Bytes)
 	}
-	return pt.MessageBytes, nil
+	return pt.Bytes, nil
 }
 
+// The pricers resolve a decoded point in place: the coordinates the mode
+// reports take their Base values where the axis is empty, and the workload
+// takes its byte size.
+
 // priceComm evaluates one communication-mode point.
-func (spec SweepSpec) priceComm(pt exp.Point, sess *session) SweepCell {
-	cfg := spec.pointConfig(pt)
-	cell := SweepCell{
-		Index:          pt.Index,
-		Nodes:          cfg.Nodes,
-		Wavelengths:    cfg.Optical.Wavelengths,
-		Model:          pt.Model,
-		Algorithm:      Algorithm(pt.Algorithm),
-		GroupSize:      cfg.WrhtGroupSize,
-		GreedyA2A:      cfg.WrhtGreedyA2A,
-		PipelineChunks: cfg.PipelineChunks,
-	}
-	bytes, err := spec.pointBytes(cfg, pt)
-	if err != nil {
-		cell.Err = err
+func (spec SweepSpec) priceComm(cell SweepCell, sess *session) SweepCell {
+	cfg := spec.pointConfig(cell)
+	cell.Nodes, cell.Wavelengths = cfg.Nodes, cfg.Optical.Wavelengths
+	cell.GroupSize, cell.GreedyA2A, cell.PipelineChunks = cfg.WrhtGroupSize, cfg.WrhtGreedyA2A, cfg.PipelineChunks
+	if cell.Bytes, cell.Err = spec.pointBytes(cfg, cell); cell.Err != nil {
 		return cell
 	}
-	cell.Bytes = bytes
-	r, _, err := communicationTime(cfg, cell.Algorithm, bytes, sess)
+	r, _, err := communicationTime(cfg, cell.Algorithm, cell.Bytes, sess)
 	if err != nil {
 		cell.Err = err
 		return cell
@@ -393,23 +419,15 @@ func (spec SweepSpec) priceComm(pt exp.Point, sess *session) SweepCell {
 	return cell
 }
 
-// priceFabric evaluates one fabric-mode point; cancel (nil = never) aborts
-// the point's co-simulation at an event boundary.
-func (spec SweepSpec) priceFabric(pt exp.Point, sess *session, cancel func() error) SweepCell {
-	cfg := spec.pointConfig(pt)
-	mix := spec.FabricMixes[pt.FabricMix]
-	if mix.Name == "" {
-		mix.Name = fmt.Sprintf("mix%d", pt.FabricMix)
+// priceFabric evaluates one fabric-mode point of mix index mix; cancel
+// (nil = never) aborts the point's co-simulation at an event boundary.
+func (spec SweepSpec) priceFabric(cell SweepCell, mix int, sess *session, cancel func() error) SweepCell {
+	cfg := spec.pointConfig(cell)
+	cell.Nodes, cell.Wavelengths = cfg.Nodes, cfg.Optical.Wavelengths
+	if cell.FabricMix = spec.FabricMixes[mix].Name; cell.FabricMix == "" {
+		cell.FabricMix = fmt.Sprintf("mix%d", mix)
 	}
-	policy := spec.FabricPolicies[pt.FabricPolicy]
-	cell := SweepCell{
-		Index:        pt.Index,
-		Nodes:        cfg.Nodes,
-		Wavelengths:  cfg.Optical.Wavelengths,
-		FabricMix:    mix.Name,
-		FabricPolicy: policy,
-	}
-	fr, err := simulateFabric(cfg, mix.Jobs, policy, sess, FaultPlan{}, cancel)
+	fr, err := simulateFabric(cfg, spec.FabricMixes[mix].Jobs, cell.FabricPolicy, sess, FaultPlan{}, cancel)
 	if err != nil {
 		cell.Err = err
 		return cell
@@ -420,25 +438,14 @@ func (spec SweepSpec) priceFabric(pt exp.Point, sess *session, cancel func() err
 }
 
 // priceMultiRack evaluates one multi-rack-mode point.
-func (spec SweepSpec) priceMultiRack(pt exp.Point, sess *session) SweepCell {
-	cfg := spec.pointConfig(pt)
-	cell := SweepCell{
-		Index:        pt.Index,
-		Nodes:        pt.Racks * pt.NodesPerRack,
-		Wavelengths:  cfg.Optical.Wavelengths,
-		Model:        pt.Model,
-		GroupSize:    cfg.WrhtGroupSize,
-		GreedyA2A:    cfg.WrhtGreedyA2A,
-		Racks:        pt.Racks,
-		NodesPerRack: pt.NodesPerRack,
-	}
-	bytes, err := spec.pointBytes(cfg, pt)
-	if err != nil {
-		cell.Err = err
+func (spec SweepSpec) priceMultiRack(cell SweepCell, sess *session) SweepCell {
+	cfg := spec.pointConfig(cell)
+	cell.Nodes, cell.Wavelengths = cell.Racks*cell.NodesPerRack, cfg.Optical.Wavelengths
+	cell.GroupSize, cell.GreedyA2A = cfg.WrhtGroupSize, cfg.WrhtGreedyA2A
+	if cell.Bytes, cell.Err = spec.pointBytes(cfg, cell); cell.Err != nil {
 		return cell
 	}
-	cell.Bytes = bytes
-	mr, err := multiRackTime(cfg, pt.Racks, pt.NodesPerRack, bytes, sess)
+	mr, err := multiRackTime(cfg, cell.Racks, cell.NodesPerRack, cell.Bytes, sess)
 	if err != nil {
 		cell.Err = err
 		return cell

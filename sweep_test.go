@@ -1,6 +1,9 @@
 package wrht
 
 import (
+	"context"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -219,9 +222,136 @@ func TestRunSweepSpecValidation(t *testing.T) {
 		"multirack without racks":    {NodesPerRack: []int{8}, MessageBytes: []int64{1 << 20}},
 	}
 	for name, spec := range cases {
-		if _, err := RunSweep(spec); err == nil {
+		_, err := RunSweep(spec)
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+			continue
 		}
+		// Points reports the same spec error without pricing anything.
+		if n, perr := spec.Points(); n != 0 || perr == nil || perr.Error() != err.Error() {
+			t.Errorf("%s: Points() = (%d, %v), RunSweep error %v", name, n, perr, err)
+		}
+	}
+}
+
+// sweepCoords is a cell's grid coordinates, without its priced detail.
+type sweepCoords struct {
+	Nodes, Racks, NodesPerRack, Wavelengths int
+	Model                                   string
+	Bytes                                   int64
+	Algorithm                               Algorithm
+	FabricMix                               string
+	FabricPolicy                            string
+}
+
+func coordsOf(c SweepCell) sweepCoords {
+	return sweepCoords{c.Nodes, c.Racks, c.NodesPerRack, c.Wavelengths,
+		c.Model, c.Bytes, c.Algorithm, c.FabricMix, c.FabricPolicy.Kind}
+}
+
+// TestSweepGridOrder pins the cell order of each mode (a nested cartesian
+// product, nodes outermost and fabric policy innermost) and that Points
+// counts exactly the cells RunSweep returns, defaulted axes included.
+func TestSweepGridOrder(t *testing.T) {
+	mixes := []FabricMix{
+		{Name: "solo", Jobs: []JobSpec{{Name: "a", Bytes: 1 << 16}}},
+		{Jobs: []JobSpec{{Name: "a", Bytes: 1 << 16}, {Name: "b", Bytes: 1 << 17}}},
+	}
+	cases := []struct {
+		name string
+		spec SweepSpec
+		want map[int]sweepCoords // spot checks by cell index
+	}{
+		{"comm: nodes, then bytes, then algorithms", SweepSpec{
+			Nodes:        []int{16, 32},
+			MessageBytes: []int64{1 << 10, 1 << 12, 1 << 14},
+			Algorithms:   []Algorithm{AlgWrht, AlgORing},
+		}, map[int]sweepCoords{
+			0:  {Nodes: 16, Wavelengths: 64, Bytes: 1 << 10, Algorithm: AlgWrht},
+			1:  {Nodes: 16, Wavelengths: 64, Bytes: 1 << 10, Algorithm: AlgORing},
+			8:  {Nodes: 32, Wavelengths: 64, Bytes: 1 << 12, Algorithm: AlgWrht},
+			11: {Nodes: 32, Wavelengths: 64, Bytes: 1 << 14, Algorithm: AlgORing},
+		}},
+		{"comm: empty axes pin to Base", SweepSpec{
+			Base:         DefaultConfig(16),
+			MessageBytes: []int64{1 << 16},
+		}, map[int]sweepCoords{
+			0: {Nodes: 16, Wavelengths: 64, Bytes: 1 << 16, Algorithm: AlgWrht},
+		}},
+		{"comm: defaulted algorithms", SweepSpec{
+			Nodes:  []int{16},
+			Models: []string{"AlexNet", "ResNet50"},
+		}, map[int]sweepCoords{
+			1: {Nodes: 16, Wavelengths: 64, Model: "ResNet50", Bytes: 102228128, Algorithm: AlgWrht},
+		}},
+		{"fabric: mix outside policy, policies defaulted", SweepSpec{
+			Nodes:       []int{16, 32},
+			FabricMixes: mixes,
+		}, map[int]sweepCoords{
+			1:  {Nodes: 16, Wavelengths: 64, FabricMix: "solo", FabricPolicy: FabricFirstFit},
+			4:  {Nodes: 16, Wavelengths: 64, FabricMix: "mix1", FabricPolicy: FabricStatic},
+			15: {Nodes: 32, Wavelengths: 64, FabricMix: "mix1", FabricPolicy: FabricElastic},
+		}},
+		{"multi-rack: racks, then nodes per rack, then wavelengths", SweepSpec{
+			Racks:        []int{2, 4},
+			NodesPerRack: []int{4, 8},
+			Wavelengths:  []int{4, 8},
+			MessageBytes: []int64{1 << 16},
+		}, map[int]sweepCoords{
+			1: {Nodes: 8, Racks: 2, NodesPerRack: 4, Wavelengths: 8, Bytes: 1 << 16},
+			2: {Nodes: 16, Racks: 2, NodesPerRack: 8, Wavelengths: 4, Bytes: 1 << 16},
+			4: {Nodes: 16, Racks: 4, NodesPerRack: 4, Wavelengths: 4, Bytes: 1 << 16},
+		}},
+	}
+	for _, tc := range cases {
+		res, err := RunSweep(tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n, err := tc.spec.Points(); err != nil || n != len(res.Cells) {
+			t.Fatalf("%s: Points() = (%d, %v), RunSweep returned %d cells", tc.name, n, err, len(res.Cells))
+		}
+		for i, c := range res.Cells {
+			if c.Index != i || c.Err != nil {
+				t.Fatalf("%s: cell %d: Index %d, err %v", tc.name, i, c.Index, c.Err)
+			}
+		}
+		for i, want := range tc.want {
+			if got := coordsOf(res.Cells[i]); got != want {
+				t.Errorf("%s: cell %d = %+v, want %+v", tc.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestSweepPointsSaturates: a grid too large to count reads math.MaxInt,
+// not a wrapped product.
+func TestSweepPointsSaturates(t *testing.T) {
+	ints := func(n int) []int { return make([]int, n) }
+	full := SweepSpec{
+		Nodes: ints(100), Racks: ints(100), NodesPerRack: ints(100),
+		Wavelengths: ints(100), Models: make([]string, 100),
+		MessageBytes: make([]int64, 100), Algorithms: make([]Algorithm, 100),
+		GroupSizes: ints(100), GreedyA2A: make([]bool, 100),
+		PipelineChunks: ints(100), FabricMixes: make([]FabricMix, 100),
+		FabricPolicies: make([]FabricPolicy, 100),
+	}
+	if n := gridSize(full.axes()); n != math.MaxInt {
+		t.Fatalf("twelve 100-entry axes: %d points, want math.MaxInt", n)
+	}
+	// The widest well-formed grid: the seven communication axes. 512^7 is
+	// 2^63, one past math.MaxInt; 512^6 still counts exactly.
+	comm := SweepSpec{
+		Nodes: ints(512), Wavelengths: ints(512), MessageBytes: make([]int64, 512),
+		Algorithms: make([]Algorithm, 512), GroupSizes: ints(512),
+		GreedyA2A: make([]bool, 512),
+	}
+	if n, err := comm.Points(); err != nil || n != 1<<54 {
+		t.Fatalf("six 512-entry axes: Points() = (%d, %v), want 2^54", n, err)
+	}
+	comm.PipelineChunks = ints(512)
+	if n, err := comm.Points(); err != nil || n != math.MaxInt {
+		t.Fatalf("seven 512-entry axes: Points() = (%d, %v), want math.MaxInt", n, err)
 	}
 }
 
@@ -262,5 +392,29 @@ func TestRunSweepScheduleAndSimCaches(t *testing.T) {
 	// Three distinct substrate configurations: all simulate, none repeat.
 	if res.SimRuns != 3 || res.SimHits != 0 {
 		t.Fatalf("sim cache counters (%d runs, %d hits), want (3, 0)", res.SimRuns, res.SimHits)
+	}
+}
+
+// TestRunSweepContextCanceled: a sweep whose context is already done keeps
+// its grid shape and fills every cell with the context's error, serially
+// and on the worker pool.
+func TestRunSweepContextCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, par := range []int{1, 4} {
+		spec := sweepTestSpec()
+		spec.Parallelism = par
+		res, err := NewSweepSession().RunSweepContext(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := spec.Points(); len(res.Cells) != n || res.Failed != n {
+			t.Fatalf("par=%d: %d cells, %d failed, want %d of each", par, len(res.Cells), res.Failed, n)
+		}
+		for i, c := range res.Cells {
+			if c.Index != i || !errors.Is(c.Err, context.Canceled) {
+				t.Fatalf("par=%d: cell %d = (Index %d, err %v)", par, i, c.Index, c.Err)
+			}
+		}
 	}
 }
