@@ -303,15 +303,10 @@ func (p *Plan) StepsUpperBound() int { return 2 * CeilLogM(p.M, p.N) }
 // WavelengthDemands returns the per-step wavelength usage (after striping)
 // in execution order: reduce levels, optional all-to-all, broadcast levels.
 func (p *Plan) WavelengthDemands() []int {
-	var out []int
-	for _, lvl := range p.ReduceLevels {
-		out = append(out, lvl.Demand*p.TreeStripe)
-	}
-	if p.A2AReps != nil {
-		out = append(out, p.A2ADemand*p.A2AStripe)
-	}
-	for i := len(p.ReduceLevels) - 1; i >= 0; i-- {
-		out = append(out, p.ReduceLevels[i].Demand*p.TreeStripe)
+	stages := p.stages()
+	out := make([]int, len(stages))
+	for i, s := range stages {
+		out[i] = p.demand(s)
 	}
 	return out
 }

@@ -7,6 +7,12 @@ import (
 	"wrht/internal/tensor"
 )
 
+// MaxPipelineChunks bounds the pipeline chunk count. Schedule construction
+// and simulation are O(chunks), so an unbounded count turns a bad input
+// into a multi-minute hang instead of an error; no realistic pipeline needs
+// more stages in flight than this.
+const MaxPipelineChunks = 1 << 16
+
 // PipelinedSchedule is the chunked-pipeline extension of Wrht (beyond the
 // paper; its natural "future work"): the buffer is split into `chunks`
 // contiguous chunks, and chunk c enters reduce level 1 at global step c, so
@@ -21,12 +27,6 @@ import (
 // regimes. Wavelength demand grows with the number of concurrently active
 // stages; the substrate splits any over-budget step into rounds, so the
 // timing stays honest either way.
-// MaxPipelineChunks bounds the pipeline chunk count. Schedule construction
-// and simulation are O(chunks), so an unbounded count turns a bad input
-// into a multi-minute hang instead of an error; no realistic pipeline needs
-// more stages in flight than this.
-const MaxPipelineChunks = 1 << 16
-
 func (p *Plan) PipelinedSchedule(elems, chunks int) (*collective.Schedule, error) {
 	if chunks < 1 {
 		return nil, fmt.Errorf("core: pipeline chunks %d", chunks)
@@ -41,7 +41,10 @@ func (p *Plan) PipelinedSchedule(elems, chunks int) (*collective.Schedule, error
 		return p.Schedule(elems)
 	}
 	regions := tensor.Chunks(elems, chunks)
-	stages := p.stageTemplates()
+	// The stage templates: the unpipelined steps, whose placeholder regions
+	// each chunk replaces. Zero elems cannot fail.
+	template, _ := p.Schedule(0)
+	stages := template.Steps
 
 	s := &collective.Schedule{
 		Algorithm: fmt.Sprintf("wrht-pipelined(m=%d,c=%d)", p.M, chunks),
@@ -51,7 +54,7 @@ func (p *Plan) PipelinedSchedule(elems, chunks int) (*collective.Schedule, error
 	totalSteps := len(stages) + chunks - 1
 	for t := 0; t < totalSteps; t++ {
 		st := collective.Step{Label: fmt.Sprintf("pipeline step %d", t+1)}
-		for si, stage := range stages {
+		for si, step := range stages {
 			c := t - si
 			if c < 0 || c >= chunks {
 				continue
@@ -59,7 +62,7 @@ func (p *Plan) PipelinedSchedule(elems, chunks int) (*collective.Schedule, error
 			if regions[c].Len == 0 {
 				continue
 			}
-			for _, tr := range stage {
+			for _, tr := range step.Transfers {
 				tr.Region = regions[c]
 				st.Transfers = append(st.Transfers, tr)
 			}
@@ -67,55 +70,4 @@ func (p *Plan) PipelinedSchedule(elems, chunks int) (*collective.Schedule, error
 		s.Steps = append(s.Steps, st)
 	}
 	return s, nil
-}
-
-// stageTemplates lowers the plan to its stage sequence with full-buffer
-// placeholder regions (the pipeline substitutes per-chunk regions).
-func (p *Plan) stageTemplates() [][]collective.Transfer {
-	var stages [][]collective.Transfer
-	tree := func(li int, broadcast bool) []collective.Transfer {
-		var out []collective.Transfer
-		for _, g := range p.ReduceLevels[li].Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				tr := collective.Transfer{
-					Routed: true,
-					Width:  p.TreeStripe,
-				}
-				if broadcast {
-					tr.Src, tr.Dst = g.Rep, mem
-					tr.Op = collective.OpCopy
-					tr.Dir = dirToward(mem, g.Rep).Opposite()
-				} else {
-					tr.Src, tr.Dst = mem, g.Rep
-					tr.Op = collective.OpReduce
-					tr.Dir = dirToward(mem, g.Rep)
-				}
-				out = append(out, tr)
-			}
-		}
-		return out
-	}
-	for li := range p.ReduceLevels {
-		stages = append(stages, tree(li, false))
-	}
-	if p.A2AReps != nil {
-		var out []collective.Transfer
-		for _, d := range p.a2aDemands() {
-			out = append(out, collective.Transfer{
-				Src: d.Arc.Src, Dst: d.Arc.Dst,
-				Op:     collective.OpReduce,
-				Routed: true,
-				Dir:    d.Arc.Dir,
-				Width:  p.A2AStripe,
-			})
-		}
-		stages = append(stages, out)
-	}
-	for li := len(p.ReduceLevels) - 1; li >= 0; li-- {
-		stages = append(stages, tree(li, true))
-	}
-	return stages
 }

@@ -9,6 +9,73 @@ import (
 	"wrht/internal/wdm"
 )
 
+// stage is one step of the plan: tree level `level` in the reduce or the
+// broadcast direction, or the all-to-all among the final representatives
+// (level −1).
+type stage struct {
+	level     int
+	broadcast bool
+}
+
+// stages returns the plan's steps in execution order: the reduce levels, the
+// all-to-all if the plan has one, then the broadcast levels in reverse. It is
+// the one owner of Wrht's step order; every lowering and predictor except
+// PredictTime walks it.
+func (p *Plan) stages() []stage {
+	out := make([]stage, 0, p.NumSteps())
+	for li := range p.ReduceLevels {
+		out = append(out, stage{level: li})
+	}
+	if p.A2AReps != nil {
+		out = append(out, stage{level: -1})
+	}
+	for li := len(p.ReduceLevels) - 1; li >= 0; li-- {
+		out = append(out, stage{level: li, broadcast: true})
+	}
+	return out
+}
+
+// label names stage s's step.
+func (p *Plan) label(s stage) string {
+	switch {
+	case s.level < 0:
+		return fmt.Sprintf("all-to-all among %d reps", len(p.A2AReps))
+	case s.broadcast:
+		return fmt.Sprintf("broadcast level %d", s.level+1)
+	}
+	return fmt.Sprintf("reduce level %d", s.level+1)
+}
+
+// demand returns the wavelengths stage s lights, after striping.
+func (p *Plan) demand(s stage) int {
+	if s.level < 0 {
+		return p.A2ADemand * p.A2AStripe
+	}
+	return p.ReduceLevels[s.level].Demand * p.TreeStripe
+}
+
+// emit appends stage s's transfers over region through add: every group's
+// tree transfers (emitGroup), or the routed all-to-all among the final
+// representatives. It is the one owner of Wrht's transfer rule.
+func (p *Plan) emit(s stage, region tensor.Region, add func(collective.Transfer)) {
+	if s.level >= 0 {
+		for _, g := range p.ReduceLevels[s.level].Groups {
+			emitGroup(add, g, region, p.TreeStripe, s.broadcast)
+		}
+		return
+	}
+	for _, d := range p.a2aDemands() {
+		add(collective.Transfer{
+			Src: d.Arc.Src, Dst: d.Arc.Dst,
+			Region: region,
+			Op:     collective.OpReduce,
+			Routed: true,
+			Dir:    d.Arc.Dir,
+			Width:  p.A2AStripe,
+		})
+	}
+}
+
 // ClassSchedule lowers the plan directly to the symmetry-aware classed IR.
 // A reduce/broadcast level whose groups are uniform — equal sizes, members
 // and representative translated by a fixed stride — becomes one orbit step
@@ -23,42 +90,17 @@ func (p *Plan) ClassSchedule(elems int) (*collective.ClassSchedule, error) {
 	}
 	b := collective.NewClassScheduleBuilder(fmt.Sprintf("wrht(m=%d,%v)", p.M, p.Policy), p.N, elems)
 	full := tensor.Region{Offset: 0, Len: elems}
-
-	reduceLevel := func(li int, broadcast bool) {
-		lvl := p.ReduceLevels[li]
-		label := fmt.Sprintf("reduce level %d", li+1)
-		if broadcast {
-			label = fmt.Sprintf("broadcast level %d", li+1)
+	for _, s := range p.stages() {
+		if s.level >= 0 {
+			groups := p.ReduceLevels[s.level].Groups
+			if period, ok := uniformLevel(groups); ok {
+				b.StartSymUniform(p.label(s), period, len(groups), full)
+				emitGroup(b.AddOrbit, groups[0], full, p.TreeStripe, s.broadcast)
+				continue
+			}
 		}
-		if period, ok := uniformLevel(lvl.Groups); ok {
-			b.StartSymUniform(label, period, len(lvl.Groups), full)
-			emitGroup(b.AddOrbit, lvl.Groups[0], full, p.TreeStripe, broadcast)
-			return
-		}
-		b.StartStep(label)
-		for _, g := range lvl.Groups {
-			emitGroup(b.Add, g, full, p.TreeStripe, broadcast)
-		}
-	}
-
-	for li := range p.ReduceLevels {
-		reduceLevel(li, false)
-	}
-	if p.A2AReps != nil {
-		b.StartStep(fmt.Sprintf("all-to-all among %d reps", len(p.A2AReps)))
-		for _, d := range p.a2aDemands() {
-			b.Add(collective.Transfer{
-				Src: d.Arc.Src, Dst: d.Arc.Dst,
-				Region: full,
-				Op:     collective.OpReduce,
-				Routed: true,
-				Dir:    d.Arc.Dir,
-				Width:  p.A2AStripe,
-			})
-		}
-	}
-	for li := len(p.ReduceLevels) - 1; li >= 0; li-- {
-		reduceLevel(li, true)
+		b.StartStep(p.label(s))
+		p.emit(s, full, b.Add)
 	}
 	return b.Finish(), nil
 }
@@ -125,73 +167,18 @@ func (p *Plan) Schedule(elems int) (*collective.Schedule, error) {
 	if elems < 0 {
 		return nil, fmt.Errorf("core: negative elems %d", elems)
 	}
-	s := &collective.Schedule{
+	out := &collective.Schedule{
 		Algorithm: fmt.Sprintf("wrht(m=%d,%v)", p.M, p.Policy),
 		N:         p.N,
 		Elems:     elems,
 	}
 	full := tensor.Region{Offset: 0, Len: elems}
-
-	// Reduce stage.
-	for li, lvl := range p.ReduceLevels {
-		st := collective.Step{Label: fmt.Sprintf("reduce level %d", li+1)}
-		for _, g := range lvl.Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				st.Transfers = append(st.Transfers, collective.Transfer{
-					Src: mem, Dst: g.Rep,
-					Region: full,
-					Op:     collective.OpReduce,
-					Routed: true,
-					Dir:    dirToward(mem, g.Rep),
-					Width:  p.TreeStripe,
-				})
-			}
-		}
-		s.Steps = append(s.Steps, st)
+	for _, s := range p.stages() {
+		st := collective.Step{Label: p.label(s)}
+		p.emit(s, full, func(tr collective.Transfer) { st.Transfers = append(st.Transfers, tr) })
+		out.Steps = append(out.Steps, st)
 	}
-
-	// All-to-all among the final representatives.
-	if p.A2AReps != nil {
-		st := collective.Step{Label: fmt.Sprintf("all-to-all among %d reps", len(p.A2AReps))}
-		demands := p.a2aDemands()
-		for _, d := range demands {
-			st.Transfers = append(st.Transfers, collective.Transfer{
-				Src: d.Arc.Src, Dst: d.Arc.Dst,
-				Region: full,
-				Op:     collective.OpReduce,
-				Routed: true,
-				Dir:    d.Arc.Dir,
-				Width:  p.A2AStripe,
-			})
-		}
-		s.Steps = append(s.Steps, st)
-	}
-
-	// Broadcast stage: mirror of the reduce stage.
-	for li := len(p.ReduceLevels) - 1; li >= 0; li-- {
-		lvl := p.ReduceLevels[li]
-		st := collective.Step{Label: fmt.Sprintf("broadcast level %d", li+1)}
-		for _, g := range lvl.Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				st.Transfers = append(st.Transfers, collective.Transfer{
-					Src: g.Rep, Dst: mem,
-					Region: full,
-					Op:     collective.OpCopy,
-					Routed: true,
-					Dir:    dirToward(mem, g.Rep).Opposite(),
-					Width:  p.TreeStripe,
-				})
-			}
-		}
-		s.Steps = append(s.Steps, st)
-	}
-	return s, nil
+	return out, nil
 }
 
 // a2aDemands routes the final all-to-all: load-balanced by default,

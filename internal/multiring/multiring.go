@@ -53,81 +53,48 @@ func (p *Plan) Nodes() int { return p.Racks * p.NodesPerRack }
 // global maps a rack-local node id to the global id.
 func (p *Plan) global(rack, local int) int { return rack*p.NodesPerRack + local }
 
-// intraReduceSteps returns the per-rack reduce steps on local ids: the Wrht
-// tree levels, then (when the intra plan ends in an all-to-all) a gather of
-// the other final representatives into the leader.
-func (p *Plan) intraReduceSteps(elems int) []collective.Step {
-	full := tensor.Region{Offset: 0, Len: elems}
-	var steps []collective.Step
-	for li, lvl := range p.Intra.ReduceLevels {
-		st := collective.Step{Label: fmt.Sprintf("rack reduce level %d", li+1)}
-		for _, g := range lvl.Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				st.Transfers = append(st.Transfers, collective.Transfer{
-					Src: mem, Dst: g.Rep, Region: full,
-					Op:    collective.OpReduce,
-					Width: p.Intra.TreeStripe,
-				})
-			}
-		}
-		steps = append(steps, st)
+// intraSteps returns the per-rack phases on local ids. The reduce phase is
+// the intra plan's tree reduce levels, then (when the intra plan ends in an
+// all-to-all) a gather of the other final representatives into the leader;
+// the broadcast phase mirrors it: the leader's scatter, then the tree
+// broadcast levels. The tree steps are the intra plan's own first and last
+// len(ReduceLevels) steps, relabelled and unpinned (each transfer takes its
+// shortest arc).
+func (p *Plan) intraSteps(elems int) (reduce, broadcast []collective.Step, err error) {
+	s, err := p.Intra.Schedule(elems)
+	if err != nil {
+		return nil, nil, err
 	}
-	if p.Intra.A2AReps != nil && len(p.Intra.A2AReps) > 1 {
-		st := collective.Step{Label: "rack gather to leader"}
+	for i := range s.Steps {
+		st := &s.Steps[i]
+		st.Label = "rack " + st.Label
+		for j := range st.Transfers {
+			st.Transfers[j].Routed = false
+			st.Transfers[j].Dir = 0
+		}
+	}
+	levels := len(p.Intra.ReduceLevels)
+	reduce, broadcast = s.Steps[:levels:levels], s.Steps[len(s.Steps)-levels:]
+	if len(p.Intra.A2AReps) > 1 {
+		gather := collective.Step{Label: "rack gather to leader"}
+		scatter := collective.Step{Label: "rack scatter from leader"}
 		for _, rep := range p.Intra.A2AReps {
 			if rep == p.LeaderLocal {
 				continue
 			}
-			st.Transfers = append(st.Transfers, collective.Transfer{
-				Src: rep, Dst: p.LeaderLocal, Region: full,
+			tr := collective.Transfer{
+				Src: rep, Dst: p.LeaderLocal, Region: tensor.Region{Len: elems},
 				Op:    collective.OpReduce,
 				Width: p.Intra.TreeStripe,
-			})
-		}
-		steps = append(steps, st)
-	}
-	return steps
-}
-
-// intraBroadcastSteps mirrors intraReduceSteps: leader scatter to the other
-// representatives, then the tree broadcast.
-func (p *Plan) intraBroadcastSteps(elems int) []collective.Step {
-	full := tensor.Region{Offset: 0, Len: elems}
-	var steps []collective.Step
-	if p.Intra.A2AReps != nil && len(p.Intra.A2AReps) > 1 {
-		st := collective.Step{Label: "rack scatter from leader"}
-		for _, rep := range p.Intra.A2AReps {
-			if rep == p.LeaderLocal {
-				continue
 			}
-			st.Transfers = append(st.Transfers, collective.Transfer{
-				Src: p.LeaderLocal, Dst: rep, Region: full,
-				Op:    collective.OpCopy,
-				Width: p.Intra.TreeStripe,
-			})
+			gather.Transfers = append(gather.Transfers, tr)
+			tr.Src, tr.Dst, tr.Op = p.LeaderLocal, rep, collective.OpCopy
+			scatter.Transfers = append(scatter.Transfers, tr)
 		}
-		steps = append(steps, st)
+		reduce = append(reduce, gather)
+		broadcast = append([]collective.Step{scatter}, broadcast...)
 	}
-	for li := len(p.Intra.ReduceLevels) - 1; li >= 0; li-- {
-		st := collective.Step{Label: fmt.Sprintf("rack broadcast level %d", li+1)}
-		for _, g := range p.Intra.ReduceLevels[li].Groups {
-			for _, mem := range g.Members {
-				if mem == g.Rep {
-					continue
-				}
-				st.Transfers = append(st.Transfers, collective.Transfer{
-					Src: g.Rep, Dst: mem, Region: full,
-					Op:    collective.OpCopy,
-					Width: p.Intra.TreeStripe,
-				})
-			}
-		}
-		steps = append(steps, st)
-	}
-	return steps
+	return reduce, broadcast, nil
 }
 
 // remapSteps shifts a rack-local step list to global ids for every rack and
@@ -159,7 +126,11 @@ func (p *Plan) GlobalSchedule(elems int) (*collective.Schedule, error) {
 		N:         p.Nodes(),
 		Elems:     elems,
 	}
-	s.Steps = append(s.Steps, p.remapSteps(p.intraReduceSteps(elems))...)
+	reduce, broadcast, err := p.intraSteps(elems)
+	if err != nil {
+		return nil, err
+	}
+	s.Steps = append(s.Steps, p.remapSteps(reduce)...)
 
 	// The leader all-reduce on K logical nodes is a ring all-reduce
 	// (bandwidth optimal on the electrical leader network).
@@ -178,7 +149,7 @@ func (p *Plan) GlobalSchedule(elems int) (*collective.Schedule, error) {
 		s.Steps = append(s.Steps, g)
 	}
 
-	s.Steps = append(s.Steps, p.remapSteps(p.intraBroadcastSteps(elems))...)
+	s.Steps = append(s.Steps, p.remapSteps(broadcast)...)
 	return s, nil
 }
 
@@ -208,11 +179,14 @@ func (p *Plan) Time(elems, bytesPerElem int, op optical.Params, ep electrical.Pa
 		return r.TotalSec, err
 	}
 	var out TimeBreakdown
-	var err error
-	if out.IntraReduceSec, err = intra("intra-reduce", p.intraReduceSteps(elems)); err != nil {
+	reduce, broadcast, err := p.intraSteps(elems)
+	if err != nil {
 		return out, err
 	}
-	if out.IntraBroadcastSec, err = intra("intra-broadcast", p.intraBroadcastSteps(elems)); err != nil {
+	if out.IntraReduceSec, err = intra("intra-reduce", reduce); err != nil {
+		return out, err
+	}
+	if out.IntraBroadcastSec, err = intra("intra-broadcast", broadcast); err != nil {
 		return out, err
 	}
 	inter, err := collective.RingAllReduceClassed(p.Racks, elems)

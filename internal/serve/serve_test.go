@@ -85,6 +85,19 @@ func TestCommTimeOversizedBufferIs400(t *testing.T) {
 	}
 }
 
+// waitFull returns once class c holds its full capacity (running plus
+// queued requests), failing the test if it has not filled within five
+// seconds.
+func waitFull(t *testing.T, srv *Server, c Class) {
+	t.Helper()
+	adm := srv.admits[c]
+	for start := time.Now(); adm.inSystem.Load() < adm.capacity; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("%v class never filled: %d of %d in system", c, adm.inSystem.Load(), adm.capacity)
+		}
+	}
+}
+
 // TestShedFastWhenQueueFull pins the 429 fast path: with the class's single
 // worker blocked and its queue full, excess requests are shed immediately —
 // never behind the blocked worker.
@@ -99,7 +112,7 @@ func TestShedFastWhenQueueFull(t *testing.T) {
 	}
 	defer func() { testHook = nil }()
 
-	_, ts := newTestServer(t, Config{
+	srv, ts := newTestServer(t, Config{
 		Point: ClassLimits{Workers: 1, Queue: 1, Deadline: time.Minute},
 	})
 
@@ -113,8 +126,7 @@ func TestShedFastWhenQueueFull(t *testing.T) {
 	go issue(0) // occupies the worker (blocked in hook)
 	<-entered
 	go issue(1) // waits in the queue
-	// Give the queued request time to enter admission.
-	time.Sleep(50 * time.Millisecond)
+	waitFull(t, srv, ClassPoint)
 
 	// System full (1 running + 1 queued): these must shed fast.
 	for i := 2; i < 6; i++ {
@@ -290,12 +302,7 @@ func TestDegradeShedsExpensiveClassesFirst(t *testing.T) {
 	// queue slot would wait there for the class's one-minute deadline, and
 	// with no further arrivals the degrader would never be sampled again.
 	// The short probe deadline bounds any such wait all the same.
-	adm := srv.admits[ClassSweep]
-	for filled := time.Now(); adm.inSystem.Load() < adm.capacity; time.Sleep(time.Millisecond) {
-		if time.Since(filled) > 5*time.Second {
-			t.Fatalf("sweep flood never filled the class: %d of %d in system", adm.inSystem.Load(), adm.capacity)
-		}
-	}
+	waitFull(t, srv, ClassSweep)
 	probeBody := func(i int) string {
 		return fmt.Sprintf(`{"Spec": {"Nodes": [8], "MessageBytes": [%d]}, "DeadlineMillis": 100}`, 1024+i)
 	}

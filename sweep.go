@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"wrht/internal/dnn"
 	"wrht/internal/exp"
@@ -167,7 +168,8 @@ const (
 // RunSweep prices every point of the spec's grid concurrently and returns
 // the cells in deterministic grid order regardless of parallelism or
 // completion order. Per-point failures are captured in their cells; RunSweep
-// itself only fails on a malformed spec.
+// itself only fails on a malformed spec or on a grid whose cells the runtime
+// could never allocate (more than 2⁴⁸ bytes of SweepCell).
 func RunSweep(spec SweepSpec) (*SweepResult, error) {
 	return runSweep(nil, spec, newSession())
 }
@@ -195,8 +197,12 @@ func runSweep(ctx context.Context, spec SweepSpec, sess *session) (*SweepResult,
 		return nil, err
 	}
 	axes := spec.axes()
+	n := gridSize(axes)
+	if n > maxSweepCells {
+		return nil, fmt.Errorf("wrht: sweep grid of %d cells exceeds the %d-cell limit", n, maxSweepCells)
+	}
 	cancel := ctxCancel(ctx)
-	cells, errs := exp.Run(ctx, gridSize(axes), spec.Parallelism, func(i int) (SweepCell, error) {
+	cells, errs := exp.Run(ctx, n, spec.Parallelism, func(i int) (SweepCell, error) {
 		pt, mix := point(axes, i)
 		var cell SweepCell
 		switch mode {
@@ -255,6 +261,12 @@ func (spec SweepSpec) axes() []sweepAxis {
 		{len(spec.FabricPolicies), func(pt *SweepCell, _ *int, k int) { pt.FabricPolicy = spec.FabricPolicies[k] }},
 	}
 }
+
+// maxSweepCells is the largest grid runSweep accepts: the most cells whose
+// []SweepCell (200 B each) fits the 64-bit runtime's 2⁴⁸-byte allocation
+// limit. exp.Run allocates every cell up front, so a larger grid would panic
+// in makeslice; one under the limit but beyond memory is not caught here.
+const maxSweepCells = 1 << 48 / int(unsafe.Sizeof(SweepCell{}))
 
 // gridSize is the product of the non-empty axis lengths, saturating at
 // math.MaxInt.

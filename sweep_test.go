@@ -3,8 +3,10 @@ package wrht
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -325,7 +327,9 @@ func TestSweepGridOrder(t *testing.T) {
 }
 
 // TestSweepPointsSaturates: a grid too large to count reads math.MaxInt,
-// not a wrapped product.
+// not a wrapped product, and RunSweep (on both spellings) rejects a grid
+// whose cells the runtime cannot allocate with an error naming the count,
+// not a makeslice panic inside the worker pool.
 func TestSweepPointsSaturates(t *testing.T) {
 	ints := func(n int) []int { return make([]int, n) }
 	full := SweepSpec{
@@ -346,13 +350,28 @@ func TestSweepPointsSaturates(t *testing.T) {
 		Algorithms: make([]Algorithm, 512), GroupSizes: ints(512),
 		GreedyA2A: make([]bool, 512),
 	}
+	rejected := func(name string, cells int) {
+		want := fmt.Sprintf("sweep grid of %d cells", cells)
+		for _, run := range []func(SweepSpec) (*SweepResult, error){
+			RunSweep,
+			func(s SweepSpec) (*SweepResult, error) {
+				return NewSweepSession().RunSweepContext(context.Background(), s)
+			},
+		} {
+			if res, err := run(comm); err == nil || !strings.Contains(err.Error(), want) || res != nil {
+				t.Fatalf("%s: RunSweep = (%v, %v), want an error naming %q", name, res, err, want)
+			}
+		}
+	}
 	if n, err := comm.Points(); err != nil || n != 1<<54 {
 		t.Fatalf("six 512-entry axes: Points() = (%d, %v), want 2^54", n, err)
 	}
+	rejected("six 512-entry axes", 1<<54)
 	comm.PipelineChunks = ints(512)
 	if n, err := comm.Points(); err != nil || n != math.MaxInt {
 		t.Fatalf("seven 512-entry axes: Points() = (%d, %v), want math.MaxInt", n, err)
 	}
+	rejected("seven 512-entry axes", math.MaxInt)
 }
 
 func TestRunSweepCapturesBadModel(t *testing.T) {
