@@ -348,7 +348,8 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 	}
 
 	inner := make([]fleet.Job, len(jobs))
-	for i, j := range jobs {
+	for i := range jobs {
+		j := &jobs[i]
 		if j.Shape < 0 || j.Shape >= len(shapes) {
 			return FleetResult{}, fmt.Errorf("wrht: fleet job %d (%q): shape %d with %d shapes",
 				i, j.Name, j.Shape, len(shapes))

@@ -93,8 +93,8 @@ type elTier struct {
 	lastTotal int
 	clean     bool
 	dirty     bool
-	// Per-solve scratch, valid while stamp matches the solve number.
-	stamp     int64
+	// Per-solve scratch: phase 1 of every solve sets exact and clears
+	// hasVeto on every tier.
 	exact     bool // pins/due members possible: member scan required
 	hasVeto   bool
 	fillClean bool // the last fill this solve saw no pins/due members
@@ -106,35 +106,31 @@ type elTier struct {
 // scratch, so steady-state solves allocate nothing.
 type elasticIndex struct {
 	tiers   []*elTier // priority descending
-	byPrio  map[int]*elTier
 	filled  []*elTier // tiers filled in the current round
 	changed []*jobRec // running members whose width changes this solve
+	caps    []int     // fillTier's per-member caps, in member order
 	nAdmit  int
-}
-
-func newElasticIndex() *elasticIndex {
-	return &elasticIndex{byPrio: map[int]*elTier{}}
 }
 
 // enqueue inserts r into the wait queue keeping it sorted by jobLess, so
 // admission walks a pre-sorted queue instead of re-sorting per solve.
 func (el *elasticIndex) enqueue(s *scheduler, r *jobRec) {
-	q := s.queue
-	i := sort.Search(len(q), func(i int) bool { return jobLess(r, q[i]) })
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = r
-	s.queue = q
+	q := s.queue.live()
+	s.queue.insert(sort.Search(len(q), func(i int) bool { return jobLess(r, q[i]) }), r)
 }
 
-// tierFor returns (creating on demand) the tier for priority prio.
+// tierFor returns (creating on demand) the tier for priority prio. Records
+// resolve their tier once, at submit, so a solve never looks one up. A
+// fabric sees a handful of priorities, so a scan beats a search.
 func (el *elasticIndex) tierFor(prio int) *elTier {
-	if t := el.byPrio[prio]; t != nil {
-		return t
+	i := 0
+	for i < len(el.tiers) && el.tiers[i].prio > prio {
+		i++
+	}
+	if i < len(el.tiers) && el.tiers[i].prio == prio {
+		return el.tiers[i]
 	}
 	t := &elTier{prio: prio, minEnd: math.Inf(1), lastTotal: -1}
-	el.byPrio[prio] = t
-	i := sort.Search(len(el.tiers), func(i int) bool { return el.tiers[i].prio < prio })
 	el.tiers = append(el.tiers, nil)
 	copy(el.tiers[i+1:], el.tiers[i:])
 	el.tiers[i] = t
@@ -157,16 +153,11 @@ func (el *elasticIndex) insertMember(t *elTier, r *jobRec) {
 	t.sumMin += r.MinWavelengths
 	t.sumMax += r.MaxWavelengths
 	t.dirty = true
-	r.tier = t
 }
 
-// removeMember detaches a completed member from its tier.
+// removeMember detaches a member that stops running from its tier.
 func (el *elasticIndex) removeMember(r *jobRec) {
 	t := r.tier
-	if t == nil {
-		return
-	}
-	r.tier = nil
 	for i, m := range t.members {
 		if m == r {
 			copy(t.members[i:], t.members[i+1:])
@@ -195,7 +186,6 @@ func (el *elasticIndex) solve(s *scheduler) {
 	// sumMin.
 	reserved := 0
 	for _, t := range el.tiers {
-		t.stamp = solveID
 		t.hasVeto = false
 		if len(t.members) == 0 {
 			t.exact = false
@@ -229,16 +219,13 @@ func (el *elasticIndex) solve(s *scheduler) {
 	// dispatchPriority — backfilling past a blocked wide high-priority job
 	// would starve it).
 	el.nAdmit = 0
-	for _, r := range s.queue {
+	for _, r := range s.queue.live() {
 		if reserved+r.MinWavelengths > s.effBudget() {
 			break
 		}
 		reserved += r.MinWavelengths
 		el.nAdmit++
-		t := el.tierFor(r.Priority)
-		if t.stamp != solveID { // tier created (or first seen) this solve
-			t.stamp, t.exact, t.hasVeto = solveID, false, false
-		}
+		t := r.tier // resolved at submit, so phase 1 reset its scratch
 		el.insertMember(t, r)
 		if t.exact {
 			t.floorSum += r.MinWavelengths
@@ -252,9 +239,15 @@ func (el *elasticIndex) solve(s *scheduler) {
 	// to its last applied fill. Vetoed widenings re-cap the job at its
 	// current width and trigger another round, exactly like the reference
 	// solver's global re-solve; each round permanently caps at least one
-	// job, so the loop terminates.
+	// job, so the loop terminates. Right after its fill, a tier's members
+	// take the veto check, which also collects the running members whose
+	// width changes (a veto only re-caps this tier in the next round, so
+	// checking before the next tier fills changes nothing). The round
+	// without a veto holds the final targets, and its list is the one
+	// phase 4 applies.
 	for {
 		el.filled = el.filled[:0]
+		el.changed = el.changed[:0]
 		remaining := s.effBudget() - reserved
 		anyVeto := false
 		for _, t := range el.tiers {
@@ -285,11 +278,11 @@ func (el *elasticIndex) solve(s *scheduler) {
 			}
 			el.fillTier(s, t, g, now, delay, solveID)
 			el.filled = append(el.filled, t)
-		}
-		s.solver.TiersTouched += int64(len(el.filled))
-		for _, t := range el.filled {
 			for _, m := range t.members {
-				if m.state == stRunning && m.elTarget > len(m.waves) && !s.widenPays(m, m.elTarget) {
+				if m.state != stRunning || m.elTarget == len(m.waves) {
+					continue
+				}
+				if m.elTarget > len(m.waves) && !s.widenPays(m, m.elTarget) {
 					if s.err != nil {
 						return
 					}
@@ -297,12 +290,12 @@ func (el *elasticIndex) solve(s *scheduler) {
 					m.vetoStamp = solveID
 					t.hasVeto = true
 					anyVeto = true
+					continue
 				}
+				el.changed = append(el.changed, m)
 			}
 		}
-		if s.err != nil {
-			return
-		}
+		s.solver.TiersTouched += int64(len(el.filled))
 		if !anyVeto {
 			break
 		}
@@ -311,15 +304,9 @@ func (el *elasticIndex) solve(s *scheduler) {
 	// Phase 4: apply, in the reference solver's exact order — pause every
 	// changed running member (tiers descending, members in deal order),
 	// reconfigure them in the same order, drop the admitted prefix from
-	// the queue, then start the admitted jobs.
-	el.changed = el.changed[:0]
-	for _, t := range el.filled {
-		for _, m := range t.members {
-			if m.state == stRunning && m.elTarget != len(m.waves) {
-				el.changed = append(el.changed, m)
-			}
-		}
-	}
+	// the queue, then start the admitted jobs. The start pass also
+	// refreshes each filled tier's cached fill state from the applied
+	// assignment.
 	for _, m := range el.changed {
 		s.pause(m)
 	}
@@ -329,30 +316,18 @@ func (el *elasticIndex) solve(s *scheduler) {
 			return
 		}
 	}
-	// Compact in place: re-slicing past the prefix would strand the
-	// queue's front capacity, and every later enqueue would reallocate.
-	n := copy(s.queue, s.queue[el.nAdmit:])
-	clear(s.queue[n:])
-	s.queue = s.queue[:n]
+	// The admitted prefix leaves by moving the queue's head: nothing
+	// shifts, and enqueue reclaims the front slots when the array fills.
+	s.queue.popFront(el.nAdmit)
 	for _, t := range el.filled {
-		for _, m := range t.members {
-			if s.err == nil && m.state == stWaiting {
-				s.start(m, m.elTarget)
-			}
-		}
-	}
-	if s.err != nil {
-		return
-	}
-
-	// Phase 5: refresh the cached fill state of every touched tier from
-	// the applied assignment.
-	for _, t := range el.filled {
-		t.dirty = false
-		t.clean = t.fillClean && !t.hasVeto
 		total := 0
 		minEnd := math.Inf(1)
 		for _, m := range t.members {
+			if m.state == stWaiting {
+				if s.start(m, m.elTarget); s.err != nil {
+					return
+				}
+			}
 			if m.state == stRunning {
 				total += len(m.waves)
 				if end := m.segStart + m.segLen; end < minEnd {
@@ -360,6 +335,8 @@ func (el *elasticIndex) solve(s *scheduler) {
 				}
 			}
 		}
+		t.dirty = false
+		t.clean = t.fillClean && !t.hasVeto
 		t.lastTotal = total
 		t.minEnd = minEnd
 	}
@@ -393,13 +370,14 @@ func (el *elasticIndex) capSumWithVetoes(t *elTier, now, delay float64, solveID 
 // admitted list.
 func (el *elasticIndex) fillTier(s *scheduler, t *elTier, g int, now, delay float64, solveID int64) {
 	t.fillClean = true
+	s.solver.JobsRepriced += int64(len(t.members))
+	caps := el.caps[:0]
 	for _, m := range t.members {
-		s.solver.JobsRepriced++
 		end := m.segStart + m.segLen
 		if m.state == stRunning && now >= end {
 			// Due to complete at this instant: untouched by the solve.
 			m.elTarget = len(m.waves)
-			m.elCap = m.elTarget
+			caps = append(caps, m.elTarget)
 			t.fillClean = false
 			continue
 		}
@@ -413,15 +391,16 @@ func (el *elasticIndex) fillTier(s *scheduler, t *elTier, g int, now, delay floa
 			c = m.vetoCap
 		}
 		m.elTarget = f
-		m.elCap = c
+		caps = append(caps, c)
 	}
+	el.caps = caps
 	for g > 0 {
 		progressed := false
-		for _, m := range t.members {
+		for i, m := range t.members {
 			if g == 0 {
 				break
 			}
-			if m.elTarget < m.elCap {
+			if m.elTarget < caps[i] {
 				m.elTarget++
 				g--
 				progressed = true
@@ -471,7 +450,7 @@ func (s *scheduler) dispatchElasticFull() {
 			cands = append(cands, r)
 		}
 	}
-	cands = append(cands, s.queue...)
+	cands = append(cands, s.queue.live()...)
 	sort.SliceStable(cands, func(a, b int) bool {
 		return jobLess(cands[a], cands[b])
 	})
@@ -614,13 +593,15 @@ func (s *scheduler) dispatchElasticFull() {
 			widths[r] = target[i]
 		}
 	}
-	var keep []*jobRec
-	for _, r := range s.queue {
+	q := s.queue.live()
+	kept := 0
+	for _, r := range q {
 		if !admitted[r] {
-			keep = append(keep, r)
+			q[kept] = r
+			kept++
 		}
 	}
-	s.queue = keep
+	s.queue.truncate(kept)
 	for _, r := range admit {
 		if s.err == nil && admitted[r] {
 			s.start(r, widths[r])

@@ -2,7 +2,9 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,6 +79,13 @@ func assertEquivalent(t *testing.T, name string, budget int, jobs []Job, delay f
 	if err != nil {
 		t.Fatalf("%s: full solve: %v", name, err)
 	}
+	assertSameResult(t, name, inc, full)
+}
+
+// assertSameResult fails unless the incremental and full-solve results
+// agree event for event, job for job and in every aggregate.
+func assertSameResult(t *testing.T, name string, inc, full Result) {
+	t.Helper()
 	if !reflect.DeepEqual(inc.Events, full.Events) {
 		n := len(inc.Events)
 		if len(full.Events) < n {
@@ -133,6 +142,111 @@ func TestElasticIncrementalMatchesFullSolveProperty(t *testing.T) {
 		for _, delay := range []float64{0, 0.1} {
 			name := fmt.Sprintf("ties/seed=%d/delay=%g", seed, delay)
 			assertEquivalent(t, name, 8, tieMix(seed, 14, 8), delay)
+		}
+	}
+}
+
+// deepMix streams jobs into a small fabric far faster than it drains them,
+// so the wait queue runs past a hundred jobs: admission takes prefixes off
+// a deep sorted queue and enqueue reclaims its front slots many times
+// over. Half the jobs share three runtime curves; the rest price privately.
+func deepMix(seed int64, n int) []Job {
+	rng := rand.New(rand.NewSource(seed))
+	shapeWork := []float64{0, 0.5, 1, 2}
+	jobs := make([]Job, n)
+	at := 0.0
+	for i := range jobs {
+		at += rng.ExpFloat64() * 0.05
+		shape := 0
+		if rng.Intn(2) == 0 {
+			shape = 1 + rng.Intn(3)
+		}
+		work := shapeWork[shape]
+		if shape == 0 {
+			work = 0.2 + 2*rng.Float64()
+		}
+		minW := 1 + rng.Intn(2)
+		jobs[i] = Job{
+			Name:               fmt.Sprintf("d%03d", i),
+			ArrivalSec:         at,
+			Priority:           rng.Intn(4),
+			MinWavelengths:     minW,
+			MaxWavelengths:     minW + rng.Intn(5),
+			Iterations:         1 + rng.Intn(3),
+			Shape:              shape,
+			CheckpointEverySec: 0.2,
+			Runtime:            perfectScaling(work),
+		}
+	}
+	return jobs
+}
+
+// maxQueueDepth reads the deepest "queue depth" counter sample from a
+// Perfetto export.
+func maxQueueDepth(t *testing.T, trace []byte) float64 {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Args map[string]any
+		}
+	}
+	if err := json.Unmarshal(trace, &doc); err != nil {
+		t.Fatal(err)
+	}
+	depth := 0.0
+	for _, ev := range doc.TraceEvents {
+		if v, ok := ev.Args["value"].(float64); ok && ev.Ph == "C" && ev.Name == "queue depth" {
+			depth = math.Max(depth, v)
+		}
+	}
+	return depth
+}
+
+// TestElasticIncrementalMatchesFullSolveDeepQueue pins the two solvers bit
+// for bit, Perfetto bytes included, on mixes whose wait queue reaches a
+// depth of 100 or more, with no faults and with wavelength and job faults.
+func TestElasticIncrementalMatchesFullSolveDeepQueue(t *testing.T) {
+	const budget = 8
+	for seed := int64(1); seed <= 3; seed++ {
+		jobs := deepMix(seed, 300)
+		span := jobs[len(jobs)-1].ArrivalSec
+		faulty := faults.Plan{
+			Seed: seed, HorizonSec: 4 * span,
+			WavelengthMTBFSec: span / 4, WavelengthMTTRSec: span / 20,
+			JobFaultMTBFSec: span / 8,
+		}
+		for _, plan := range []faults.Plan{{}, faulty} {
+			for _, delay := range []float64{0, 0.03} {
+				name := fmt.Sprintf("deep/seed=%d/faults=%v/delay=%g", seed, !plan.Empty(), delay)
+				run := func(full bool) (Result, []byte) {
+					rec := obs.New()
+					pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay, fullSolve: full}
+					res, err := Simulate(budget, jobs, pol, plan, SchedOpts{Rec: rec, Proc: "deep"})
+					if err != nil {
+						t.Fatalf("%s (full solve %v): %v", name, full, err)
+					}
+					var buf bytes.Buffer
+					if err := rec.WriteTrace(&buf); err != nil {
+						t.Fatal(err)
+					}
+					return res, buf.Bytes()
+				}
+				inc, incTrace := run(false)
+				full, fullTrace := run(true)
+				assertSameResult(t, name, inc, full)
+				if !bytes.Equal(incTrace, fullTrace) {
+					t.Fatalf("%s: perfetto traces diverge: incremental %d bytes, full %d bytes",
+						name, len(incTrace), len(fullTrace))
+				}
+				if d := maxQueueDepth(t, incTrace); d < 100 {
+					t.Fatalf("%s: deepest wait queue %v, want >= 100", name, d)
+				}
+				if !plan.Empty() && inc.Evictions+inc.JobFaults == 0 {
+					t.Fatalf("%s: faults did not bite", name)
+				}
+			}
 		}
 	}
 }

@@ -407,23 +407,41 @@ type Result struct {
 	Availability float64
 }
 
-// jobRec is the scheduler's mutable view of one job.
+// jobRec is the scheduler's mutable view of one job. The fields a solve
+// reads for every member of a filled tier (state, stripe, segment, solver
+// scratch) sit together right after the Job's wavelength range, so a
+// member costs the solve as few cache lines as possible.
 type jobRec struct {
 	Job
-	idx       int
-	state     int // 0 queued (pre-arrival), 1 waiting, 2 running, 3 done, 4 rejected
-	remaining float64
-	epoch     int
-	waves     []int
-	share     int // occupied share index under StaticPartition, else -1
-	segStart  float64
-	segLen    float64
-	// segPenalty is the leading reconfiguration stall of the current
-	// segment (ElasticReallocate): the job holds wavelengths but makes no
-	// progress during it, so pro-rata work accounting nets it out.
+	idx   int
+	state int // 0 queued (pre-arrival), 1 waiting, 2 running, 3 done, 4 rejected
+	waves []int
+	// The running segment: it started at segStart and completes segLen
+	// later. segPenalty is its leading reconfiguration stall
+	// (ElasticReallocate): the job holds wavelengths but makes no progress
+	// during it, so pro-rata work accounting nets it out.
+	segStart   float64
+	segLen     float64
 	segPenalty float64
-	st         JobStats
-	memo       map[int]float64
+	remaining  float64
+	epoch      int
+	// curve is the scheduler's runtime row for the job's shared Shape
+	// (nil for shape 0, which memoizes privately in memo).
+	curve *runtimeRow
+
+	// Incremental elastic solver state (elastic.go): the tier of the job's
+	// priority (resolved at submit; the job is one of its members from
+	// admission until it stops running), its per-solve fill target, and
+	// the per-solve widen-veto cap (valid when the stamp matches the
+	// current solve number).
+	tier      *elTier
+	elTarget  int
+	vetoCap   int
+	vetoStamp int64
+
+	share int // occupied share index under StaticPartition, else -1
+	st    JobStats
+	memo  map[int]float64
 
 	// Fault-recovery state: spent retry budget, and the checkpoint the job
 	// would roll back to on a crash — the remaining-work fraction at its
@@ -433,15 +451,6 @@ type jobRec struct {
 	ckptRemaining float64
 	ckptService   float64
 
-	// Incremental elastic solver state (elastic.go): the tier this member
-	// belongs to, its per-solve fill target and cap, and the per-solve
-	// widen-veto cap (valid when the stamp matches the current solve
-	// number).
-	tier      *elTier
-	elTarget  int
-	elCap     int
-	vetoCap   int
-	vetoStamp int64
 	// runPos is the job's index in scheduler.liveRun while running (-1
 	// otherwise), for O(1) removal at completion under Lite mode.
 	runPos int
@@ -516,8 +525,8 @@ func Simulate(budget int, jobs []Job, pol Policy, plan faults.Plan, opt SchedOpt
 		return Result{}, err
 	}
 	s.s.ownEng = true
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
+	for i := range jobs {
+		if err := s.Submit(&jobs[i]); err != nil {
 			return Result{}, err
 		}
 	}

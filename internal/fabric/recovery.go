@@ -58,7 +58,7 @@ func (f *Scheduler) Restore() { f.s.restoreFabric() }
 // caller sets it to now plus backoff (and migration cost) and it must not
 // lie in the engine's past; rs.Stats.ArrivalSec keeps the original arrival
 // so end-to-end slowdown spans the whole recovery.
-func (f *Scheduler) SubmitResumed(rs Resubmit) error { return f.s.submitResumed(rs) }
+func (f *Scheduler) SubmitResumed(rs *Resubmit) error { return f.s.submitResumed(rs) }
 
 // effBudget is the live wavelength budget: the configured budget minus
 // wavelengths dark (or pending dark) from injected faults.
@@ -101,6 +101,7 @@ func (s *scheduler) wavelengthsDown(k int) {
 	}
 	s.account()
 	s.darkTarget += k
+	s.unfitScan = true
 	s.emitFault(EvWavelengthDown, k)
 	s.settleDark()
 	// Elastic can shrink tenants to their floors, so it evicts (reverse
@@ -209,19 +210,22 @@ func (s *scheduler) evictRunning(r *jobRec) {
 // parkUnfittable parks every queued job whose minimum exceeds the live
 // (dark-shrunk) budget: it cannot start until wavelengths are restored, and
 // under head-of-line admission it would block the whole queue meanwhile.
-// Inert without dark wavelengths.
+// A queued job only becomes unfittable when the budget falls or when it is
+// queued above it, which set unfitScan; without it the scan would find
+// nothing. Inert without dark wavelengths.
 func (s *scheduler) parkUnfittable() {
-	if s.darkTarget == 0 {
+	if s.darkTarget == 0 || !s.unfitScan {
 		return
 	}
+	s.unfitScan = false
 	eff := s.effBudget()
-	for i := 0; i < len(s.queue); {
-		r := s.queue[i]
+	for i := 0; i < s.queue.depth(); {
+		r := s.queue.live()[i]
 		if r.MinWavelengths <= eff {
 			i++
 			continue
 		}
-		s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		s.queue.remove(i)
 		s.dequeued(r)
 		s.park(r)
 		if s.err != nil {
@@ -380,9 +384,9 @@ func (s *scheduler) outage() []Resubmit {
 	s.account()
 	s.down = true
 	s.outages++
-	victims := make([]*jobRec, 0, len(s.liveRun)+len(s.queue)+len(s.parked))
+	victims := make([]*jobRec, 0, len(s.liveRun)+s.queue.depth()+len(s.parked))
 	victims = append(victims, s.liveRun...)
-	victims = append(victims, s.queue...)
+	victims = append(victims, s.queue.live()...)
 	victims = append(victims, s.parked...)
 	sort.Slice(victims, func(i, j int) bool { return victims[i].idx < victims[j].idx })
 	out := make([]Resubmit, 0, len(victims))
@@ -407,7 +411,7 @@ func (s *scheduler) outage() []Resubmit {
 		}
 		out = append(out, s.evictOut(r))
 	}
-	s.queue = s.queue[:0]
+	s.queue.truncate(0)
 	s.parked = s.parked[:0]
 	s.settleDark() // the pool is idle now; settle any dark backlog
 	return out
@@ -456,8 +460,8 @@ func (s *scheduler) arriveDown(r *jobRec) {
 	s.park(r)
 }
 
-func (s *scheduler) submitResumed(rs Resubmit) error {
-	j := rs.Job
+func (s *scheduler) submitResumed(rs *Resubmit) error {
+	j := &rs.Job
 	if math.IsNaN(j.ArrivalSec) || math.IsInf(j.ArrivalSec, 0) || j.ArrivalSec < s.eng.Now() {
 		return fmt.Errorf("fabric: resumed job %q arrival %v is in the engine's past",
 			j.Name, j.ArrivalSec)
@@ -465,21 +469,21 @@ func (s *scheduler) submitResumed(rs Resubmit) error {
 	if j.Runtime == nil {
 		return fmt.Errorf("fabric: resumed job %q has no runtime function", j.Name)
 	}
-	if j.MinWavelengths < 1 {
-		j.MinWavelengths = 1
+	r := s.newRec(j)
+	if r.MinWavelengths < 1 {
+		r.MinWavelengths = 1
 	}
-	if j.MaxWavelengths == 0 || j.MaxWavelengths > s.budget {
-		j.MaxWavelengths = s.budget
+	if r.MaxWavelengths == 0 || r.MaxWavelengths > s.budget {
+		r.MaxWavelengths = s.budget
 	}
-	if j.MaxWavelengths < j.MinWavelengths {
+	if r.MaxWavelengths < r.MinWavelengths {
 		// Keeps the record well-formed; admission rejects or parks a
 		// minimum beyond this fabric anyway.
-		j.MaxWavelengths = j.MinWavelengths
+		r.MaxWavelengths = r.MinWavelengths
 	}
-	if j.Iterations < 1 {
-		j.Iterations = 1
+	if r.Iterations < 1 {
+		r.Iterations = 1
 	}
-	r := s.newRec(j)
 	r.remaining = rs.Remaining
 	r.ckptRemaining = rs.CkptRemaining
 	r.ckptService = rs.CkptService

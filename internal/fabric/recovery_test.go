@@ -177,7 +177,7 @@ func TestOutageCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sch.Submit(Job{
+	err = sch.Submit(&Job{
 		Name: "a", MaxWavelengths: 1, CheckpointEverySec: 0.25,
 		Runtime: perfectScaling(1.0),
 	})
@@ -194,7 +194,7 @@ func TestOutageCheckpointResume(t *testing.T) {
 		}
 		rs := out[0]
 		rs.Job.ArrivalSec = 0.85
-		if err := sch.SubmitResumed(rs); err != nil {
+		if err := sch.SubmitResumed(&rs); err != nil {
 			t.Error(err)
 		}
 	})

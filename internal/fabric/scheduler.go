@@ -89,7 +89,7 @@ func NewScheduler(eng *sim.Engine, budget int, pol Policy, opt SchedOpts) (*Sche
 		s.shareBusy = make([]bool, len(s.shareWidth))
 	}
 	if pol.Kind == ElasticReallocate && !pol.fullSolve {
-		s.el = newElasticIndex()
+		s.el = &elasticIndex{}
 	}
 	if !opt.Lite {
 		s.seen = map[string]bool{}
@@ -106,8 +106,9 @@ func NewScheduler(eng *sim.Engine, budget int, pol Policy, opt SchedOpts) (*Sche
 // Submit validates one job and schedules its arrival. The arrival must not
 // lie in the engine's past. Under Lite mode names are not deduplicated (and
 // may be empty); otherwise an empty name defaults to "job<n>" in submission
-// order.
-func (f *Scheduler) Submit(j Job) error {
+// order. The scheduler copies *j into its own record and never writes
+// through j, so the caller may reuse it once Submit returns.
+func (f *Scheduler) Submit(j *Job) error {
 	return f.s.submit(j)
 }
 
@@ -149,7 +150,7 @@ type scheduler struct {
 	budget int
 	free   []bool // free[c] = wavelength c unallocated
 	nfree  int
-	queue  []*jobRec
+	queue  waitQueue
 	recs   []*jobRec
 	events []Event
 	seen   map[string]bool // duplicate-name check (nil under Lite)
@@ -159,9 +160,10 @@ type scheduler struct {
 	// policies and for the reference full solver).
 	el *elasticIndex
 
-	// curves caches one-iteration runtimes keyed by (Job.Shape, width) for
-	// shape-sharing jobs; shape-0 jobs memoize privately in jobRec.memo.
-	curves map[int64]float64
+	// curves holds the runtime row of each shared Job.Shape. A record
+	// resolves its row once, in newRec; shape-0 jobs memoize privately in
+	// jobRec.memo.
+	curves map[int]*runtimeRow
 
 	// solver counts scheduling work (always maintained; mirrored to the
 	// recorder at Finalize).
@@ -198,6 +200,10 @@ type scheduler struct {
 	freeRecs  []*jobRec // recycled jobRecs under Lite
 	liveJobs  int       // running + waiting
 	queuedMin int       // Σ MinWavelengths over queued jobs
+	// unfitScan is set when some queued job's minimum may exceed the live
+	// budget: the budget fell, or a job above it was queued. parkUnfittable
+	// scans the queue only then.
+	unfitScan bool
 	prioLoad  map[int]int
 	// agg tallies rejected and completed jobs as they finish under Lite;
 	// full mode tallies its records in order at finalize.
@@ -220,6 +226,9 @@ type scheduler struct {
 	// events), so physically simultaneous events cause one reconfiguration
 	// decision instead of a cascade of transient ones.
 	solvePending bool
+	// afterSolve, when set, runs after every elastic solve; in-package
+	// tests check the wait queue's invariants there.
+	afterSolve func()
 
 	// Engine handlers, registered once per scheduler (register).
 	hArrive, hComplete, hSolve, hRetry, hResumed, hFault sim.HandlerID
@@ -262,43 +271,47 @@ type scheduler struct {
 
 // submit normalizes and validates one job and schedules its arrival,
 // mirroring the historical Simulate validation exactly (same error text,
-// same defaulting).
-func (s *scheduler) submit(j Job) error {
-	if j.Name == "" && !s.lite {
-		j.Name = fmt.Sprintf("job%d", s.nextID)
+// same defaulting). The normalized fields are written to the new record,
+// never through j.
+func (s *scheduler) submit(j *Job) error {
+	name := j.Name
+	if name == "" && !s.lite {
+		name = fmt.Sprintf("job%d", s.nextID)
 	}
 	if s.seen != nil {
-		if s.seen[j.Name] {
-			return fmt.Errorf("fabric: duplicate job name %q", j.Name)
+		if s.seen[name] {
+			return fmt.Errorf("fabric: duplicate job name %q", name)
 		}
-		s.seen[j.Name] = true
+		s.seen[name] = true
 	}
 	if j.ArrivalSec < 0 || math.IsNaN(j.ArrivalSec) || math.IsInf(j.ArrivalSec, 0) {
-		return fmt.Errorf("fabric: job %q arrival %v", j.Name, j.ArrivalSec)
+		return fmt.Errorf("fabric: job %q arrival %v", name, j.ArrivalSec)
 	}
-	if j.MinWavelengths == 0 {
-		j.MinWavelengths = 1
+	minW, maxW, iters := j.MinWavelengths, j.MaxWavelengths, j.Iterations
+	if minW == 0 {
+		minW = 1
 	}
-	if j.MinWavelengths < 1 ||
-		(j.MaxWavelengths != 0 && j.MaxWavelengths < j.MinWavelengths) {
-		return fmt.Errorf("fabric: job %q wavelength range [%d,%d]",
-			j.Name, j.MinWavelengths, j.MaxWavelengths)
+	if minW < 1 || (maxW != 0 && maxW < minW) {
+		return fmt.Errorf("fabric: job %q wavelength range [%d,%d]", name, minW, maxW)
 	}
 	// A minimum beyond the budget is not a spec error: admission control
 	// rejects that job at arrival while the rest of the mix still runs.
-	if j.MaxWavelengths == 0 || j.MaxWavelengths > s.budget {
-		j.MaxWavelengths = s.budget
+	if maxW == 0 || maxW > s.budget {
+		maxW = s.budget
 	}
-	if j.Iterations == 0 {
-		j.Iterations = 1
+	if iters == 0 {
+		iters = 1
 	}
-	if j.Iterations < 1 {
-		return fmt.Errorf("fabric: job %q iterations %d", j.Name, j.Iterations)
+	if iters < 1 {
+		return fmt.Errorf("fabric: job %q iterations %d", name, iters)
 	}
 	if j.Runtime == nil {
-		return fmt.Errorf("fabric: job %q has no runtime function", j.Name)
+		return fmt.Errorf("fabric: job %q has no runtime function", name)
 	}
-	s.enroll(s.newRec(j), s.hArrive)
+	r := s.newRec(j)
+	r.Name, r.st.Name = name, name
+	r.MinWavelengths, r.MaxWavelengths, r.Iterations = minW, maxW, iters
+	s.enroll(r, s.hArrive)
 	return nil
 }
 
@@ -337,6 +350,9 @@ func (s *scheduler) register() {
 		if s.err == nil {
 			s.dispatchElastic()
 		}
+		if s.afterSolve != nil {
+			s.afterSolve()
+		}
 	})
 	s.hRetry = s.eng.Register(func(t int32) { s.retryArrive(s.redeem(t)) })
 	s.hResumed = s.eng.Register(func(t int32) {
@@ -374,8 +390,9 @@ func (s *scheduler) after(delay float64, h sim.HandlerID, r *jobRec) {
 }
 
 // newRec builds (or, under Lite, recycles) the record for the next
-// submission index.
-func (s *scheduler) newRec(j Job) *jobRec {
+// submission index, copying *j into it, and resolves the record's shared
+// curve row and elastic tier once.
+func (s *scheduler) newRec(j *Job) *jobRec {
 	var r *jobRec
 	if n := len(s.freeRecs); n > 0 {
 		r = s.freeRecs[n-1]
@@ -384,23 +401,51 @@ func (s *scheduler) newRec(j Job) *jobRec {
 		r = new(jobRec)
 	}
 	// A recycled record's epoch stays monotonic so stale events never
-	// resurrect.
-	*r = jobRec{
-		Job: j, idx: s.nextID, remaining: 1, share: -1,
-		st:    JobStats{Name: j.Name, ArrivalSec: j.ArrivalSec},
-		epoch: r.epoch, waves: r.waves[:0], runPos: -1, ckptRemaining: 1,
+	// resurrect. The record is cleared and filled field by field: a
+	// composite literal would be built aside and copied over it whole.
+	epoch, waves := r.epoch, r.waves[:0]
+	*r = jobRec{}
+	r.Job = *j
+	r.idx, r.remaining, r.share = s.nextID, 1, -1
+	r.st.Name, r.st.ArrivalSec = j.Name, j.ArrivalSec
+	r.epoch, r.waves, r.runPos, r.ckptRemaining = epoch, waves, -1, 1
+	if j.Shape != 0 {
+		r.curve = s.curveRow(j.Shape)
+	}
+	if s.el != nil {
+		r.tier = s.el.tierFor(j.Priority)
 	}
 	s.nextID++
 	return r
 }
 
+// runtimeRow holds one-iteration runtimes indexed by stripe width; 0 marks
+// a width not priced yet (priceOne rejects non-positive runtimes). Every
+// width a job is priced at is at most the budget.
+type runtimeRow []float64
+
+// curveRow returns (creating on demand) the runtime row of a shared shape.
+// A record holds a pointer to it, which keeps jobRec in its size class.
+func (s *scheduler) curveRow(shape int) *runtimeRow {
+	row := s.curves[shape]
+	if row == nil {
+		if s.curves == nil {
+			s.curves = map[int]*runtimeRow{}
+		}
+		r := make(runtimeRow, s.budget+1)
+		row = &r
+		s.curves[shape] = row
+	}
+	return row
+}
+
 // price returns the job's full-workload runtime (all iterations) at width
-// w, through the shape-keyed curve cache for shape-sharing jobs or the
-// job's private memo otherwise.
+// w, through the shape's runtime row for shape-sharing jobs or the job's
+// private memo otherwise.
 func (s *scheduler) price(r *jobRec, w int) (float64, error) {
-	if r.Shape != 0 {
-		key := int64(r.Shape)<<32 | int64(w)
-		if v, ok := s.curves[key]; ok {
+	if r.curve != nil {
+		row := *r.curve
+		if v := row[w]; v != 0 {
 			s.solver.CurveHits++
 			return v * float64(r.Iterations), nil
 		}
@@ -408,10 +453,7 @@ func (s *scheduler) price(r *jobRec, w int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if s.curves == nil {
-			s.curves = map[int64]float64{}
-		}
-		s.curves[key] = one
+		row[w] = one
 		s.solver.CurveBuilds++
 		return one * float64(r.Iterations), nil
 	}
@@ -555,7 +597,7 @@ func (s *scheduler) emit(r *jobRec, kind EventKind, width int) {
 		}
 		now := s.eng.Now()
 		s.rec.Instant(s.jobTracks[r.idx], kind.String(), now, int64(width))
-		s.rec.Sample(s.queueTk, now, float64(len(s.queue)))
+		s.rec.Sample(s.queueTk, now, float64(s.queue.depth()))
 		s.rec.Sample(s.litTk, now, float64(s.busyNow))
 	}
 }
@@ -653,7 +695,7 @@ func (s *scheduler) admit(r *jobRec) {
 		r.st.Rejected = true
 		s.emit(r, EvReject, 0)
 		if s.lite {
-			s.agg.add(r.st)
+			s.agg.add(&r.st)
 			s.recycle(r)
 		}
 		return
@@ -671,10 +713,82 @@ func (s *scheduler) enqueue(r *jobRec) {
 	if s.prioLoad != nil {
 		s.prioLoad[r.Priority] += r.MinWavelengths
 	}
+	if r.MinWavelengths > s.effBudget() {
+		s.unfitScan = true
+	}
 	if s.el != nil {
 		s.el.enqueue(s, r) // keeps the wait queue sorted by jobLess
 	} else {
-		s.queue = append(s.queue, r)
+		s.queue.insert(s.queue.depth(), r)
+	}
+}
+
+// waitQueue is the scheduler's wait queue: the queued jobs are buf[head:],
+// in queue order. Taking jobs off the front advances head, so admitting a
+// prefix never shifts the rest; insert reclaims the stranded front slots
+// when the backing array is full instead of growing it, so a queue of
+// steady depth never allocates. Every slot outside the live window is nil,
+// so recycled records are not retained.
+type waitQueue struct {
+	buf  []*jobRec
+	head int
+}
+
+// live returns the queued jobs in queue order.
+func (q *waitQueue) live() []*jobRec { return q.buf[q.head:] }
+
+// depth is the number of queued jobs.
+func (q *waitQueue) depth() int { return len(q.buf) - q.head }
+
+// insert puts r at position i of the live window (i == depth appends).
+// With a free slot before the head and i in the front half, the jobs ahead
+// of i shift one slot toward the front instead of the rest shifting back.
+func (q *waitQueue) insert(i int, r *jobRec) {
+	if q.head > 0 && 2*i < q.depth() {
+		q.head--
+		copy(q.buf[q.head:], q.buf[q.head+1:q.head+1+i])
+		q.buf[q.head+i] = r
+		return
+	}
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	i += q.head
+	q.buf = append(q.buf, nil)
+	copy(q.buf[i+1:], q.buf[i:])
+	q.buf[i] = r
+}
+
+// popFront takes the first n queued jobs off the front.
+func (q *waitQueue) popFront(n int) {
+	for end := q.head + n; q.head < end; q.head++ {
+		q.buf[q.head] = nil
+	}
+	q.rewindIfEmpty()
+}
+
+// remove deletes the job at position i of the live window, keeping order.
+func (q *waitQueue) remove(i int) {
+	i += q.head
+	n := copy(q.buf[i:], q.buf[i+1:])
+	q.buf[i+n] = nil
+	q.buf = q.buf[:i+n]
+	q.rewindIfEmpty()
+}
+
+// truncate keeps the first n queued jobs and drops the rest.
+func (q *waitQueue) truncate(n int) {
+	clear(q.buf[q.head+n:])
+	q.buf = q.buf[:q.head+n]
+	q.rewindIfEmpty()
+}
+
+// rewindIfEmpty moves an empty window back to the base of the array.
+func (q *waitQueue) rewindIfEmpty() {
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
 	}
 }
 
@@ -799,7 +913,7 @@ func (s *scheduler) liteFinish(r *jobRec) {
 		s.fail(err)
 		return
 	}
-	s.agg.add(r.st)
+	s.agg.add(&r.st)
 	s.recycle(r)
 }
 
@@ -826,7 +940,7 @@ type tally struct {
 }
 
 // add folds in one rejected or completed job.
-func (t *tally) add(st JobStats) {
+func (t *tally) add(st *JobStats) {
 	if st.Rejected {
 		t.rejected++
 		return
@@ -974,8 +1088,8 @@ func (s *scheduler) dispatch() {
 // head job waiting for one of the wider remainder shares blocks later
 // arrivals.
 func (s *scheduler) dispatchStatic() {
-	for len(s.queue) > 0 {
-		r := s.queue[0]
+	for s.queue.depth() > 0 {
+		r := s.queue.live()[0]
 		desire := r.MaxWavelengths
 		if w := s.shareWidth[0]; desire > w {
 			desire = w
@@ -998,7 +1112,7 @@ func (s *scheduler) dispatchStatic() {
 		if share < 0 {
 			return // no fitting share free; head-of-line waits
 		}
-		s.queue = s.queue[1:]
+		s.queue.popFront(1)
 		width := s.shareWidth[share]
 		if r.MaxWavelengths < width {
 			width = r.MaxWavelengths
@@ -1016,8 +1130,11 @@ func (s *scheduler) dispatchStatic() {
 // whose minimum fits the remaining pool, granting up to its maximum.
 func (s *scheduler) dispatchFirstFit() {
 	s.parkUnfittable()
-	var keep []*jobRec
-	for _, r := range s.queue {
+	// The jobs that stay queued are compacted in place after the scan, so
+	// starts emitted meanwhile sample the queue depth before the dispatch.
+	q := s.queue.live()
+	kept := 0
+	for _, r := range q {
 		if s.err == nil && r.MinWavelengths <= s.nfree {
 			width := r.MaxWavelengths
 			if width > s.nfree {
@@ -1026,20 +1143,22 @@ func (s *scheduler) dispatchFirstFit() {
 			s.start(r, width)
 			continue
 		}
-		keep = append(keep, r)
+		q[kept] = r
+		kept++
 	}
-	s.queue = keep
+	s.queue.truncate(kept)
 }
 
 // dispatchPriority serves the queue in jobLess order, preempting strictly
 // lower-priority running jobs when the pool is short.
 func (s *scheduler) dispatchPriority() {
 	s.parkUnfittable()
-	for s.err == nil && len(s.queue) > 0 {
-		sort.SliceStable(s.queue, func(a, b int) bool {
-			return jobLess(s.queue[a], s.queue[b])
+	for s.err == nil && s.queue.depth() > 0 {
+		q := s.queue.live()
+		sort.SliceStable(q, func(a, b int) bool {
+			return jobLess(q[a], q[b])
 		})
-		head := s.queue[0]
+		head := q[0]
 		if head.MinWavelengths > s.nfree {
 			// Reclaimable width from strictly lower-priority tenants.
 			victims := s.victimsFor(head)
@@ -1057,7 +1176,7 @@ func (s *scheduler) dispatchPriority() {
 				s.preempt(v)
 			}
 		}
-		s.queue = s.queue[1:]
+		s.queue.popFront(1) // preemptions queue at the back; head stays first
 		width := head.MaxWavelengths
 		if width > s.nfree {
 			width = s.nfree
@@ -1113,9 +1232,9 @@ func (s *scheduler) finalize() (Result, error) {
 				if err := s.settle(r); err != nil {
 					return Result{}, err
 				}
-				agg.add(r.st)
+				agg.add(&r.st)
 			case stRejected:
-				agg.add(r.st)
+				agg.add(&r.st)
 			case stFailed:
 			default:
 				return Result{}, fmt.Errorf("fabric: job %q never completed (deadlock?)", r.Name)

@@ -17,8 +17,8 @@ func runLite(t *testing.T, budget int, jobs []Job, pol Policy) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range jobs {
-		if err := sch.Submit(j); err != nil {
+	for i := range jobs {
+		if err := sch.Submit(&jobs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestSchedulerSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok := Job{Name: "a", Runtime: perfectScaling(1)}
-	if err := sch.Submit(ok); err != nil {
+	if err := sch.Submit(&ok); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Job{
@@ -165,7 +165,7 @@ func TestSchedulerSubmitValidation(t *testing.T) {
 		{Name: "e"}, // no runtime
 	}
 	for _, j := range bad {
-		if err := sch.Submit(j); err == nil {
+		if err := sch.Submit(&j); err == nil {
 			t.Fatalf("job %q: expected validation error", j.Name)
 		}
 	}

@@ -129,7 +129,7 @@ type Job struct {
 	CheckpointEverySec float64
 }
 
-func (j Job) validate(i, nFabrics int) error {
+func (j *Job) validate(i, nFabrics int) error {
 	if j.ArrivalSec < 0 || math.IsNaN(j.ArrivalSec) || math.IsInf(j.ArrivalSec, 0) {
 		return fmt.Errorf("fleet: job %d (%q) arrival %v", i, j.Name, j.ArrivalSec)
 	}
@@ -289,10 +289,12 @@ func Simulate(specs []FabricSpec, jobs []Job, rt RuntimeFunc, opt Options) (Resu
 			return Result{}, err
 		}
 	}
-	for i, j := range jobs {
-		if err := j.validate(i, len(specs)); err != nil {
+	nShapes := 0
+	for i := range jobs {
+		if err := jobs[i].validate(i, len(specs)); err != nil {
 			return Result{}, err
 		}
+		nShapes = max(nShapes, jobs[i].Shape+1)
 	}
 	var evs []faults.Event
 	if opt.Faults.Empty() {
@@ -315,7 +317,7 @@ func Simulate(specs []FabricSpec, jobs []Job, rt RuntimeFunc, opt Options) (Resu
 		}
 	}
 
-	f := &fleet{specs: specs, jobs: jobs, rt: rt, opt: opt, evs: evs}
+	f := &fleet{specs: specs, jobs: jobs, rt: rt, opt: opt, evs: evs, nShapes: nShapes}
 	return f.run()
 }
 
@@ -329,9 +331,14 @@ type fleet struct {
 	eng    sim.Engine
 	hFeed  sim.HandlerID // the arrival feeder (feed)
 	scheds []*fabric.Scheduler
-	// rtFns memoizes the per-(fabric, shape) runtime closures so a
-	// million-job trace does not allocate a closure per job.
-	rtFns []map[int]func(w int) (float64, error)
+	// rtFns memoizes the runtime closure of each (fabric, shape), at
+	// fab*nShapes+shape, so a million-job trace does not allocate a
+	// closure per job; nShapes is one past the trace's largest shape.
+	rtFns   []func(w int) (float64, error)
+	nShapes int
+	// fj is the fabric job a placement builds and submits; the scheduler
+	// copies it, so one buffer serves every placement.
+	fj fabric.Job
 
 	placed      []int
 	migrated    []int
@@ -369,7 +376,7 @@ type pendRes struct {
 func (f *fleet) run() (Result, error) {
 	opt := f.opt
 	f.scheds = make([]*fabric.Scheduler, len(f.specs))
-	f.rtFns = make([]map[int]func(w int) (float64, error), len(f.specs))
+	f.rtFns = make([]func(w int) (float64, error), len(f.specs)*f.nShapes)
 	f.placed = make([]int, len(f.specs))
 	f.migrated = make([]int, len(f.specs))
 	f.retry = opt.Faults.Retry.WithDefaults()
@@ -381,7 +388,8 @@ func (f *fleet) run() (Result, error) {
 			f.placeIdx[i] = -1
 		}
 	}
-	for i, spec := range f.specs {
+	for i := range f.specs {
+		spec := &f.specs[i]
 		pol := fabric.Policy{Kind: opt.Policy, ReconfigDelaySec: spec.ReconfigDelaySec}
 		proc := spec.Name
 		if opt.Proc != "" {
@@ -397,7 +405,6 @@ func (f *fleet) run() (Result, error) {
 			return Result{}, err
 		}
 		f.scheds[i] = sch
-		f.rtFns[i] = map[int]func(w int) (float64, error){}
 	}
 
 	f.order = make([]int, len(f.jobs))
@@ -445,18 +452,19 @@ func (f *fleet) feed() {
 // runtimeFor returns the memoized fabric.Job runtime closure for (fab,
 // shape).
 func (f *fleet) runtimeFor(fab, shape int) func(w int) (float64, error) {
-	if fn := f.rtFns[fab][shape]; fn != nil {
+	k := fab*f.nShapes + shape
+	if fn := f.rtFns[k]; fn != nil {
 		return fn
 	}
 	rt := f.rt
 	fn := func(w int) (float64, error) { return rt(fab, shape, w) }
-	f.rtFns[fab][shape] = fn
+	f.rtFns[k] = fn
 	return fn
 }
 
 // place routes job i to a fabric and submits it.
 func (f *fleet) place(i int) {
-	j := f.jobs[i]
+	j := &f.jobs[i]
 	minW := j.MinWavelengths
 	if minW == 0 {
 		minW = 1
@@ -499,35 +507,37 @@ func (f *fleet) migrateTo(fab int) float64 {
 	return f.specs[fab].MigrationCostSec
 }
 
-// fabricJob lowers trace job i to a fabric job arriving at `arrival`. The
-// runtime is left to the caller, since it depends on the target fabric.
-func (f *fleet) fabricJob(i int, arrival float64) fabric.Job {
-	j := f.jobs[i]
+// fabricJob lowers trace job i to a fabric job arriving at `arrival`,
+// built in the fleet's own buffer (valid until the next call). The runtime
+// is left to the caller, since it depends on the target fabric.
+func (f *fleet) fabricJob(i int, arrival float64) *fabric.Job {
+	j := &f.jobs[i]
 	name := j.Name
 	if name == "" && !f.opt.Lite {
 		name = fmt.Sprintf("j%d", i)
 	}
-	return fabric.Job{
-		Name:               name,
-		ArrivalSec:         arrival,
-		Priority:           j.Priority,
-		MinWavelengths:     j.MinWavelengths,
-		MaxWavelengths:     j.MaxWavelengths,
-		Iterations:         j.Iterations,
-		Shape:              j.Shape + 1, // fabric shape 0 = private curve
-		CheckpointEverySec: j.CheckpointEverySec,
-		Tag:                i,
-	}
+	// Field by field: a composite literal would be built aside and then
+	// copied into the buffer.
+	fj := &f.fj
+	fj.Name, fj.ArrivalSec, fj.Priority = name, arrival, j.Priority
+	fj.MinWavelengths, fj.MaxWavelengths = j.MinWavelengths, j.MaxWavelengths
+	fj.Iterations = j.Iterations
+	fj.Shape = j.Shape + 1 // fabric shape 0 = private curve
+	fj.CheckpointEverySec = j.CheckpointEverySec
+	fj.Tag = i
+	fj.Runtime = nil
+	return fj
 }
 
 // choose scores the admissible fabrics under the placement policy and
 // returns the winner (-1 when no fabric can ever admit the job). All
 // tie-breaks are deterministic: better score, then the affinity fabric,
 // then the lowest index.
-func (f *fleet) choose(j Job, minW int) int {
+func (f *fleet) choose(j *Job, minW int) int {
 	best, bestScore := -1, math.Inf(1)
 	desire := j.MaxWavelengths
-	for i, spec := range f.specs {
+	for i := range f.specs {
+		spec := &f.specs[i]
 		if minW > spec.Wavelengths || f.down[i] {
 			continue
 		}
@@ -575,7 +585,7 @@ func (f *fleet) choose(j Job, minW int) int {
 // aloneSec prices the job's solo runtime at its widest grant on fabric i
 // (through the shared shape curves, so this is a cache hit after the first
 // placement of a shape on a fabric).
-func (f *fleet) aloneSec(i int, j Job, spec FabricSpec) (float64, error) {
+func (f *fleet) aloneSec(i int, j *Job, spec *FabricSpec) (float64, error) {
 	w := j.MaxWavelengths
 	if w == 0 || w > spec.Wavelengths {
 		w = spec.Wavelengths

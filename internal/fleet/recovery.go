@@ -158,7 +158,7 @@ func (f *fleet) migrateEvicted(from int, rs fabric.Resubmit) {
 	if minW == 0 {
 		minW = 1
 	}
-	target := f.choose(f.jobs[rs.Job.Tag], minW)
+	target := f.choose(&f.jobs[rs.Job.Tag], minW)
 	if target < 0 {
 		if f.err == nil {
 			f.pendAny = append(f.pendAny, pendRes{from: from, rs: rs})
@@ -177,8 +177,8 @@ func (f *fleet) migrateEvicted(from int, rs fabric.Resubmit) {
 func (f *fleet) submitRecovered(target, from int, rs fabric.Resubmit) {
 	now := f.eng.Now()
 	ji := rs.Job.Tag
-	jb := f.jobs[ji]
-	job := rs.Job
+	jb := &f.jobs[ji]
+	job := &rs.Job
 	delay := f.retry.Delay(rs.Retries)
 	rs.Retries++
 	moved := target != from
@@ -198,8 +198,7 @@ func (f *fleet) submitRecovered(target, from int, rs fabric.Resubmit) {
 		delay += mig
 	}
 	job.ArrivalSec = now + delay
-	rs.Job = job
-	if err := f.scheds[target].SubmitResumed(rs); err != nil {
+	if err := f.scheds[target].SubmitResumed(&rs); err != nil {
 		f.err = err
 		return
 	}
@@ -238,7 +237,7 @@ func (f *fleet) deferArrival(i int) {
 	now := f.eng.Now()
 	fj := f.fabricJob(i, now)
 	f.pendAny = append(f.pendAny, pendRes{from: -1, rs: fabric.Resubmit{
-		Job:           fj,
+		Job:           *fj,
 		Remaining:     1,
 		CkptRemaining: 1,
 		Stats:         fabric.JobStats{Name: fj.Name, ArrivalSec: now},
