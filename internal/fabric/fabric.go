@@ -407,10 +407,7 @@ type Result struct {
 	Availability float64
 }
 
-// jobRec is the scheduler's mutable view of one job. The fields a solve
-// reads for every member of a filled tier (state, stripe, segment, solver
-// scratch) sit together right after the Job's wavelength range, so a
-// member costs the solve as few cache lines as possible.
+// jobRec is the scheduler's mutable view of one job.
 type jobRec struct {
 	Job
 	idx   int

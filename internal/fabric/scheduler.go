@@ -741,15 +741,7 @@ func (q *waitQueue) live() []*jobRec { return q.buf[q.head:] }
 func (q *waitQueue) depth() int { return len(q.buf) - q.head }
 
 // insert puts r at position i of the live window (i == depth appends).
-// With a free slot before the head and i in the front half, the jobs ahead
-// of i shift one slot toward the front instead of the rest shifting back.
 func (q *waitQueue) insert(i int, r *jobRec) {
-	if q.head > 0 && 2*i < q.depth() {
-		q.head--
-		copy(q.buf[q.head:], q.buf[q.head+1:q.head+1+i])
-		q.buf[q.head+i] = r
-		return
-	}
 	if len(q.buf) == cap(q.buf) && q.head > 0 {
 		n := copy(q.buf, q.buf[q.head:])
 		clear(q.buf[n:])

@@ -336,9 +336,6 @@ type fleet struct {
 	// closure per job; nShapes is one past the trace's largest shape.
 	rtFns   []func(w int) (float64, error)
 	nShapes int
-	// fj is the fabric job a placement builds and submits; the scheduler
-	// copies it, so one buffer serves every placement.
-	fj fabric.Job
 
 	placed      []int
 	migrated    []int
@@ -487,7 +484,7 @@ func (f *fleet) place(i int) {
 	f.placed[fab]++
 	fj := f.fabricJob(i, now+delay)
 	fj.Runtime = f.runtimeFor(fab, j.Shape)
-	if err := f.scheds[fab].Submit(fj); err != nil {
+	if err := f.scheds[fab].Submit(&fj); err != nil {
 		f.err = err
 		return
 	}
@@ -507,26 +504,25 @@ func (f *fleet) migrateTo(fab int) float64 {
 	return f.specs[fab].MigrationCostSec
 }
 
-// fabricJob lowers trace job i to a fabric job arriving at `arrival`,
-// built in the fleet's own buffer (valid until the next call). The runtime
-// is left to the caller, since it depends on the target fabric.
-func (f *fleet) fabricJob(i int, arrival float64) *fabric.Job {
+// fabricJob lowers trace job i to a fabric job arriving at `arrival`. The
+// runtime is left to the caller, since it depends on the target fabric.
+func (f *fleet) fabricJob(i int, arrival float64) fabric.Job {
 	j := &f.jobs[i]
 	name := j.Name
 	if name == "" && !f.opt.Lite {
 		name = fmt.Sprintf("j%d", i)
 	}
-	// Field by field: a composite literal would be built aside and then
-	// copied into the buffer.
-	fj := &f.fj
-	fj.Name, fj.ArrivalSec, fj.Priority = name, arrival, j.Priority
-	fj.MinWavelengths, fj.MaxWavelengths = j.MinWavelengths, j.MaxWavelengths
-	fj.Iterations = j.Iterations
-	fj.Shape = j.Shape + 1 // fabric shape 0 = private curve
-	fj.CheckpointEverySec = j.CheckpointEverySec
-	fj.Tag = i
-	fj.Runtime = nil
-	return fj
+	return fabric.Job{
+		Name:               name,
+		ArrivalSec:         arrival,
+		Priority:           j.Priority,
+		MinWavelengths:     j.MinWavelengths,
+		MaxWavelengths:     j.MaxWavelengths,
+		Iterations:         j.Iterations,
+		Shape:              j.Shape + 1, // fabric shape 0 = private curve
+		CheckpointEverySec: j.CheckpointEverySec,
+		Tag:                i,
+	}
 }
 
 // choose scores the admissible fabrics under the placement policy and

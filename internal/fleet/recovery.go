@@ -237,7 +237,7 @@ func (f *fleet) deferArrival(i int) {
 	now := f.eng.Now()
 	fj := f.fabricJob(i, now)
 	f.pendAny = append(f.pendAny, pendRes{from: -1, rs: fabric.Resubmit{
-		Job:           *fj,
+		Job:           fj,
 		Remaining:     1,
 		CkptRemaining: 1,
 		Stats:         fabric.JobStats{Name: fj.Name, ArrivalSec: now},
