@@ -363,11 +363,9 @@ func simulateFabric(cfg Config, jobs []JobSpec, policy FabricPolicy, sess *sessi
 			proc += fmt.Sprintf(" · faults %08x", plan.hash())
 		}
 	}
-	var fp faultsPlan
-	if !plan.Empty() {
-		if fp, err = plan.internal(); err != nil {
-			return FabricResult{}, err
-		}
+	fp, err := plan.internal()
+	if err != nil {
+		return FabricResult{}, err
 	}
 	res, err := fabric.Simulate(cfg.Optical.Wavelengths, inner, pol, fp,
 		fabric.SchedOpts{Rec: rec, Proc: proc, Cancel: cancel})

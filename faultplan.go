@@ -7,9 +7,6 @@ import (
 	"wrht/internal/faults"
 )
 
-// faultsPlan aliases the internal plan type for the simulateFabric plumbing.
-type faultsPlan = faults.Plan
-
 // Fault event kinds for FaultEvent.Kind, matching the strings that appear in
 // exported fabric traces.
 const (

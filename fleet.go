@@ -11,21 +11,9 @@ import (
 // Nodes workers sharing Wavelengths optical wavelengths, with its own
 // elastic reconfiguration delay and inter-fabric migration cost. All other
 // substrate parameters (rates, overheads, BytesPerElem, ...) come from the
-// Config passed to SimulateFleet.
-type FleetFabricSpec struct {
-	// Name labels the fabric in results (default "fabric<i>").
-	Name string
-	// Nodes is this fabric's ring size (>= 2).
-	Nodes int
-	// Wavelengths is this fabric's wavelength budget (>= 1).
-	Wavelengths int
-	// ReconfigDelaySec is this fabric's optical switch settling time under
-	// the elastic policy.
-	ReconfigDelaySec float64
-	// MigrationCostSec is the delay a job pays before starting here when
-	// it is placed away from its affinity fabric.
-	MigrationCostSec float64
-}
+// Config passed to SimulateFleet. It is the fleet layer's own type; its
+// fields are documented there.
+type FleetFabricSpec = fleet.FabricSpec
 
 // FleetShape is one workload shape of a fleet trace: jobs sharing a shape
 // run the same model (or byte count) under the same algorithm, so they
@@ -43,32 +31,10 @@ type FleetShape struct {
 }
 
 // FleetJob is one trace entry: a tenant to be placed on some fabric of the
-// fleet.
-type FleetJob struct {
-	// Name labels the job in per-job results (default "j<i>"; unused under
-	// Lite).
-	Name       string
-	ArrivalSec float64
-	Priority   int
-	// MinWavelengths (default 1, raised to the shape algorithm's
-	// structural floor) and MaxWavelengths (default: the target fabric's
-	// whole budget) bound the stripe grant.
-	MinWavelengths int
-	MaxWavelengths int
-	// Iterations is the number of back-to-back all-reduces (default 1).
-	Iterations int
-	// Shape indexes into SimulateFleet's shapes slice.
-	Shape int
-	// Affinity is the job's home fabric index (-1: no affinity; any first
-	// placement is free, and off-affinity placements pay the target's
-	// MigrationCostSec).
-	Affinity int
-	// CheckpointEverySec is the job's checkpoint interval in productive
-	// service seconds (0: no checkpointing). Only meaningful under a
-	// FaultPlan; checkpoints are fabric-local, so a job recovered onto a
-	// different fabric restarts from scratch.
-	CheckpointEverySec float64
-}
+// fleet. Shape indexes SimulateFleet's shapes slice, and MinWavelengths is
+// raised to the shape algorithm's structural floor. It is the fleet
+// layer's own type; its fields are documented there.
+type FleetJob = fleet.Job
 
 // Fleet placement policies.
 const (
@@ -186,79 +152,16 @@ type FleetResult struct {
 }
 
 // FleetTraceSpec parameterizes a seeded synthetic arrival trace for
-// SimulateFleet. Generation is fully deterministic in the spec.
-type FleetTraceSpec struct {
-	// Kind is "poisson" (exponential gaps), "diurnal" (sinusoidally
-	// rate-modulated), or "heavy-tail" (Pareto gaps with correlated
-	// same-instant bursts).
-	Kind string
-	// Jobs is the trace length; Seed the generator seed; MeanGapSec the
-	// mean inter-arrival gap.
-	Jobs       int
-	Seed       int64
-	MeanGapSec float64
-	// NumShapes and NumFabrics bound the per-job shape and affinity draws.
-	NumShapes  int
-	NumFabrics int
-	// MaxWidth bounds MaxWavelengths draws (default 8); Priorities the
-	// priority levels (default 3).
-	MaxWidth   int
-	Priorities int
-	// PeriodSec/Amplitude shape the diurnal modulation (defaults 86400 and
-	// 0.8); TailAlpha/BurstProb/BurstSize the heavy-tail process (defaults
-	// 1.5, 0.05, 8).
-	PeriodSec float64
-	Amplitude float64
-	TailAlpha float64
-	BurstProb float64
-	BurstSize int
-}
-
-func (s FleetTraceSpec) internal() (fleet.TraceSpec, error) {
-	var kind fleet.TraceKind
-	switch s.Kind {
-	case "", "poisson":
-		kind = fleet.Poisson
-	case "diurnal":
-		kind = fleet.Diurnal
-	case "heavy-tail":
-		kind = fleet.HeavyTail
-	default:
-		return fleet.TraceSpec{}, fmt.Errorf("wrht: unknown trace kind %q", s.Kind)
-	}
-	return fleet.TraceSpec{
-		Kind: kind, Jobs: s.Jobs, Seed: s.Seed, MeanGapSec: s.MeanGapSec,
-		NumShapes: s.NumShapes, NumFabrics: s.NumFabrics,
-		MaxWidth: s.MaxWidth, Priorities: s.Priorities,
-		PeriodSec: s.PeriodSec, Amplitude: s.Amplitude,
-		TailAlpha: s.TailAlpha, BurstProb: s.BurstProb, BurstSize: s.BurstSize,
-	}, nil
-}
+// SimulateFleet: Kind is "poisson" (exponential gaps, the default),
+// "diurnal" (sinusoidally rate-modulated), or "heavy-tail" (Pareto gaps
+// with correlated same-instant bursts). It is the fleet layer's own type;
+// its fields and defaults are documented there.
+type FleetTraceSpec = fleet.TraceSpec
 
 // GenerateFleetTrace generates a seeded synthetic arrival trace. The same
 // spec yields the identical trace on every call.
 func GenerateFleetTrace(spec FleetTraceSpec) ([]FleetJob, error) {
-	inner, err := spec.internal()
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := inner.Gen()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FleetJob, len(jobs))
-	for i, j := range jobs {
-		out[i] = FleetJob{
-			ArrivalSec:     j.ArrivalSec,
-			Priority:       j.Priority,
-			MinWavelengths: j.MinWavelengths,
-			MaxWavelengths: j.MaxWavelengths,
-			Iterations:     j.Iterations,
-			Shape:          j.Shape,
-			Affinity:       j.Affinity,
-		}
-	}
-	return out, nil
+	return spec.Gen()
 }
 
 // SimulateFleet places every job of the trace onto a datacenter of
@@ -277,9 +180,6 @@ func SimulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, jobs []FleetJob, opt FleetOptions, sess *session, cancel func() error) (FleetResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return FleetResult{}, err
-	}
-	if len(fabrics) == 0 {
-		return FleetResult{}, fmt.Errorf("wrht: empty fleet (no fabric specs)")
 	}
 	if len(shapes) == 0 {
 		return FleetResult{}, fmt.Errorf("wrht: no workload shapes")
@@ -305,25 +205,11 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 		return FleetResult{}, err
 	}
 
-	specs := make([]fleet.FabricSpec, len(fabrics))
-	for i, f := range fabrics {
-		name := f.Name
-		if name == "" {
-			name = fmt.Sprintf("fabric%d", i)
-		}
-		specs[i] = fleet.FabricSpec{
-			Name:             name,
-			Nodes:            f.Nodes,
-			Wavelengths:      f.Wavelengths,
-			ReconfigDelaySec: f.ReconfigDelaySec,
-			MigrationCostSec: f.MigrationCostSec,
-		}
-	}
-
 	// Resolve each shape once, then give it one runtime closure per
 	// fabric (the session cache keys on the full config, so fabrics with
 	// equal Nodes share curves).
 	tenants := make([]tenant, len(shapes))
+	floors := make([]int, len(shapes))
 	for si, sh := range shapes {
 		t, err := opticalTenant(cfg, sh.Algorithm, "an optical fabric")
 		if err != nil {
@@ -332,7 +218,7 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 		if t.bytes, err = jobBytes(cfg, JobSpec{Name: fmt.Sprintf("shape%d", si), Model: sh.Model, Bytes: sh.Bytes}); err != nil {
 			return FleetResult{}, fmt.Errorf("wrht: shape %d: %w", si, err)
 		}
-		tenants[si] = t
+		tenants[si], floors[si] = t, t.floor
 	}
 	curves := make([][]func(int) (float64, error), len(fabrics))
 	for fi, f := range fabrics {
@@ -345,30 +231,6 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 	}
 	rt := func(fab, shape, w int) (float64, error) {
 		return curves[fab][shape](w)
-	}
-
-	inner := make([]fleet.Job, len(jobs))
-	for i := range jobs {
-		j := &jobs[i]
-		if j.Shape < 0 || j.Shape >= len(shapes) {
-			return FleetResult{}, fmt.Errorf("wrht: fleet job %d (%q): shape %d with %d shapes",
-				i, j.Name, j.Shape, len(shapes))
-		}
-		minW, err := tenants[j.Shape].minWidth(cfg, j.MinWavelengths, j.MaxWavelengths)
-		if err != nil {
-			return FleetResult{}, fmt.Errorf("wrht: fleet job %d (%q): %w", i, j.Name, err)
-		}
-		inner[i] = fleet.Job{
-			Name:               j.Name,
-			ArrivalSec:         j.ArrivalSec,
-			Priority:           j.Priority,
-			MinWavelengths:     minW,
-			MaxWavelengths:     j.MaxWavelengths,
-			Iterations:         j.Iterations,
-			Shape:              j.Shape,
-			Affinity:           j.Affinity,
-			CheckpointEverySec: j.CheckpointEverySec,
-		}
 	}
 
 	var recovery fleet.RecoveryPolicy
@@ -395,7 +257,7 @@ func simulateFleet(cfg Config, fabrics []FleetFabricSpec, shapes []FleetShape, j
 			proc += fmt.Sprintf(" · faults %08x · %s", opt.Faults.hash(), opt.Recovery)
 		}
 	}
-	res, err := fleet.Simulate(specs, inner, rt, fleet.Options{
+	res, err := fleet.Simulate(fabrics, floors, jobs, rt, fleet.Options{
 		Placement: placement, Policy: pol.Kind, Lite: opt.Lite, Rec: rec, Proc: proc,
 		Faults: fp, Recovery: recovery, Cancel: cancel,
 	})

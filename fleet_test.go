@@ -137,6 +137,30 @@ func TestSimulateFleetValidation(t *testing.T) {
 			_, err := SimulateFleet(cfg, fabs, shapes, bad, FleetOptions{})
 			return err
 		}, "shape 99"},
+		{"negative minimum", func() error {
+			bad := append([]FleetJob(nil), jobs...)
+			bad[1].Name, bad[1].MinWavelengths = "neg-min", -5
+			_, err := SimulateFleet(cfg, fabs, shapes, bad, FleetOptions{})
+			return err
+		}, `job 1 ("neg-min") wavelength range`},
+		{"negative checkpoint interval", func() error {
+			bad := append([]FleetJob(nil), jobs...)
+			bad[2].Name, bad[2].CheckpointEverySec = "neg-ckpt", -3
+			_, err := SimulateFleet(cfg, fabs, shapes, bad, FleetOptions{})
+			return err
+		}, `job 2 ("neg-ckpt") checkpoint interval`},
+		{"cap below the structural floor", func() error {
+			// m=8 needs four wavelengths; only job 3 is capped below that.
+			cfgM := cfg
+			cfgM.WrhtGroupSize = 8
+			bad := append([]FleetJob(nil), jobs...)
+			for i := range bad {
+				bad[i].MaxWavelengths = 0
+			}
+			bad[3].Name, bad[3].MaxWavelengths = "narrow", 2
+			_, err := SimulateFleet(cfgM, fabs, shapes, bad, FleetOptions{})
+			return err
+		}, `job 3 ("narrow") MaxWavelengths 2 below`},
 		{"bad budget", func() error {
 			badFabs := append([]FleetFabricSpec(nil), fabs...)
 			badFabs[1].Wavelengths = -4
@@ -191,5 +215,43 @@ func TestSimulateFleetSoloMatchesFabric(t *testing.T) {
 	}
 	if res.Completed != 1 || res.Migrations != 0 {
 		t.Fatalf("fleet solo outcome: %+v", res)
+	}
+}
+
+// TestSimulateFleetLeavesInputsUnwritten pins that a fleet co-simulation
+// never writes the caller's fabric and job slices, even when it fills in
+// default names, records per-job results and migrates jobs off failed
+// fabrics.
+func TestSimulateFleetLeavesInputsUnwritten(t *testing.T) {
+	cfg := fabricTestConfig()
+	fabs := fleetTestFabrics()
+	for i := range fabs {
+		fabs[i].Name = ""
+	}
+	jobs := fleetTestTrace(t, 40)
+	for i := range jobs {
+		jobs[i].CheckpointEverySec = 1e-3
+	}
+	wantFabs := append([]FleetFabricSpec(nil), fabs...)
+	wantJobs := append([]FleetJob(nil), jobs...)
+	res, err := SimulateFleet(cfg, fabs, fleetTestShapes(), jobs, FleetOptions{
+		Placement: FleetBestFit,
+		Faults: FaultPlan{Seed: 3, HorizonSec: 0.08, JobFaultMTBFSec: 5e-3, Scripted: []FaultEvent{
+			{TimeSec: 0.02, Kind: FaultFabricDown, Fabric: 0},
+			{TimeSec: 0.05, Kind: FaultFabricUp, Fabric: 0},
+		}},
+		Recovery: RecoveryMigrateOnFailure,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outages != 1 || res.Evictions == 0 || res.PerFabric[0].Name != "fabric0" {
+		t.Fatalf("outage not exercised or default names missing: %+v", res)
+	}
+	if !reflect.DeepEqual(fabs, wantFabs) {
+		t.Fatalf("fabric specs written:\n  got  %+v\n  want %+v", fabs, wantFabs)
+	}
+	if !reflect.DeepEqual(jobs, wantJobs) {
+		t.Fatal("jobs written by SimulateFleet")
 	}
 }

@@ -38,7 +38,7 @@ func allocsPerSimulate(t *testing.T, n int) float64 {
 	}
 	var res Result
 	allocs := testing.AllocsPerRun(3, func() {
-		if res, err = Simulate(smallFleet(), jobs, testRT, opt); err != nil {
+		if res, err = Simulate(smallFleet(), testFloors, jobs, testRT, opt); err != nil {
 			t.Fatal(err)
 		}
 	})

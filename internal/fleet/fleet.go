@@ -21,15 +21,20 @@ import (
 	"wrht/internal/stats"
 )
 
-// FabricSpec describes one fabric of the fleet.
+// FabricSpec describes one fabric of the fleet: a ring of Nodes workers
+// sharing Wavelengths optical wavelengths, with its own elastic
+// reconfiguration delay and inter-fabric migration cost. It is also the
+// public wrht.FleetFabricSpec, whose other substrate parameters (rates,
+// overheads, BytesPerElem, ...) come from the Config passed to
+// wrht.SimulateFleet.
 type FabricSpec struct {
 	// Name identifies the fabric in summaries and recorder processes
 	// (default "fabric<i>").
 	Name string
-	// Nodes is the ring size of the fabric (informational at this layer:
-	// the runtime function prices against it).
+	// Nodes is the ring size of the fabric (>= 2; the runtime function
+	// prices against it).
 	Nodes int
-	// Wavelengths is the fabric's wavelength budget.
+	// Wavelengths is the fabric's wavelength budget (>= 1).
 	Wavelengths int
 	// ReconfigDelaySec is the optical switch settling time for elastic
 	// stripe changes on this fabric. Must be >= 0 and finite.
@@ -102,7 +107,8 @@ func (k PlacementKind) validate() error {
 	}
 }
 
-// Job is one trace entry: a tenant to be placed on some fabric.
+// Job is one trace entry: a tenant to be placed on some fabric of the
+// fleet. It is also the public wrht.FleetJob.
 type Job struct {
 	// Name labels the job in per-job stats (default "j<i>"; unused and
 	// left empty under Lite).
@@ -112,24 +118,28 @@ type Job struct {
 	// migration cost before the job enters that fabric's queue.
 	ArrivalSec float64
 	Priority   int
-	// MinWavelengths/MaxWavelengths/Iterations as in fabric.Job (defaults
-	// 1 / fabric budget / 1).
+	// MinWavelengths (default 1, raised to the shape's structural floor)
+	// and MaxWavelengths (default: the target fabric's whole budget) bound
+	// the stripe grant; Iterations is the number of back-to-back
+	// all-reduces (default 1).
 	MinWavelengths int
 	MaxWavelengths int
 	Iterations     int
-	// Shape indexes the job's model/workload shape (0-based); jobs with
-	// the same shape share runtime curves. Must be >= 0.
+	// Shape indexes the job's model/workload shape (0-based, below the
+	// shape count); jobs with the same shape share runtime curves.
 	Shape int
 	// Affinity is the job's home fabric index (where its data already
-	// lives); -1 means no affinity (first placement is free everywhere).
+	// lives); -1 means no affinity (any first placement is free, and
+	// off-affinity placements pay the target's MigrationCostSec).
 	Affinity int
 	// CheckpointEverySec is the job's checkpoint interval in productive
 	// service seconds (0: no checkpointing). Only meaningful with fault
-	// injection; see fabric.Job.CheckpointEverySec.
+	// injection; checkpoints are fabric-local, so a job recovered onto a
+	// different fabric restarts from scratch.
 	CheckpointEverySec float64
 }
 
-func (j *Job) validate(i, nFabrics int) error {
+func (j *Job) validate(i, nFabrics int, floors []int) error {
 	if j.ArrivalSec < 0 || math.IsNaN(j.ArrivalSec) || math.IsInf(j.ArrivalSec, 0) {
 		return fmt.Errorf("fleet: job %d (%q) arrival %v", i, j.Name, j.ArrivalSec)
 	}
@@ -140,12 +150,19 @@ func (j *Job) validate(i, nFabrics int) error {
 	if j.Iterations < 0 {
 		return fmt.Errorf("fleet: job %d (%q) iterations %d", i, j.Name, j.Iterations)
 	}
-	if j.Shape < 0 {
-		return fmt.Errorf("fleet: job %d (%q) shape %d", i, j.Name, j.Shape)
+	if j.Shape < 0 || j.Shape >= len(floors) {
+		return fmt.Errorf("fleet: job %d (%q) shape %d with %d shapes", i, j.Name, j.Shape, len(floors))
+	}
+	if floor := floors[j.Shape]; j.MaxWavelengths != 0 && j.MaxWavelengths < floor {
+		return fmt.Errorf("fleet: job %d (%q) MaxWavelengths %d below shape %d's structural floor of %d wavelengths",
+			i, j.Name, j.MaxWavelengths, j.Shape, floor)
 	}
 	if j.Affinity < -1 || j.Affinity >= nFabrics {
 		return fmt.Errorf("fleet: job %d (%q) affinity %d with %d fabrics",
 			i, j.Name, j.Affinity, nFabrics)
+	}
+	if c := j.CheckpointEverySec; c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+		return fmt.Errorf("fleet: job %d (%q) checkpoint interval %v", i, j.Name, c)
 	}
 	return nil
 }
@@ -265,9 +282,12 @@ type Result struct {
 }
 
 // Simulate places every job of the trace onto the fleet and co-simulates
-// all fabrics on one shared event timeline. Deterministic: same specs,
-// jobs, and options produce the identical Result.
-func Simulate(specs []FabricSpec, jobs []Job, rt RuntimeFunc, opt Options) (Result, error) {
+// all fabrics on one shared event timeline. floors has one entry per
+// workload shape: the smallest stripe grant that shape can run with (0 or
+// 1 when it has none), which raises every job's MinWavelengths. Simulate
+// writes none of specs, floors and jobs. Deterministic: same inputs
+// produce the identical Result.
+func Simulate(specs []FabricSpec, floors []int, jobs []Job, rt RuntimeFunc, opt Options) (Result, error) {
 	if len(specs) == 0 {
 		return Result{}, fmt.Errorf("fleet: empty fleet (no fabric specs)")
 	}
@@ -289,12 +309,10 @@ func Simulate(specs []FabricSpec, jobs []Job, rt RuntimeFunc, opt Options) (Resu
 			return Result{}, err
 		}
 	}
-	nShapes := 0
 	for i := range jobs {
-		if err := jobs[i].validate(i, len(specs)); err != nil {
+		if err := jobs[i].validate(i, len(specs), floors); err != nil {
 			return Result{}, err
 		}
-		nShapes = max(nShapes, jobs[i].Shape+1)
 	}
 	var evs []faults.Event
 	if opt.Faults.Empty() {
@@ -317,25 +335,25 @@ func Simulate(specs []FabricSpec, jobs []Job, rt RuntimeFunc, opt Options) (Resu
 		}
 	}
 
-	f := &fleet{specs: specs, jobs: jobs, rt: rt, opt: opt, evs: evs, nShapes: nShapes}
+	f := &fleet{specs: specs, floors: floors, jobs: jobs, rt: rt, opt: opt, evs: evs}
 	return f.run()
 }
 
 // fleet is one co-simulation in flight.
 type fleet struct {
-	specs []FabricSpec
-	jobs  []Job
-	rt    RuntimeFunc
-	opt   Options
+	specs  []FabricSpec
+	floors []int // per-shape structural floor (see Simulate)
+	jobs   []Job
+	rt     RuntimeFunc
+	opt    Options
 
 	eng    sim.Engine
 	hFeed  sim.HandlerID // the arrival feeder (feed)
 	scheds []*fabric.Scheduler
 	// rtFns memoizes the runtime closure of each (fabric, shape), at
-	// fab*nShapes+shape, so a million-job trace does not allocate a
-	// closure per job; nShapes is one past the trace's largest shape.
-	rtFns   []func(w int) (float64, error)
-	nShapes int
+	// fab*len(floors)+shape, so a million-job trace does not allocate a
+	// closure per job.
+	rtFns []func(w int) (float64, error)
 
 	placed      []int
 	migrated    []int
@@ -373,7 +391,7 @@ type pendRes struct {
 func (f *fleet) run() (Result, error) {
 	opt := f.opt
 	f.scheds = make([]*fabric.Scheduler, len(f.specs))
-	f.rtFns = make([]func(w int) (float64, error), len(f.specs)*f.nShapes)
+	f.rtFns = make([]func(w int) (float64, error), len(f.specs)*len(f.floors))
 	f.placed = make([]int, len(f.specs))
 	f.migrated = make([]int, len(f.specs))
 	f.retry = opt.Faults.Retry.WithDefaults()
@@ -449,7 +467,7 @@ func (f *fleet) feed() {
 // runtimeFor returns the memoized fabric.Job runtime closure for (fab,
 // shape).
 func (f *fleet) runtimeFor(fab, shape int) func(w int) (float64, error) {
-	k := fab*f.nShapes + shape
+	k := fab*len(f.floors) + shape
 	if fn := f.rtFns[k]; fn != nil {
 		return fn
 	}
@@ -459,13 +477,16 @@ func (f *fleet) runtimeFor(fab, shape int) func(w int) (float64, error) {
 	return fn
 }
 
+// minWidth is job j's smallest admissible grant: its own minimum raised
+// to its shape's structural floor.
+func (f *fleet) minWidth(j *Job) int {
+	return max(j.MinWavelengths, f.floors[j.Shape])
+}
+
 // place routes job i to a fabric and submits it.
 func (f *fleet) place(i int) {
 	j := &f.jobs[i]
-	minW := j.MinWavelengths
-	if minW == 0 {
-		minW = 1
-	}
+	minW := f.minWidth(j)
 	fab := f.choose(j, minW)
 	if fab < 0 {
 		if f.err == nil && f.anyDownFits(minW) {
@@ -516,7 +537,7 @@ func (f *fleet) fabricJob(i int, arrival float64) fabric.Job {
 		Name:               name,
 		ArrivalSec:         arrival,
 		Priority:           j.Priority,
-		MinWavelengths:     j.MinWavelengths,
+		MinWavelengths:     f.minWidth(j),
 		MaxWavelengths:     j.MaxWavelengths,
 		Iterations:         j.Iterations,
 		Shape:              j.Shape + 1, // fabric shape 0 = private curve

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -23,6 +24,9 @@ func smallFleet() []FabricSpec {
 	}
 }
 
+// testFloors gives smallTrace's four shapes no structural floor.
+var testFloors = []int{1, 1, 1, 1}
+
 func smallTrace(t *testing.T, n int) []Job {
 	t.Helper()
 	jobs, err := TraceSpec{
@@ -37,7 +41,7 @@ func smallTrace(t *testing.T, n int) []Job {
 
 func mustFleet(t *testing.T, specs []FabricSpec, jobs []Job, opt Options) Result {
 	t.Helper()
-	res, err := Simulate(specs, jobs, testRT, opt)
+	res, err := Simulate(specs, testFloors, jobs, testRT, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +75,17 @@ func TestFleetValidation(t *testing.T) {
 			jobs, testRT, Options{}, "migration cost"},
 		{"negative arrival", ok, []Job{{ArrivalSec: -1}}, testRT, Options{}, "arrival"},
 		{"bad range", ok, []Job{{MinWavelengths: 5, MaxWavelengths: 2}}, testRT, Options{}, "wavelength range"},
+		{"negative minimum", ok, []Job{{MinWavelengths: -5}}, testRT, Options{}, "wavelength range"},
 		{"bad shape", ok, []Job{{Shape: -1}}, testRT, Options{}, "shape"},
+		{"shape past floors", ok, []Job{{Name: "x", Shape: 4}}, testRT, Options{}, "shape 4 with 4 shapes"},
 		{"bad affinity", ok, []Job{{Affinity: 3}}, testRT, Options{}, "affinity"},
 		{"bad affinity low", ok, []Job{{Affinity: -2}}, testRT, Options{}, "affinity"},
 		{"bad iterations", ok, []Job{{Iterations: -1}}, testRT, Options{}, "iterations"},
+		{"negative checkpoint", ok, []Job{{CheckpointEverySec: -3}}, testRT, Options{}, "checkpoint interval"},
+		{"inf checkpoint", ok, []Job{{CheckpointEverySec: math.Inf(1)}}, testRT, Options{}, "checkpoint interval"},
 	}
 	for _, c := range cases {
-		_, err := Simulate(c.specs, c.jobs, c.rt, c.opt)
+		_, err := Simulate(c.specs, testFloors, c.jobs, c.rt, c.opt)
 		if err == nil {
 			t.Fatalf("%s: expected error", c.name)
 		}
@@ -219,5 +227,60 @@ func TestFleetSolverStatsAggregate(t *testing.T) {
 	}
 	if res.Solver.CurveHits == 0 {
 		t.Fatalf("shape curve cache never hit on a 60-job 4-shape trace: %+v", res.Solver)
+	}
+}
+
+// TestFleetStructuralFloor pins that a shape's floor raises every job's
+// minimum grant: under elastic reallocation, which shrinks tenants to
+// their minimums, no job of a floor-3 shape ever starts, or is priced,
+// below three wavelengths. A cap below the floor is rejected up front.
+func TestFleetStructuralFloor(t *testing.T) {
+	floors := []int{3}
+	rt := func(fab, shape, w int) (float64, error) {
+		if w < floors[shape] {
+			return 0, fmt.Errorf("shape %d priced at width %d", shape, w)
+		}
+		return testRT(fab, shape, w)
+	}
+	jobs, err := TraceSpec{
+		Kind: Poisson, Jobs: 60, Seed: 42, MeanGapSec: 0.02,
+		NumShapes: 1, NumFabrics: 3, MaxWidth: 8,
+	}.Gen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		jobs[i].MaxWavelengths = max(jobs[i].MaxWavelengths, 3)
+	}
+	res, err := Simulate(smallFleet(), floors, jobs, rt, Options{
+		Placement: BestFit, Policy: fabric.ElasticReallocate,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := 0
+	for _, f := range res.PerFabric {
+		for _, ev := range f.Result.Events {
+			if ev.Kind == fabric.EvStart {
+				starts++
+				if ev.Wavelengths < 3 {
+					t.Fatalf("fabric %q started %q on %d wavelengths", f.Name, ev.Job, ev.Wavelengths)
+				}
+			}
+		}
+	}
+	if starts == 0 || res.Completed == 0 || len(res.PerJob) != len(jobs) {
+		t.Fatalf("%d starts, %d completed, %d per-job records", starts, res.Completed, len(res.PerJob))
+	}
+	for _, p := range res.PerJob {
+		if !p.Stats.Rejected && p.Stats.Width < 3 {
+			t.Fatalf("job %q ran on %d wavelengths", p.Name, p.Stats.Width)
+		}
+	}
+
+	jobs[7].MaxWavelengths = 2
+	if _, err := Simulate(smallFleet(), floors, jobs, rt, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "job 7") || !strings.Contains(err.Error(), "floor") {
+		t.Fatalf("cap below the floor: error %v", err)
 	}
 }

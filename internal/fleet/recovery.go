@@ -154,11 +154,8 @@ func (f *fleet) dropStats(rs *fabric.Resubmit) {
 // migrateEvicted re-places one evicted job on the best surviving fabric, or
 // parks it until the first repair when nothing admissible is up.
 func (f *fleet) migrateEvicted(from int, rs fabric.Resubmit) {
-	minW := rs.Job.MinWavelengths
-	if minW == 0 {
-		minW = 1
-	}
-	target := f.choose(&f.jobs[rs.Job.Tag], minW)
+	j := &f.jobs[rs.Job.Tag]
+	target := f.choose(j, f.minWidth(j))
 	if target < 0 {
 		if f.err == nil {
 			f.pendAny = append(f.pendAny, pendRes{from: from, rs: rs})

@@ -6,20 +6,18 @@ import (
 	"math/rand"
 )
 
-// TraceKind selects the synthetic arrival process.
-type TraceKind int
-
+// Trace kinds for TraceSpec.Kind.
 const (
-	// Poisson draws i.i.d. exponential inter-arrival gaps with mean
-	// MeanGapSec.
-	Poisson TraceKind = iota
+	// Poisson (the default) draws i.i.d. exponential inter-arrival gaps
+	// with mean MeanGapSec.
+	Poisson = "poisson"
 	// Diurnal modulates the Poisson rate sinusoidally with period
 	// PeriodSec and relative amplitude Amplitude (day/night load swing).
-	Diurnal
+	Diurnal = "diurnal"
 	// HeavyTail draws Pareto(alpha=TailAlpha) gaps with mean MeanGapSec
 	// and, with probability BurstProb per arrival, lands BurstSize jobs on
 	// the same instant (correlated burst arrivals).
-	HeavyTail
+	HeavyTail = "heavy-tail"
 )
 
 // MaxTraceJobs bounds generated trace length: traces materialize as a
@@ -27,24 +25,12 @@ const (
 // instead of erroring.
 const MaxTraceJobs = 1_000_000
 
-func (k TraceKind) String() string {
-	switch k {
-	case Poisson:
-		return "poisson"
-	case Diurnal:
-		return "diurnal"
-	case HeavyTail:
-		return "heavy-tail"
-	default:
-		return fmt.Sprintf("TraceKind(%d)", int(k))
-	}
-}
-
 // TraceSpec parameterizes a seeded synthetic arrival trace. Generation is
 // fully deterministic in the spec: the same spec yields the byte-identical
 // job slice regardless of GOMAXPROCS or call site.
 type TraceSpec struct {
-	Kind TraceKind
+	// Kind is Poisson (default), Diurnal or HeavyTail.
+	Kind string
 	// Jobs is the trace length (10^5-10^6 is the intended regime).
 	Jobs int
 	Seed int64
@@ -78,6 +64,9 @@ type TraceSpec struct {
 
 // withDefaults fills zero-valued optional fields.
 func (s TraceSpec) withDefaults() TraceSpec {
+	if s.Kind == "" {
+		s.Kind = Poisson
+	}
 	if s.MaxWidth == 0 {
 		s.MaxWidth = 8
 	}
@@ -110,7 +99,7 @@ func (s TraceSpec) Validate() error {
 	switch s.Kind {
 	case Poisson, Diurnal, HeavyTail:
 	default:
-		return fmt.Errorf("fleet: unknown trace kind %d", int(s.Kind))
+		return fmt.Errorf("fleet: unknown trace kind %q", s.Kind)
 	}
 	if s.Jobs < 1 {
 		return fmt.Errorf("fleet: trace job count %d (need >= 1)", s.Jobs)

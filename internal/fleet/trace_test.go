@@ -19,7 +19,7 @@ func TestTraceSpecValidation(t *testing.T) {
 		mutate func(*TraceSpec)
 		want   string
 	}{
-		{"bad kind", func(s *TraceSpec) { s.Kind = TraceKind(7) }, "trace kind"},
+		{"bad kind", func(s *TraceSpec) { s.Kind = "uniform" }, "trace kind"},
 		{"zero jobs", func(s *TraceSpec) { s.Jobs = 0 }, "job count"},
 		{"negative gap", func(s *TraceSpec) { s.MeanGapSec = -1 }, "mean gap"},
 		{"nan gap", func(s *TraceSpec) { s.MeanGapSec = math.NaN() }, "mean gap"},
