@@ -642,7 +642,39 @@ func resultDigests(t *testing.T) map[string]uint64 {
 			}
 		}
 	}
+	floorDigests(t, ss, out)
 	return out
+}
+
+// floorDigests adds fleet cases with a fixed group size m=8, so every
+// shape runs above a structural floor of 4 wavelengths (the least w with
+// core.MaxGroupSize(w) >= 8): all of the edge fabric, half of pod-c. The
+// trace's maxima are raised to the floor so validation accepts every job.
+func floorDigests(t *testing.T, ss *SweepSession, out map[string]uint64) {
+	cfg := DefaultConfig(32)
+	cfg.WrhtGroupSize = 8
+	jobs := digestFleetTrace(t, 1)
+	for i := range jobs {
+		jobs[i].MaxWavelengths = max(jobs[i].MaxWavelengths, 4)
+	}
+	for _, placement := range []string{FleetLeastLoaded, FleetBestFit, FleetPriorityAware} {
+		for _, pol := range []string{FabricElastic, FabricPriority, FabricFirstFit} {
+			for _, recovery := range []string{"", RecoveryMigrateOnFailure} {
+				opt := FleetOptions{Placement: placement, Policy: FabricPolicy{Kind: pol}}
+				name := fmt.Sprintf("fleet/m8/seed1/%s/%s", placement, pol)
+				if recovery != "" {
+					opt.Faults = digestFleetPlan()
+					opt.Recovery = recovery
+					name += "/" + recovery
+				}
+				res, err := ss.SimulateFleet(cfg, digestFleetFabrics(), digestFleetShapes(), jobs, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				out[name] = resultDigest(res)
+			}
+		}
+	}
 }
 
 // digestWrhtConfig draws one seeded Wrht configuration: n nodes on w
@@ -712,7 +744,8 @@ func pricingDigests(t *testing.T, out map[string]uint64) {
 // TestResultDigestsGolden pins the exact output of Wrht pricing and of the
 // fabric and fleet co-simulations: the seeded pricing cases of
 // pricingDigests, every placement × policy × Lite/full × recovery policy on
-// two seeded churn traces, and two tenant mixes under every fabric policy
+// two seeded churn traces, every placement × policy on one of them above a
+// structural width floor (floorDigests), and two tenant mixes under every fabric policy
 // with and without faults. Each case carries its own digest, so a failure
 // names the case whose result moved. The digests are those of an amd64
 // build; where the compiler fuses multiply-adds (arm64, ppc64le, s390x,
@@ -754,6 +787,24 @@ var goldenDigests = map[string]uint64{
 	"fabric/prio/wavelength+job/elastic":                              0x473394af00d2b7af,
 	"fabric/prio/wavelength+job/first-fit":                            0x2c44b35a2a24c8aa,
 	"fabric/prio/wavelength+job/priority":                             0x773c21b45c338d68,
+	"fleet/m8/seed1/best-fit/elastic":                                 0xe0d3215bc603aa89,
+	"fleet/m8/seed1/best-fit/elastic/migrate":                         0x0b9bbdf9bfd36e90,
+	"fleet/m8/seed1/best-fit/first-fit":                               0x31f0831dbad47f37,
+	"fleet/m8/seed1/best-fit/first-fit/migrate":                       0xd12a6e7009c1f49b,
+	"fleet/m8/seed1/best-fit/priority":                                0x4b83301c4dce61b2,
+	"fleet/m8/seed1/best-fit/priority/migrate":                        0x2e5cd6836e0f62b3,
+	"fleet/m8/seed1/least-loaded/elastic":                             0xa6a7d5352d328de9,
+	"fleet/m8/seed1/least-loaded/elastic/migrate":                     0xdc5a4d5302dfb72f,
+	"fleet/m8/seed1/least-loaded/first-fit":                           0x2d3e766459b4bac9,
+	"fleet/m8/seed1/least-loaded/first-fit/migrate":                   0x563f6dc01e489f21,
+	"fleet/m8/seed1/least-loaded/priority":                            0x6180f0426279bae8,
+	"fleet/m8/seed1/least-loaded/priority/migrate":                    0x485d3fe0aa7860cb,
+	"fleet/m8/seed1/priority-aware/elastic":                           0x8682e9f9bbf8fa2c,
+	"fleet/m8/seed1/priority-aware/elastic/migrate":                   0x6107420118c625ad,
+	"fleet/m8/seed1/priority-aware/first-fit":                         0xb6ddcd397de10e23,
+	"fleet/m8/seed1/priority-aware/first-fit/migrate":                 0x0f2add9b0931e2f8,
+	"fleet/m8/seed1/priority-aware/priority":                          0x9b9d5389067a162f,
+	"fleet/m8/seed1/priority-aware/priority/migrate":                  0xfeae73e2afa60587,
 	"fleet/seed1/best-fit/elastic/lite=false":                         0xf8dc98ae4224821e,
 	"fleet/seed1/best-fit/elastic/lite=false/fail-fast":               0xffe4881307080fb8,
 	"fleet/seed1/best-fit/elastic/lite=false/migrate":                 0x985435c7ef99fa38,

@@ -144,17 +144,6 @@ func CeilLogM(m, n int) int {
 	return l
 }
 
-// MStar returns the paper's representative count at the last level,
-// m* = ⌈N / m^(⌈log_m N⌉−1)⌉.
-func MStar(n, m int) int {
-	l := CeilLogM(m, n)
-	p := 1
-	for i := 0; i < l-1; i++ {
-		p *= m
-	}
-	return (n + p - 1) / p
-}
-
 // MaxGroupSize returns the largest feasible m for w wavelengths: the tree
 // step needs ⌊m/2⌋ ≤ w, so m ≤ 2w+1.
 func MaxGroupSize(w int) int { return 2*w + 1 }

@@ -31,6 +31,17 @@ func TestCeilLogM(t *testing.T) {
 	}
 }
 
+// MStar returns the paper's representative count at the last level,
+// m* = ⌈N / m^(⌈log_m N⌉−1)⌉.
+func MStar(n, m int) int {
+	l := CeilLogM(m, n)
+	p := 1
+	for i := 0; i < l-1; i++ {
+		p *= m
+	}
+	return (n + p - 1) / p
+}
+
 func TestMStar(t *testing.T) {
 	// Paper: m* = ⌈N / m^(⌈log_m N⌉−1)⌉
 	cases := []struct{ n, m, want int }{

@@ -5,16 +5,15 @@ import (
 	"sort"
 )
 
-// This file holds both elastic solvers. dispatchElasticFull is the
-// reference: a from-scratch three-pass solve over the whole live tenant set
-// on every arrival/departure, exactly as documented on ElasticReallocate.
-// elasticIndex.solve is the production incremental solver: live tenants are
-// indexed by priority tier with cached fill state, so a solve visits only
+// This file holds the elastic solver. elasticIndex.solve indexes live
+// tenants by priority tier with cached fill state, so a solve visits only
 // the tiers whose water level can actually change and proves the rest
-// untouched in O(1) per tier. The two are bit-identical — same events, same
-// stats, same recorder traces — which the equivalence property tests pin;
-// the incremental solver is what makes million-event traces affordable
-// (solver work scales with the churned tiers, not the live set).
+// untouched in O(1) per tier; solver work scales with the churned tiers,
+// not the live set, which is what makes million-event traces affordable.
+// Its semantics are those documented on ElasticReallocate. A from-scratch
+// reference solver that walks every record on every solve lives in the
+// package's tests, which hold the two bit-identical: same events, same
+// stats, same recorder traces.
 
 // jobLess is the scheduling order shared by the priority and elastic
 // policies: priority descending, then arrival ascending, then admission
@@ -45,21 +44,26 @@ func (s *scheduler) widenPays(r *jobRec, width int) bool {
 	return now+s.pol.ReconfigDelaySec+tail*r.remainingAt(now) < r.segStart+r.segLen
 }
 
-// dispatchElastic routes an elastic solve to the incremental tier index,
-// or to the reference full solver when Policy.fullSolve asks for it.
+// elasticReference, when set, replaces the incremental solver for every
+// scheduler NewScheduler builds meanwhile: the scheduler keeps no tier
+// index and a FIFO wait queue, and dispatchElastic hands each whole solve
+// to the hook. It is nil in production; only the package's tests set it,
+// to run the reference solver.
+var elasticReference func(*scheduler)
+
+// dispatchElastic runs an elastic solve on the incremental tier index.
 // Queued jobs whose floor no longer fits a dark-shrunk budget are parked
-// first (identically for both solvers, keeping them equivalent), and freed
-// capacity settles dark after the solve.
+// first, and freed capacity settles dark after the solve.
 func (s *scheduler) dispatchElastic() {
+	if s.el == nil {
+		elasticReference(s)
+		return
+	}
 	s.parkUnfittable()
 	if s.err != nil {
 		return
 	}
-	if s.el != nil {
-		s.el.solve(s)
-	} else {
-		s.dispatchElasticFull()
-	}
+	s.el.solve(s)
 	if s.err == nil {
 		s.settleDark()
 	}
@@ -171,8 +175,9 @@ func (el *elasticIndex) removeMember(r *jobRec) {
 	t.dirty = true
 }
 
-// solve is the incremental elastic re-solve: bit-identical in effect to
-// dispatchElasticFull, but an event only pays for the tiers it can touch.
+// solve is the elastic re-solve: bit-identical in effect to the reference
+// solver's from-scratch pass, but an event only pays for the tiers it can
+// touch.
 func (el *elasticIndex) solve(s *scheduler) {
 	now := s.eng.Now()
 	s.solver.Solves++
@@ -408,203 +413,6 @@ func (el *elasticIndex) fillTier(s *scheduler, t *elTier, g int, now, delay floa
 		}
 		if !progressed {
 			break
-		}
-	}
-}
-
-// dispatchElasticFull re-solves the stripe assignment for the live tenant
-// set (running plus queued) from scratch, in three passes:
-//
-//  1. admission — running jobs always keep at least their minimum (elastic
-//     shrinks, it never fully preempts); queued jobs are admitted in
-//     (priority desc, arrival asc, admission index asc) order until the
-//     first one whose minimum no longer fits, which blocks the rest of the
-//     queue (head-of-line, like dispatchPriority — backfilling past a
-//     blocked wide high-priority job would starve it);
-//  2. target widths — tiered water-filling: every admitted job starts at
-//     its minimum, then the surplus is dealt one wavelength at a time
-//     round-robin within each priority tier (highest tier saturates to its
-//     MaxWavelengths before the next tier sees any surplus);
-//  3. apply — changed running jobs are paused (work credited pro-rata),
-//     then restarted at their new width with the reconfiguration penalty;
-//     newly admitted jobs start penalty-free. A widening whose projected
-//     completion (now + penalty + re-priced tail) is not strictly earlier
-//     than the current segment's is skipped — near the end of a run the
-//     settling stall outweighs any wider stripe — and a job due to finish
-//     within the settling delay is pinned at its current width (its
-//     departure frees capacity sooner than a stalled resize would).
-//
-// All orderings are deterministic, so the co-simulation stays reproducible.
-// This is the reference implementation the incremental solver is proven
-// against; it walks every record on every solve, so it is only selected by
-// the in-package equivalence tests (Policy.fullSolve).
-func (s *scheduler) dispatchElasticFull() {
-	now := s.eng.Now()
-	s.solver.Solves++
-	var cands []*jobRec
-	for _, r := range s.recs {
-		// A running segment due to complete at this very instant is left
-		// alone: its pending completion event (same timestamp, later
-		// sequence) frees the wavelengths and re-enters this solver.
-		if r.state == stRunning && now < r.segStart+r.segLen {
-			cands = append(cands, r)
-		}
-	}
-	cands = append(cands, s.queue.live()...)
-	sort.SliceStable(cands, func(a, b int) bool {
-		return jobLess(cands[a], cands[b])
-	})
-
-	// A running job due to finish within the settling delay is pinned at
-	// its current width: shrinking it can never pay — its natural departure
-	// frees the capacity sooner than a stalled resize would — and any
-	// widening would fail the widen guard anyway. Without the pin, an
-	// ill-timed arrival could stall a nearly-done job for the full delay
-	// and leave elastic strictly worse than grant-once first-fit.
-	pinned := func(r *jobRec) bool {
-		return r.state == stRunning && r.segStart+r.segLen-now <= s.pol.ReconfigDelaySec
-	}
-	// floor is the width a running job must keep through the solve: its
-	// minimum normally, its exact current width when pinned.
-	floor := func(r *jobRec) int {
-		if pinned(r) {
-			return len(r.waves)
-		}
-		return r.MinWavelengths
-	}
-
-	// Pass 1: admission. Running jobs' floors are pre-reserved; queued
-	// jobs join strictly in priority order while their minimums still fit.
-	// Admission stops at the first queued job that does not fit (matching
-	// dispatchPriority's head-of-line semantics): letting later
-	// lower-priority arrivals backfill past a blocked wide high-priority
-	// job would starve it indefinitely under a steady low-priority stream.
-	reserved := 0
-	for _, r := range cands {
-		if r.state == stRunning {
-			reserved += floor(r)
-		}
-	}
-	var admit []*jobRec
-	blocked := false
-	for _, r := range cands {
-		if r.state == stRunning {
-			// Running jobs always stay in the solve (they keep at least
-			// their minimum and share in the water-fill), even when they
-			// sort below a blocked queued job.
-			admit = append(admit, r)
-			continue
-		}
-		if blocked || reserved+r.MinWavelengths > s.effBudget() {
-			blocked = true
-			continue
-		}
-		reserved += r.MinWavelengths
-		admit = append(admit, r)
-	}
-
-	// Pass 2: tiered water-filling over the admitted set. Fill caps start
-	// at each job's MaxWavelengths; when the widen guard below vetoes a
-	// widening, the job is re-capped at its current width and the fill
-	// re-solved, so the declined surplus flows to jobs whose own widening
-	// still pays instead of sitting dark until the next event. Each veto
-	// round permanently caps at least one job (a capped job's target can
-	// never exceed its current width again), so the loop runs at most
-	// len(admit) times.
-	caps := make([]int, len(admit))
-	for i, r := range admit {
-		caps[i] = r.MaxWavelengths
-		if pinned(r) {
-			caps[i] = len(r.waves)
-		}
-	}
-	solve := func() []int {
-		target := make([]int, len(admit))
-		for i, r := range admit {
-			target[i] = floor(r)
-		}
-		surplus := s.effBudget() - reserved
-		for lo := 0; lo < len(admit) && surplus > 0; {
-			hi := lo
-			for hi < len(admit) && admit[hi].Priority == admit[lo].Priority {
-				hi++
-			}
-			for surplus > 0 {
-				progressed := false
-				for i := lo; i < hi && surplus > 0; i++ {
-					if target[i] < caps[i] {
-						target[i]++
-						surplus--
-						progressed = true
-					}
-				}
-				if !progressed {
-					break
-				}
-			}
-			lo = hi
-		}
-		return target
-	}
-	target := solve()
-	for s.err == nil {
-		vetoed := false
-		for i, r := range admit {
-			if r.state == stRunning && target[i] > len(r.waves) && !s.widenPays(r, target[i]) {
-				caps[i] = len(r.waves)
-				vetoed = true
-			}
-		}
-		if !vetoed {
-			break
-		}
-		target = solve()
-	}
-	if s.err != nil {
-		return
-	}
-
-	// Pass 3: apply. Release every shrinking/changed stripe before
-	// allocating any new one so a widening job can absorb a shrinking
-	// neighbor's wavelengths.
-	var changed []*jobRec
-	widths := make(map[*jobRec]int, len(admit))
-	for i, r := range admit {
-		if r.state != stRunning || target[i] == len(r.waves) {
-			continue
-		}
-		changed = append(changed, r)
-		widths[r] = target[i]
-	}
-	for _, r := range changed {
-		s.pause(r)
-	}
-	for _, r := range changed {
-		s.reconfigure(r, widths[r])
-		if s.err != nil {
-			return
-		}
-	}
-	// Newly admitted jobs start at their solved width, penalty-free.
-	admitted := make(map[*jobRec]bool, len(admit))
-	for i, r := range admit {
-		if r.state == stWaiting {
-			admitted[r] = true
-			widths[r] = target[i]
-		}
-	}
-	q := s.queue.live()
-	kept := 0
-	for _, r := range q {
-		if !admitted[r] {
-			q[kept] = r
-			kept++
-		}
-	}
-	s.queue.truncate(kept)
-	for _, r := range admit {
-		if s.err == nil && admitted[r] {
-			s.start(r, widths[r])
 		}
 	}
 }

@@ -60,22 +60,22 @@ func tieMix(seed int64, n, budget int) []Job {
 	return jobs
 }
 
-// stripVolatile zeroes the fields the two solvers legitimately differ in:
-// the policy (carries the fullSolve selector) and the solver-work counters
-// (the whole point of the incremental solver is doing less work).
+// stripVolatile zeroes the field the two solvers legitimately differ in:
+// the solver-work counters (the whole point of the incremental solver is
+// doing less work).
 func stripVolatile(r Result) Result {
-	r.Policy = Policy{}
 	r.Solver = SolverStats{}
 	return r
 }
 
 func assertEquivalent(t *testing.T, name string, budget int, jobs []Job, delay float64) {
 	t.Helper()
-	inc, err := Simulate(budget, jobs, Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay}, faults.Plan{}, SchedOpts{})
+	pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay}
+	inc, err := simulateSolver(false, budget, jobs, pol, faults.Plan{}, SchedOpts{})
 	if err != nil {
 		t.Fatalf("%s: incremental: %v", name, err)
 	}
-	full, err := Simulate(budget, jobs, Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay, fullSolve: true}, faults.Plan{}, SchedOpts{})
+	full, err := simulateSolver(true, budget, jobs, pol, faults.Plan{}, SchedOpts{})
 	if err != nil {
 		t.Fatalf("%s: full solve: %v", name, err)
 	}
@@ -222,8 +222,8 @@ func TestElasticIncrementalMatchesFullSolveDeepQueue(t *testing.T) {
 				name := fmt.Sprintf("deep/seed=%d/faults=%v/delay=%g", seed, !plan.Empty(), delay)
 				run := func(full bool) (Result, []byte) {
 					rec := obs.New()
-					pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay, fullSolve: full}
-					res, err := Simulate(budget, jobs, pol, plan, SchedOpts{Rec: rec, Proc: "deep"})
+					pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: delay}
+					res, err := simulateSolver(full, budget, jobs, pol, plan, SchedOpts{Rec: rec, Proc: "deep"})
 					if err != nil {
 						t.Fatalf("%s (full solve %v): %v", name, full, err)
 					}
@@ -258,8 +258,8 @@ func TestElasticIncrementalMatchesFullSolveDeepQueue(t *testing.T) {
 func TestElasticIncrementalPerfettoByteIdentical(t *testing.T) {
 	run := func(full bool) []byte {
 		rec := obs.New()
-		pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: 2e-6, fullSolve: full}
-		if _, err := Simulate(64, churnLikeMix(), pol, faults.Plan{}, SchedOpts{Rec: rec, Proc: "equiv"}); err != nil {
+		pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: 2e-6}
+		if _, err := simulateSolver(full, 64, churnLikeMix(), pol, faults.Plan{}, SchedOpts{Rec: rec, Proc: "equiv"}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -116,7 +116,8 @@ const (
 	// the tail at the new width, and pays Policy.ReconfigDelaySec of
 	// optical switch settling. A widening that would not strictly improve
 	// the job's projected completion (the penalty outweighs the wider
-	// stripe on a nearly-done segment) is skipped.
+	// stripe on a nearly-done segment) is skipped, and a job due to finish
+	// within the settling delay keeps its current width.
 	ElasticReallocate
 )
 
@@ -151,12 +152,6 @@ type Policy struct {
 	// switch retunes). Ignored by the other policies. Must be >= 0 and
 	// finite; 0 models an idealized instantly-reconfigurable fabric.
 	ReconfigDelaySec float64
-
-	// fullSolve forces the reference from-scratch elastic solver instead
-	// of the incremental tier-indexed one. The two are bit-identical by
-	// construction (the equivalence property tests pin this); the flag
-	// exists only so in-package tests can run both sides of the proof.
-	fullSolve bool
 }
 
 // Validate checks the policy against a wavelength budget.
@@ -321,10 +316,9 @@ type JobStats struct {
 }
 
 // SolverStats counts the scheduling work a run performed. Under
-// ElasticReallocate with the incremental solver they measure how much of
-// each re-solve the tier index skipped; the reference full solver touches
-// every tier on every solve by construction. The curve counters track the
-// shape-keyed runtime cache (Job.Shape) and stay zero for shape-0 jobs.
+// ElasticReallocate they measure how much of each re-solve the tier index
+// skipped. The curve counters track the shape-keyed runtime cache
+// (Job.Shape) and stay zero for shape-0 jobs.
 type SolverStats struct {
 	// Solves is the number of elastic re-solve passes (coalesced per
 	// simulated instant).

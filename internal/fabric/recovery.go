@@ -333,9 +333,7 @@ func (s *scheduler) crash(r *jobRec) {
 	r.remaining = r.ckptRemaining
 	r.epoch++ // invalidate the pending completion event
 	if r.tier != nil {
-		// The replayed tail ends later than the cached tier state assumed;
-		// the stale minEnd only errs conservative, but force a fill so the
-		// cached targets are rebuilt.
+		// Force a fill so the cached targets are rebuilt.
 		r.tier.dirty = true
 	}
 }
@@ -372,6 +370,12 @@ func (s *scheduler) injectJobFault(pick uint64, name string) {
 	r.segStart = now
 	r.segPenalty = 0
 	r.segLen = tail * r.remaining
+	if t := r.tier; t != nil && now+r.segLen < t.minEnd {
+		// A crash inside a reconfiguration stall replays without the
+		// stall, so the tail can end before the cut segment would have;
+		// minEnd must stay a lower bound, or a solve misses the pin.
+		t.minEnd = now + r.segLen
+	}
 	s.emit(r, EvJobFault, len(r.waves))
 	s.lanesOn(r)
 	s.after(r.segLen, s.hComplete, r) // crash already bumped the epoch

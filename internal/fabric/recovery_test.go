@@ -52,6 +52,45 @@ func TestJobFaultCheckpointReplay(t *testing.T) {
 	}
 }
 
+// TestJobFaultInReconfigStallPinsReplay: a crash inside a reconfiguration
+// stall replays the tail without the stall, so the replayed segment ends
+// before the one it cut. The elastic tier index must still see the job as
+// due within the settling delay, pin it, and keep an arrival that no
+// longer fits queued; both solvers must agree.
+//
+// Construction: budget 3, ReconfigDelaySec 1. High-priority b (width 2,
+// done at 1) squeezes a (min 1, max 2, R(w) = 8/w, checkpoints every 0.5)
+// to width 1. At t=1 a widens to 2: a checkpoint lands at the cut
+// (remaining 7/8), and the stalled segment would end at 1+1+3.5 = 5.5. A
+// crash at 1.5 loses nothing and replays 3.5 s from 1.5, ending at 5. At
+// t=4.25, c (width 2) arrives: a is pinned at 2 (0.75 s left), so c waits
+// for a's departure at 5 and runs to 6.
+func TestJobFaultInReconfigStallPinsReplay(t *testing.T) {
+	jobs := []Job{
+		{Name: "a", MinWavelengths: 1, MaxWavelengths: 2, CheckpointEverySec: 0.5, Runtime: perfectScaling(8)},
+		{Name: "b", Priority: 1, MinWavelengths: 2, MaxWavelengths: 2, Runtime: perfectScaling(2)},
+		{Name: "c", ArrivalSec: 4.25, MinWavelengths: 2, MaxWavelengths: 2, Runtime: perfectScaling(2)},
+	}
+	plan := faults.Plan{Scripted: []faults.Event{{TimeSec: 1.5, Kind: faults.JobFault, Job: "a"}}}
+	pol := Policy{Kind: ElasticReallocate, ReconfigDelaySec: 1}
+	inc, err := simulateSolver(false, 3, jobs, pol, plan, SchedOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := simulateSolver(true, 3, jobs, pol, plan, SchedOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "stall crash", inc, ref)
+	a, c := inc.Jobs[0], inc.Jobs[2]
+	if inc.JobFaults != 1 || a.LostWorkSec != 0 || a.DoneSec != 5 {
+		t.Fatalf("a: faults %d lost %v done %v, want 1 / 0 / 5", inc.JobFaults, a.LostWorkSec, a.DoneSec)
+	}
+	if c.StartSec != 5 || c.DoneSec != 6 {
+		t.Fatalf("c: start %v done %v, want 5 / 6 (queued behind pinned a)", c.StartSec, c.DoneSec)
+	}
+}
+
 // TestWavelengthDarkElasticShrinkRestore: darkening wavelengths mid-run
 // shrinks elastic tenants, restoring re-widens them, the lost capacity
 // shows up in Availability, and the whole run is deterministic.

@@ -88,7 +88,7 @@ func NewScheduler(eng *sim.Engine, budget int, pol Policy, opt SchedOpts) (*Sche
 		s.shareWidth = pol.shareWidths(budget)
 		s.shareBusy = make([]bool, len(s.shareWidth))
 	}
-	if pol.Kind == ElasticReallocate && !pol.fullSolve {
+	if pol.Kind == ElasticReallocate && elasticReference == nil {
 		s.el = &elasticIndex{}
 	}
 	if !opt.Lite {
@@ -156,8 +156,8 @@ type scheduler struct {
 	seen   map[string]bool // duplicate-name check (nil under Lite)
 	nextID int             // submission index (jobRec.idx, auto-name suffix)
 
-	// el is the incremental elastic solver's tier index (nil for the other
-	// policies and for the reference full solver).
+	// el is the elastic solver's tier index (nil for the other policies
+	// and when the elasticReference hook is set).
 	el *elasticIndex
 
 	// curves holds the runtime row of each shared Job.Shape. A record

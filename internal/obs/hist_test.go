@@ -119,3 +119,16 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("count = %d", h.Count())
 	}
 }
+
+// Quantile returns an upper bound on the q-quantile (q in [0,1]) of the
+// recorded values: the upper edge of the bucket holding the q-th
+// observation, capped at the exact observed max. An empty (or nil)
+// histogram returns 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}

@@ -137,18 +137,6 @@ func (t Topology) ShortestArc(src, dst int) Arc {
 // Hops returns the number of links the arc traverses.
 func (t Topology) Hops(a Arc) int { return t.Dist(a.Src, a.Dst, a.Dir) }
 
-// Links returns the directed links the arc occupies, in traversal order.
-func (t Topology) Links(a Arc) []Link {
-	h := t.Hops(a)
-	out := make([]Link, 0, h)
-	cur := a.Src
-	for i := 0; i < h; i++ {
-		out = append(out, Link{From: cur, Dir: a.Dir})
-		cur = t.Step(cur, a.Dir)
-	}
-	return out
-}
-
 // Step returns the neighbor of node in direction d.
 func (t Topology) Step(node int, d Direction) int {
 	t.check(node)
@@ -158,8 +146,8 @@ func (t Topology) Step(node int, d Direction) int {
 	return (node - 1 + t.n) % t.n
 }
 
-// VisitLinks calls fn with the dense index of every link the arc occupies.
-// It avoids allocating the slice that Links returns.
+// VisitLinks calls fn with the dense index of every link the arc occupies,
+// in traversal order.
 func (t Topology) VisitLinks(a Arc, fn func(linkIndex int)) {
 	h := t.Hops(a)
 	cur := a.Src
@@ -180,40 +168,6 @@ func (t Topology) AppendArcLinks(a Arc, buf []int) []int {
 		cur = t.Step(cur, a.Dir)
 	}
 	return buf
-}
-
-// Conflict reports whether two arcs share at least one directed link.
-func (t Topology) Conflict(a, b Arc) bool {
-	if a.Dir != b.Dir {
-		return false // opposite waveguides never conflict
-	}
-	// Arc a covers links starting at positions [Src, Src+hops) walking Dir.
-	ha, hb := t.Hops(a), t.Hops(b)
-	if ha == 0 || hb == 0 {
-		return false
-	}
-	// Normalize to CW offsets of the link start nodes.
-	var sa, sb int
-	if a.Dir == CW {
-		sa, sb = a.Src, b.Src
-	} else {
-		// CCW link leaving node x occupies "position" x; walking CCW visits
-		// positions x, x-1, ... So convert to a CW-style interval by
-		// reflecting: interval of length h starting at (x-h+1).
-		sa = ((a.Src-ha+1)%t.n + t.n) % t.n
-		sb = ((b.Src-hb+1)%t.n + t.n) % t.n
-	}
-	// Two circular intervals [sa, sa+ha), [sb, sb+hb) intersect?
-	return circularIntervalsIntersect(sa, ha, sb, hb, t.n)
-}
-
-func circularIntervalsIntersect(s1, l1, s2, l2, n int) bool {
-	if l1 >= n || l2 >= n {
-		return true
-	}
-	d := ((s2-s1)%n + n) % n
-	// interval 2 starts d positions after interval 1 (mod n)
-	return d < l1 || n-d < l2
 }
 
 // Group is a contiguous run of ring positions with a designated

@@ -183,3 +183,34 @@ func TestExecutionOrderMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// Reset returns the engine to time zero with an empty queue, keeping the
+// event slabs and registered handlers for reuse.
+func (e *Engine) Reset() {
+	e.now, e.seq, e.nsteps = 0, 0, 0
+	e.maxPending = 0
+	e.drop()
+}
+
+// RunUntil executes events with time <= t, then sets the clock to t (if the
+// queue drained earlier) and returns the number of events executed.
+func (e *Engine) RunUntil(t float64) int64 {
+	executed := int64(0)
+	for e.Pending() > 0 && e.nextTime() <= t {
+		e.step()
+		executed++
+	}
+	if e.now < t {
+		e.now = t
+	}
+	return executed
+}
+
+// nextTime is the time of the earliest pending event; at least one must be
+// pending.
+func (e *Engine) nextTime() float64 {
+	if e.head < len(e.lane) {
+		return e.now
+	}
+	return e.heap[0].time
+}

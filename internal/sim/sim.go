@@ -73,7 +73,7 @@ func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.head }
 func (e *Engine) Steps() int64 { return e.nsteps }
 
 // MaxPending returns the high-water mark of the event queue — the most
-// events pending at once since the last Reset.
+// events pending at once.
 func (e *Engine) MaxPending() int { return e.maxPending }
 
 // Register installs fn as an integer-dispatch callback and returns its id.
@@ -142,15 +142,6 @@ func (e *Engine) next() event {
 	return e.pop()
 }
 
-// nextTime is the time of the earliest pending event; at least one must be
-// pending.
-func (e *Engine) nextTime() float64 {
-	if e.head < len(e.lane) {
-		return e.now
-	}
-	return e.heap[0].time
-}
-
 // pop removes and returns the heap's earliest event.
 //
 //wrht:noalloc
@@ -206,14 +197,6 @@ func (e *Engine) drop() {
 	e.lane, e.head = e.lane[:0], 0
 }
 
-// Reset returns the engine to time zero with an empty queue, keeping the
-// event slabs and registered handlers for reuse.
-func (e *Engine) Reset() {
-	e.now, e.seq, e.nsteps = 0, 0, 0
-	e.maxPending = 0
-	e.drop()
-}
-
 // Run executes events until the queue drains, returning the final time.
 //
 //wrht:noalloc
@@ -251,22 +234,6 @@ func (e *Engine) RunChecked(every int64, check func() error) (float64, error) {
 		}
 	}
 	return e.now, nil
-}
-
-// RunUntil executes events with time <= t, then sets the clock to t (if the
-// queue drained earlier) and returns the number of events executed.
-//
-//wrht:noalloc
-func (e *Engine) RunUntil(t float64) int64 {
-	executed := int64(0)
-	for e.Pending() > 0 && e.nextTime() <= t {
-		e.step()
-		executed++
-	}
-	if e.now < t {
-		e.now = t
-	}
-	return executed
 }
 
 //wrht:noalloc

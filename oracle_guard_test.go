@@ -13,9 +13,10 @@ import (
 )
 
 // walkSources parses every non-test Go file of the module rooted at root,
-// skipping testdata, hidden directories and nested modules, and hands each
-// to visit with its slash-separated directory relative to root.
-func walkSources(t *testing.T, fset *token.FileSet, root string, visit func(dir string, f *ast.File)) {
+// or every _test.go file when tests is set, skipping testdata, hidden
+// directories and nested modules, and hands each to visit with its
+// slash-separated directory relative to root.
+func walkSources(t *testing.T, fset *token.FileSet, root string, tests bool, visit func(dir string, f *ast.File)) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -33,7 +34,7 @@ func walkSources(t *testing.T, fset *token.FileSet, root string, visit func(dir 
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -58,7 +59,7 @@ func walkSources(t *testing.T, fset *token.FileSet, root string, visit func(dir 
 // may call them.
 func TestBoxedRunnersAreTestOnly(t *testing.T) {
 	fset := token.NewFileSet()
-	walkSources(t, fset, ".", func(dir string, f *ast.File) {
+	walkSources(t, fset, ".", false, func(dir string, f *ast.File) {
 		if dir == "internal/runner" {
 			return
 		}
@@ -95,51 +96,63 @@ func TestBoxedRunnersAreTestOnly(t *testing.T) {
 var exportsWithoutCallers = map[string]string{
 	"runner.RunOptical":         "boxed reference oracle the classed runners are held to",
 	"runner.RunElectrical":      "boxed reference oracle the classed runners are held to",
-	"core.MStar":                "the paper's m* formula, checked against the planner",
-	"wdm.AllToAllDemands":       "naive demand set the balanced routing is checked against",
-	"wdm.OptimalColors":         "exhaustive optimum the wavelength heuristics are checked against",
 	"wdm.Assign":                "A2 First Fit vs Best Fit ablation (BenchmarkAblationFitPolicy) and the wdm/core tests",
 	"analysis.loader.Import":    "implements go/types.Importer; called through the interface",
-	"sim.Engine.Reset":          "engine contract: reuse after a run",
-	"sim.Engine.RunUntil":       "engine contract: bounded run",
 	"ring.MustNew":              "test-support constructor",
-	"ring.Topology.Links":       "test-support accessor",
 	"obs.Recorder.FloatCounter": "test-support accessor",
-	"obs.Histogram.Quantile":    "test-support accessor",
 	"stats.JainIndex":           "reference the fabric's fairness tally is checked against",
 	"tensor.Scale":              "test-support: buffer scaling for reduction property tests",
 	"dnn.Model.TotalFLOPs":      "catalog data checked against published GMACs",
 }
 
+// namedIn calls add with every identifier f names, except that a function
+// does not name itself, in its body or its declaration.
+func namedIn(f *ast.File, add func(name string)) {
+	for _, d := range f.Decls {
+		self := ""
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			self = fn.Name.Name
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name != self {
+				add(id.Name)
+			}
+			return true
+		})
+	}
+}
+
 // TestInternalExportsHaveCallers: every exported top-level function or
 // method declared under internal/ is named by some non-test file of the
 // module or of perfbench/, or is listed in exportsWithoutCallers with the
-// reason it stays. Names are matched as identifiers, so a method counts as
-// named wherever any same-named identifier appears, except inside a
-// function or method of that same name: a wrapper that calls its namesake
-// keeps neither alive.
+// reason it stays. A listed export must not be named only by the tests of
+// its own package: such a reference belongs in one of those _test.go
+// files. Names are matched as identifiers, so a method counts as named
+// wherever any same-named identifier appears, except inside a function or
+// method of that same name: a wrapper that calls its namesake keeps
+// neither alive.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	type decl struct {
 		key string // pkg.Func or pkg.Type.Method
+		dir string
 		pos token.Position
 	}
 	fset := token.NewFileSet()
 	var decls []decl
 	named := map[string]bool{}
+	testDirs := map[string]map[string]bool{} // name -> directories of the test files naming it
 	for _, root := range []string{".", "perfbench"} {
-		walkSources(t, fset, root, func(dir string, f *ast.File) {
-			for _, d := range f.Decls {
-				self := "" // a function does not name itself, in its body or its declaration
-				if fn, ok := d.(*ast.FuncDecl); ok {
-					self = fn.Name.Name
+		walkSources(t, fset, root, true, func(dir string, f *ast.File) {
+			dir = filepath.ToSlash(filepath.Join(root, dir))
+			namedIn(f, func(name string) {
+				if testDirs[name] == nil {
+					testDirs[name] = map[string]bool{}
 				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && id.Name != self {
-						named[id.Name] = true
-					}
-					return true
-				})
-			}
+				testDirs[name][dir] = true
+			})
+		})
+		walkSources(t, fset, root, false, func(dir string, f *ast.File) {
+			namedIn(f, func(name string) { named[name] = true })
 			if root != "." || !strings.HasPrefix(dir, "internal/") {
 				return
 			}
@@ -162,7 +175,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 					}
 					key = f.Name.Name + "." + typ.(*ast.Ident).Name + "." + fn.Name.Name
 				}
-				decls = append(decls, decl{key, fset.Position(fn.Name.Pos())})
+				decls = append(decls, decl{key, dir, fset.Position(fn.Name.Pos())})
 			}
 		})
 	}
@@ -170,11 +183,15 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	for _, d := range decls {
 		declaredKeys[d.key] = true
 		_, allowed := exportsWithoutCallers[d.key]
-		switch name := d.key[strings.LastIndex(d.key, ".")+1:]; {
-		case !named[name] && !allowed:
-			t.Errorf("%s: %s has no caller outside tests; delete it or list it in exportsWithoutCallers with a reason", d.pos, d.key)
+		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		ownTestsOnly := len(testDirs[name]) == 1 && testDirs[name][d.dir]
+		switch {
 		case named[name] && allowed:
 			t.Errorf("%s is listed in exportsWithoutCallers but a non-test file names it; drop the entry", d.key)
+		case !named[name] && ownTestsOnly:
+			t.Errorf("%s: %s is named only by its own package's tests; move it into a _test.go file", d.pos, d.key)
+		case !named[name] && !allowed:
+			t.Errorf("%s: %s has no caller outside tests; delete it or list it in exportsWithoutCallers with a reason", d.pos, d.key)
 		}
 	}
 	for key := range exportsWithoutCallers {
