@@ -29,6 +29,17 @@ func jobLess(a, b *jobRec) bool {
 	return a.idx < b.idx
 }
 
+// dealLess is the order within one priority tier — arrival ascending,
+// then admission index ascending — which is jobLess for two jobs of equal
+// priority. It is the water-fill deal order of a tier's members and the
+// order of its wait queue.
+func dealLess(a, b *jobRec) bool {
+	if a.ArrivalSec != b.ArrivalSec {
+		return a.ArrivalSec < b.ArrivalSec
+	}
+	return a.idx < b.idx
+}
+
 // widenPays reports whether restarting r at the wider stripe strictly
 // beats letting the current segment finish: the reconfiguration stall plus
 // the re-priced tail must complete earlier than segStart+segLen. Pricing
@@ -46,9 +57,9 @@ func (s *scheduler) widenPays(r *jobRec, width int) bool {
 
 // elasticReference, when set, replaces the incremental solver for every
 // scheduler NewScheduler builds meanwhile: the scheduler keeps no tier
-// index and a FIFO wait queue, and dispatchElastic hands each whole solve
-// to the hook. It is nil in production; only the package's tests set it,
-// to run the reference solver.
+// index and its single FIFO wait queue, and dispatchElastic hands each
+// whole solve to the hook. It is nil in production; only the package's
+// tests set it, to run the reference solver.
 var elasticReference func(*scheduler)
 
 // dispatchElastic runs an elastic solve on the incremental tier index.
@@ -72,10 +83,15 @@ func (s *scheduler) dispatchElastic() {
 // elTier is one priority tier of the incremental solver's live-tenant
 // index: its member set (sorted by arrival, then admission index — the
 // water-fill deal order) plus the cached fill state that lets a solve skip
-// the tier entirely when its inputs are provably unchanged.
+// the tier entirely when its inputs are provably unchanged, and the tier's
+// own wait queue.
 type elTier struct {
 	prio    int
 	members []*jobRec
+	// queue holds the tier's queued jobs in deal order. Read tier by tier
+	// from the top, the tiers' queues are the whole wait queue in jobLess
+	// order.
+	queue waitQueue
 	// sumMin/sumMax are Σ MinWavelengths / Σ MaxWavelengths over members:
 	// the tier's floor and cap sums in the common case of no pinned and no
 	// due members.
@@ -116,12 +132,32 @@ type elasticIndex struct {
 	nAdmit  int
 }
 
-// enqueue inserts r into the wait queue keeping it sorted by jobLess, so
-// admission walks a pre-sorted queue instead of re-sorting per solve.
-func (el *elasticIndex) enqueue(s *scheduler, r *jobRec) {
-	q := s.queue.live()
-	s.queue.insert(sort.Search(len(q), func(i int) bool { return jobLess(r, q[i]) }), r)
+// enqueue queues r in its tier's wait queue in deal order, so admission
+// walks pre-sorted queues instead of re-sorting per solve. A new arrival
+// is almost always its tier's latest, so the slot is found by scanning
+// back from the tail: only a retried, resumed or migrated job with an
+// earlier arrival passes anyone.
+func (el *elasticIndex) enqueue(r *jobRec) {
+	q := &r.tier.queue
+	live := q.live()
+	i := len(live)
+	for i > 0 && dealLess(r, live[i-1]) {
+		i--
+	}
+	q.insert(i, r)
 }
+
+// depth is the number of jobs queued over every tier.
+func (el *elasticIndex) depth() int {
+	n := 0
+	for _, t := range el.tiers {
+		n += t.queue.depth()
+	}
+	return n
+}
+
+// tierQueueCap is the initial capacity of a tier's wait queue.
+const tierQueueCap = 16
 
 // tierFor returns (creating on demand) the tier for priority prio. Records
 // resolve their tier once, at submit, so a solve never looks one up. A
@@ -135,6 +171,9 @@ func (el *elasticIndex) tierFor(prio int) *elTier {
 		return el.tiers[i]
 	}
 	t := &elTier{prio: prio, minEnd: math.Inf(1), lastTotal: -1}
+	// One array for a tier queue's first tierQueueCap jobs, rather than
+	// doubling into it from one.
+	t.queue.buf = make([]*jobRec, 0, tierQueueCap)
 	el.tiers = append(el.tiers, nil)
 	copy(el.tiers[i+1:], el.tiers[i:])
 	el.tiers[i] = t
@@ -144,13 +183,7 @@ func (el *elasticIndex) tierFor(prio int) *elTier {
 // insertMember adds r to tier t in (ArrivalSec, idx) order — the
 // water-fill deal order — and marks the tier dirty.
 func (el *elasticIndex) insertMember(t *elTier, r *jobRec) {
-	i := sort.Search(len(t.members), func(i int) bool {
-		m := t.members[i]
-		if r.ArrivalSec != m.ArrivalSec {
-			return r.ArrivalSec < m.ArrivalSec
-		}
-		return r.idx < m.idx
-	})
+	i := sort.Search(len(t.members), func(i int) bool { return dealLess(r, t.members[i]) })
 	t.members = append(t.members, nil)
 	copy(t.members[i+1:], t.members[i:])
 	t.members[i] = r
@@ -159,7 +192,12 @@ func (el *elasticIndex) insertMember(t *elTier, r *jobRec) {
 	t.dirty = true
 }
 
-// removeMember detaches a member that stops running from its tier.
+// removeMember detaches a member that stops running from its tier. It
+// finds the member by a scan of the tier's member pointers: a tier holds
+// at most one running member per wavelength, and the scan reads a cache
+// line or two where a binary search on the deal order would read a record
+// per probe. Closing the gap shifts the later members down one slot to
+// keep the deal order, and that shift is most of the cost.
 func (el *elasticIndex) removeMember(r *jobRec) {
 	t := r.tier
 	for i, m := range t.members {
@@ -218,23 +256,26 @@ func (el *elasticIndex) solve(s *scheduler) {
 		reserved += t.floorSum
 	}
 
-	// Phase 2: admission. The wait queue is kept sorted by jobLess, so
-	// queued jobs are admitted from the front while their minimums fit;
-	// the first failure blocks the rest (head-of-line, matching
+	// Phase 2: admission. The tiers' wait queues, read from the top tier
+	// down, are the whole queue in jobLess order, so queued jobs are
+	// admitted from the front while their minimums fit; the first failure
+	// blocks the rest, lower tiers included (head-of-line, matching
 	// dispatchPriority — backfilling past a blocked wide high-priority job
-	// would starve it).
+	// would starve it). The admitted jobs are thus a prefix of that order.
 	el.nAdmit = 0
-	for _, r := range s.queue.live() {
-		if reserved+r.MinWavelengths > s.effBudget() {
-			break
-		}
-		reserved += r.MinWavelengths
-		el.nAdmit++
-		t := r.tier // resolved at submit, so phase 1 reset its scratch
-		el.insertMember(t, r)
-		if t.exact {
-			t.floorSum += r.MinWavelengths
-			t.capSum += r.MaxWavelengths
+admit:
+	for _, t := range el.tiers {
+		for _, r := range t.queue.live() {
+			if reserved+r.MinWavelengths > s.effBudget() {
+				break admit
+			}
+			reserved += r.MinWavelengths
+			el.nAdmit++
+			el.insertMember(t, r)
+			if t.exact {
+				t.floorSum += r.MinWavelengths
+				t.capSum += r.MaxWavelengths
+			}
 		}
 	}
 
@@ -321,9 +362,14 @@ func (el *elasticIndex) solve(s *scheduler) {
 			return
 		}
 	}
-	// The admitted prefix leaves by moving the queue's head: nothing
+	// The admitted prefix leaves by moving each tier queue's head: nothing
 	// shifts, and enqueue reclaims the front slots when the array fills.
-	s.queue.popFront(el.nAdmit)
+	for i, n := 0, el.nAdmit; n > 0; i++ {
+		q := &el.tiers[i].queue
+		k := min(n, q.depth())
+		q.popFront(k)
+		n -= k
+	}
 	for _, t := range el.filled {
 		total := 0
 		minEnd := math.Inf(1)

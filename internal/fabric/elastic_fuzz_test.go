@@ -84,8 +84,10 @@ func decodeElastic(data []byte) (budget int, delay float64, jobs []Job, plan fau
 // Perfetto bytes. Completed jobs must also keep the accounting invariants
 // slowdown >= 1 and queue time >= 0. The seed corpus in testdata holds
 // mixes with up to five priority tiers, with and without faults, a deep
-// queue, and two inputs the fuzzer found: queued jobs parking under a
-// dark-shrunk budget, and a job crash inside a reconfiguration stall.
+// queue, two inputs the fuzzer found (queued jobs parking under a
+// dark-shrunk budget, and a job crash inside a reconfiguration stall), and
+// retried jobs whose earlier arrival puts them mid-tier in their tier's
+// wait queue rather than at its tail.
 func FuzzElasticMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

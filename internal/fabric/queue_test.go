@@ -11,28 +11,49 @@ import (
 )
 
 // checkWaitQueue reports the first broken wait-queue invariant of an
-// elastic scheduler: the live window is sorted by jobLess and holds only
-// waiting records, queuedMin is the sum of their minimums, and no slot
-// outside the window still points at a record (a recycled Lite record must
-// not be retained by the queue's backing array).
+// elastic scheduler. Its tiers' queues, read from the top tier down, must
+// be sorted by jobLess and hold only waiting records of their own tier;
+// queuedMin must be the sum of their minimums; the scheduler's FIFO queue
+// must be unused; and no slot outside a queue's window may still point at
+// a record (a recycled Lite record must not be retained by a queue's
+// backing array).
 func checkWaitQueue(s *scheduler) error {
-	q := &s.queue
-	live := q.live()
+	if err := checkWindow(&s.queue); err != nil {
+		return fmt.Errorf("FIFO queue: %v", err)
+	}
+	if d := s.queue.depth(); d != 0 {
+		return fmt.Errorf("FIFO queue holds %d jobs under the tier index", d)
+	}
+	var prev *jobRec
 	sum := 0
-	for i, r := range live {
-		switch {
-		case r == nil:
-			return fmt.Errorf("live slot %d is nil", i)
-		case r.state != stWaiting:
-			return fmt.Errorf("queued job %d is in state %d, not waiting", r.idx, r.state)
-		case i > 0 && jobLess(r, live[i-1]):
-			return fmt.Errorf("queue unsorted at %d: job %d before job %d", i, live[i-1].idx, r.idx)
+	for _, t := range s.el.tiers {
+		for i, r := range t.queue.live() {
+			switch {
+			case r == nil:
+				return fmt.Errorf("tier %d: live slot %d is nil", t.prio, i)
+			case r.state != stWaiting:
+				return fmt.Errorf("tier %d: queued job %d is in state %d, not waiting", t.prio, r.idx, r.state)
+			case r.tier != t:
+				return fmt.Errorf("tier %d: queued job %d has priority %d", t.prio, r.idx, r.Priority)
+			case prev != nil && jobLess(r, prev):
+				return fmt.Errorf("queue unsorted in tier %d: job %d before job %d", t.prio, prev.idx, r.idx)
+			}
+			prev = r
+			sum += r.MinWavelengths
 		}
-		sum += r.MinWavelengths
+		if err := checkWindow(&t.queue); err != nil {
+			return fmt.Errorf("tier %d: %v", t.prio, err)
+		}
 	}
-	if sum != s.queuedMin {
-		return fmt.Errorf("queuedMin %d, queued minimums sum to %d", s.queuedMin, sum)
+	if sum != s.load.QueuedMin {
+		return fmt.Errorf("queuedMin %d, queued minimums sum to %d", s.load.QueuedMin, sum)
 	}
+	return nil
+}
+
+// checkWindow reports a slot of q outside its live window that still
+// holds a record.
+func checkWindow(q *waitQueue) error {
 	for i, r := range q.buf[:q.head] {
 		if r != nil {
 			return fmt.Errorf("slot %d before the head (%d) still holds job %d", i, q.head, r.idx)
@@ -87,8 +108,10 @@ func TestWaitQueueInvariantsUnderFleetFaults(t *testing.T) {
 		s := sch.s
 		s.afterSolve = func() {
 			solves++
-			maxDepth = max(maxDepth, s.queue.depth())
-			maxHead = max(maxHead, s.queue.head)
+			maxDepth = max(maxDepth, s.queueDepth())
+			for _, t := range s.el.tiers {
+				maxHead = max(maxHead, t.queue.head)
+			}
 			if err := checkWaitQueue(s); err != nil {
 				t.Fatalf("fabric %d, solve at %v: %v", i, eng.Now(), err)
 			}
@@ -197,14 +220,16 @@ func TestWaitQueueInvariantsUnderFleetFaults(t *testing.T) {
 }
 
 // TestWaitQueueSteadyDepthAllocationFree holds an elastic wait queue at a
-// steady depth while jobs leave its front (a solve's admission) and new
-// ones are inserted in jobLess order (enqueue). The stranded front slots
-// must be reclaimed in place: a queue that does not grow must not allocate.
+// steady depth while jobs leave the front of the top tier holding any (a
+// solve's admission) and re-enter in deal order at the tail of their own
+// tier (enqueue). The stranded front slots must be reclaimed in place:
+// tier queues that do not grow must not allocate.
 func TestWaitQueueSteadyDepthAllocationFree(t *testing.T) {
-	s := &scheduler{budget: 8, el: &elasticIndex{}}
+	s := &scheduler{budget: 8, el: &elasticIndex{}, load: &Load{Free: 8}}
 	next := 0
 	arrive := func(r *jobRec) {
 		r.idx, r.ArrivalSec, r.Priority = next, float64(next), next%3
+		r.tier = s.el.tierFor(r.Priority)
 		r.MinWavelengths = 1
 		next++
 		s.enqueue(r)
@@ -213,10 +238,14 @@ func TestWaitQueueSteadyDepthAllocationFree(t *testing.T) {
 		arrive(new(jobRec))
 	}
 	cycle := func() {
-		q := s.queue.live()
-		out := [2]*jobRec{q[0], q[1]}
-		s.queue.popFront(len(out))
-		for _, r := range out {
+		for k := 0; k < 2; k++ {
+			i := 0
+			for s.el.tiers[i].queue.depth() == 0 {
+				i++
+			}
+			q := &s.el.tiers[i].queue
+			r := q.live()[0]
+			q.popFront(1)
 			s.dequeued(r)
 			arrive(r)
 		}
@@ -227,7 +256,7 @@ func TestWaitQueueSteadyDepthAllocationFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%v allocations over 10000 admit/enqueue cycles at depth %d, want 0", allocs, s.queue.depth())
+		t.Fatalf("%v allocations over 10000 admit/enqueue cycles at depth %d, want 0", allocs, s.queueDepth())
 	}
 	if err := checkWaitQueue(s); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"wrht/internal/faults"
@@ -139,8 +140,8 @@ func (s *scheduler) wavelengthsUp(k int) {
 		c := s.darkIdx[n]
 		s.darkIdx = s.darkIdx[:n]
 		s.darkCount--
-		s.free[c] = true
-		s.nfree++
+		s.free[c>>6] |= 1 << (c & 63)
+		s.load.Free++
 		if s.obsTracks {
 			s.rec.LaneOff(s.proc, c, now)
 		}
@@ -155,18 +156,17 @@ func (s *scheduler) wavelengthsUp(k int) {
 // later releases free capacity (dispatch paths re-call this).
 func (s *scheduler) settleDark() {
 	for s.darkCount < s.darkTarget {
-		c := -1
-		for i := s.budget - 1; i >= 0; i-- {
-			if s.free[i] {
-				c = i
-				break
-			}
+		w := len(s.free) - 1
+		for w >= 0 && s.free[w] == 0 {
+			w--
 		}
-		if c < 0 {
+		if w < 0 {
 			return
 		}
-		s.free[c] = false
-		s.nfree--
+		b := bits.Len64(s.free[w]) - 1
+		s.free[w] &^= 1 << b
+		c := w<<6 | b
+		s.load.Free--
 		s.darkIdx = append(s.darkIdx, c)
 		s.darkCount++
 		if s.obsTracks {
@@ -218,14 +218,29 @@ func (s *scheduler) parkUnfittable() {
 		return
 	}
 	s.unfitScan = false
+	if s.el == nil {
+		s.parkFrom(&s.queue)
+		return
+	}
+	// Tier by tier from the top: jobLess order, as one queue would park.
+	for _, t := range s.el.tiers {
+		if s.parkFrom(&t.queue); s.err != nil {
+			return
+		}
+	}
+}
+
+// parkFrom parks q's jobs whose minimum exceeds the live budget, in queue
+// order.
+func (s *scheduler) parkFrom(q *waitQueue) {
 	eff := s.effBudget()
-	for i := 0; i < s.queue.depth(); {
-		r := s.queue.live()[i]
+	for i := 0; i < q.depth(); {
+		r := q.live()[i]
 		if r.MinWavelengths <= eff {
 			i++
 			continue
 		}
-		s.queue.remove(i)
+		q.remove(i)
 		s.dequeued(r)
 		s.park(r)
 		if s.err != nil {
@@ -388,9 +403,14 @@ func (s *scheduler) outage() []Resubmit {
 	s.account()
 	s.down = true
 	s.outages++
-	victims := make([]*jobRec, 0, len(s.liveRun)+s.queue.depth()+len(s.parked))
+	victims := make([]*jobRec, 0, len(s.liveRun)+s.queueDepth()+len(s.parked))
 	victims = append(victims, s.liveRun...)
 	victims = append(victims, s.queue.live()...)
+	if s.el != nil {
+		for _, t := range s.el.tiers {
+			victims = append(victims, t.queue.live()...)
+		}
+	}
 	victims = append(victims, s.parked...)
 	sort.Slice(victims, func(i, j int) bool { return victims[i].idx < victims[j].idx })
 	out := make([]Resubmit, 0, len(victims))
@@ -416,6 +436,11 @@ func (s *scheduler) outage() []Resubmit {
 		out = append(out, s.evictOut(r))
 	}
 	s.queue.truncate(0)
+	if s.el != nil {
+		for _, t := range s.el.tiers {
+			t.queue.truncate(0)
+		}
+	}
 	s.parked = s.parked[:0]
 	s.settleDark() // the pool is idle now; settle any dark backlog
 	return out

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"wrht/internal/faults"
@@ -29,6 +30,11 @@ type SchedOpts struct {
 	// TrackLoad maintains per-priority committed-load counters so fleet
 	// placement can query LoadAtOrAbove in O(distinct priorities).
 	TrackLoad bool
+	// Load, when set, is where the scheduler keeps its wavelength
+	// accounting (reset at NewScheduler), so a fleet can score placements
+	// from one dense array of its fabrics' loads instead of asking each
+	// scheduler. Nil keeps it private.
+	Load *Load
 	// Retry bounds fault recovery: capped exponential backoff between
 	// retries and a per-job retry budget (zero values take faults.Retry
 	// defaults). Recovery itself is always on and does nothing until a
@@ -71,11 +77,16 @@ func NewScheduler(eng *sim.Engine, budget int, pol Policy, opt SchedOpts) (*Sche
 	}
 	s := &scheduler{
 		eng: eng, pol: pol, budget: budget,
-		free: make([]bool, budget), nfree: budget,
+		free: make([]uint64, (budget+63)/64),
 		lite: opt.Lite,
 	}
-	for c := range s.free {
-		s.free[c] = true
+	s.load = opt.Load
+	if s.load == nil {
+		s.load = &s.ownLoad
+	}
+	*s.load = Load{Free: budget}
+	for c := 0; c < budget; c++ {
+		s.free[c>>6] |= 1 << (c & 63)
 	}
 	if opt.Rec.Enabled() {
 		s.rec = opt.Rec
@@ -125,12 +136,19 @@ func (f *Scheduler) Finalize() (Result, error) {
 	return s.finalize()
 }
 
-// FreeWavelengths returns the currently unallocated wavelength count.
-func (f *Scheduler) FreeWavelengths() int { return f.s.nfree }
+// Load is a fabric's wavelength accounting as placement reads it: the
+// unallocated count, the running stripe widths and the queued jobs'
+// minimum grants. The scheduler keeps it current as it runs
+// (SchedOpts.Load).
+type Load struct {
+	Free      int // unallocated wavelengths
+	Busy      int // Σ running stripe widths
+	QueuedMin int // Σ MinWavelengths over queued jobs
+}
 
-// CommittedLoad is the wavelength demand already accepted: the sum of
-// running stripe widths plus queued jobs' minimum grants.
-func (f *Scheduler) CommittedLoad() int { return f.s.busyNow + f.s.queuedMin }
+// Committed is the wavelength demand already accepted: running widths
+// plus queued minimums.
+func (l *Load) Committed() int { return l.Busy + l.QueuedMin }
 
 // LoadAtOrAbove is the committed load (running widths + queued minimums)
 // from jobs with priority >= p. Requires SchedOpts.TrackLoad.
@@ -148,13 +166,16 @@ type scheduler struct {
 	eng    *sim.Engine
 	pol    Policy
 	budget int
-	free   []bool // free[c] = wavelength c unallocated
-	nfree  int
-	queue  waitQueue
-	recs   []*jobRec
-	events []Event
-	seen   map[string]bool // duplicate-name check (nil under Lite)
-	nextID int             // submission index (jobRec.idx, auto-name suffix)
+	free   []uint64 // bit c%64 of free[c/64] set = wavelength c unallocated
+	// load holds the unallocated, running and queued wavelength counts:
+	// SchedOpts.Load, or ownLoad.
+	load    *Load
+	ownLoad Load
+	queue   waitQueue // FIFO; unused under the elastic tier index
+	recs    []*jobRec
+	events  []Event
+	seen    map[string]bool // duplicate-name check (nil under Lite)
+	nextID  int             // submission index (jobRec.idx, auto-name suffix)
 
 	// el is the elastic solver's tier index (nil for the other policies
 	// and when the elasticReference hook is set).
@@ -196,10 +217,9 @@ type scheduler struct {
 	lostWorkSec float64
 
 	// lite: aggregate-only mode (see SchedOpts.Lite).
-	lite      bool
-	freeRecs  []*jobRec // recycled jobRecs under Lite
-	liveJobs  int       // running + waiting
-	queuedMin int       // Σ MinWavelengths over queued jobs
+	lite     bool
+	freeRecs []*jobRec // recycled jobRecs under Lite
+	liveJobs int       // running + waiting
 	// unfitScan is set when some queued job's minimum may exceed the live
 	// budget: the budget fell, or a job above it was queued. parkUnfittable
 	// scans the queue only then.
@@ -249,7 +269,6 @@ type scheduler struct {
 	// utilization accounting
 	lastT   float64
 	busySec float64
-	busyNow int
 	peak    int
 
 	// Flight recorder (nil when disabled): one process per simulation, a
@@ -597,8 +616,8 @@ func (s *scheduler) emit(r *jobRec, kind EventKind, width int) {
 		}
 		now := s.eng.Now()
 		s.rec.Instant(s.jobTracks[r.idx], kind.String(), now, int64(width))
-		s.rec.Sample(s.queueTk, now, float64(s.queue.depth()))
-		s.rec.Sample(s.litTk, now, float64(s.busyNow))
+		s.rec.Sample(s.queueTk, now, float64(s.queueDepth()))
+		s.rec.Sample(s.litTk, now, float64(s.load.Busy))
 	}
 }
 
@@ -644,7 +663,7 @@ func (s *scheduler) lanesOffAndCloseSeg(r *jobRec) {
 // time.
 func (s *scheduler) account() {
 	now := s.eng.Now()
-	s.busySec += float64(s.busyNow) * (now - s.lastT)
+	s.busySec += float64(s.load.Busy) * (now - s.lastT)
 	s.darkSec += float64(s.darkNow()) * (now - s.lastT)
 	s.lastT = now
 }
@@ -709,7 +728,7 @@ func (s *scheduler) admit(r *jobRec) {
 // load.
 func (s *scheduler) enqueue(r *jobRec) {
 	r.state = stWaiting
-	s.queuedMin += r.MinWavelengths
+	s.load.QueuedMin += r.MinWavelengths
 	if s.prioLoad != nil {
 		s.prioLoad[r.Priority] += r.MinWavelengths
 	}
@@ -717,14 +736,23 @@ func (s *scheduler) enqueue(r *jobRec) {
 		s.unfitScan = true
 	}
 	if s.el != nil {
-		s.el.enqueue(s, r) // keeps the wait queue sorted by jobLess
+		s.el.enqueue(r) // keeps each tier's queue in deal order
 	} else {
 		s.queue.insert(s.queue.depth(), r)
 	}
 }
 
-// waitQueue is the scheduler's wait queue: the queued jobs are buf[head:],
-// in queue order. Taking jobs off the front advances head, so admitting a
+// queueDepth is the number of queued jobs: the scheduler's FIFO queue, or
+// every tier's queue under the elastic tier index.
+func (s *scheduler) queueDepth() int {
+	if s.el != nil {
+		return s.el.depth()
+	}
+	return s.queue.depth()
+}
+
+// waitQueue is a wait queue — the scheduler's FIFO queue, or one elastic
+// tier's queue: the queued jobs are buf[head:], in queue order. Taking jobs off the front advances head, so admitting a
 // prefix never shifts the rest; insert reclaims the stranded front slots
 // when the backing array is full instead of growing it, so a queue of
 // steady depth never allocates. Every slot outside the live window is nil,
@@ -787,37 +815,42 @@ func (q *waitQueue) rewindIfEmpty() {
 // dequeued updates the committed-load accounting when r leaves the wait
 // queue (to start, or at elastic admission).
 func (s *scheduler) dequeued(r *jobRec) {
-	s.queuedMin -= r.MinWavelengths
+	s.load.QueuedMin -= r.MinWavelengths
 	if s.prioLoad != nil {
 		s.prioLoad[r.Priority] -= r.MinWavelengths
 	}
 }
 
 // allocate grants r the `width` lowest-indexed free wavelengths (first
-// fit), reusing r's waves slice.
+// fit), reusing r's waves slice. The free pool is a bitmap, so it takes
+// the lowest set bits a word at a time.
 func (s *scheduler) allocate(r *jobRec, width int) {
 	waves := r.waves[:0]
-	for c := 0; c < s.budget && len(waves) < width; c++ {
-		if s.free[c] {
-			s.free[c] = false
-			waves = append(waves, c)
+	for w := 0; w < len(s.free) && len(waves) < width; w++ {
+		x := s.free[w]
+		for x != 0 && len(waves) < width {
+			waves = append(waves, w<<6|bits.TrailingZeros64(x))
+			x &= x - 1
 		}
+		s.free[w] = x
 	}
 	if len(waves) != width {
 		panic(fmt.Sprintf("fabric: allocated %d of %d requested wavelengths", len(waves), width))
 	}
-	s.nfree -= width
+	s.load.Free -= width
 	r.waves = waves
 }
 
+// release returns wavelengths to the free pool.
 func (s *scheduler) release(waves []int) {
 	for _, c := range waves {
-		if s.free[c] {
+		w, b := c>>6, uint64(1)<<(c&63)
+		if s.free[w]&b != 0 {
 			panic(fmt.Sprintf("fabric: double free of wavelength %d", c))
 		}
-		s.free[c] = true
+		s.free[w] |= b
 	}
-	s.nfree += len(waves)
+	s.load.Free += len(waves)
 }
 
 // start grants `width` wavelengths to a queued r and schedules its
@@ -859,9 +892,9 @@ func (s *scheduler) runSegment(r *jobRec, width int, penalty, full float64, kind
 	if s.prioLoad != nil {
 		s.prioLoad[r.Priority] += width
 	}
-	s.busyNow += width
-	if s.busyNow > s.peak {
-		s.peak = s.busyNow
+	s.load.Busy += width
+	if s.load.Busy > s.peak {
+		s.peak = s.load.Busy
 	}
 	s.emit(r, kind, width)
 	s.lanesOn(r)
@@ -1004,7 +1037,7 @@ func (s *scheduler) pause(r *jobRec) {
 // live-running index.
 func (s *scheduler) giveBack(r *jobRec) {
 	s.lanesOffAndCloseSeg(r)
-	s.busyNow -= len(r.waves)
+	s.load.Busy -= len(r.waves)
 	if s.prioLoad != nil {
 		s.prioLoad[r.Priority] -= len(r.waves)
 	}
@@ -1127,10 +1160,10 @@ func (s *scheduler) dispatchFirstFit() {
 	q := s.queue.live()
 	kept := 0
 	for _, r := range q {
-		if s.err == nil && r.MinWavelengths <= s.nfree {
+		if s.err == nil && r.MinWavelengths <= s.load.Free {
 			width := r.MaxWavelengths
-			if width > s.nfree {
-				width = s.nfree
+			if width > s.load.Free {
+				width = s.load.Free
 			}
 			s.start(r, width)
 			continue
@@ -1151,18 +1184,18 @@ func (s *scheduler) dispatchPriority() {
 			return jobLess(q[a], q[b])
 		})
 		head := q[0]
-		if head.MinWavelengths > s.nfree {
+		if head.MinWavelengths > s.load.Free {
 			// Reclaimable width from strictly lower-priority tenants.
 			victims := s.victimsFor(head)
 			reclaim := 0
 			for _, v := range victims {
 				reclaim += len(v.waves)
 			}
-			if s.nfree+reclaim < head.MinWavelengths {
+			if s.load.Free+reclaim < head.MinWavelengths {
 				return // even preempting everything eligible is not enough
 			}
 			for _, v := range victims {
-				if s.nfree >= head.MinWavelengths {
+				if s.load.Free >= head.MinWavelengths {
 					break
 				}
 				s.preempt(v)
@@ -1170,8 +1203,8 @@ func (s *scheduler) dispatchPriority() {
 		}
 		s.queue.popFront(1) // preemptions queue at the back; head stays first
 		width := head.MaxWavelengths
-		if width > s.nfree {
-			width = s.nfree
+		if width > s.load.Free {
+			width = s.load.Free
 		}
 		s.start(head, width)
 	}

@@ -350,6 +350,9 @@ type fleet struct {
 	eng    sim.Engine
 	hFeed  sim.HandlerID // the arrival feeder (feed)
 	scheds []*fabric.Scheduler
+	// loads are the fabrics' wavelength accounting, kept current by their
+	// schedulers (SchedOpts.Load) in one dense array that choose scans.
+	loads []fabric.Load
 	// rtFns memoizes the runtime closure of each (fabric, shape), at
 	// fab*len(floors)+shape, so a million-job trace does not allocate a
 	// closure per job.
@@ -391,6 +394,7 @@ type pendRes struct {
 func (f *fleet) run() (Result, error) {
 	opt := f.opt
 	f.scheds = make([]*fabric.Scheduler, len(f.specs))
+	f.loads = make([]fabric.Load, len(f.specs))
 	f.rtFns = make([]func(w int) (float64, error), len(f.specs)*len(f.floors))
 	f.placed = make([]int, len(f.specs))
 	f.migrated = make([]int, len(f.specs))
@@ -413,6 +417,7 @@ func (f *fleet) run() (Result, error) {
 		sch, err := fabric.NewScheduler(&f.eng, spec.Wavelengths, pol, fabric.SchedOpts{
 			Rec: opt.Rec, Proc: proc, Lite: opt.Lite,
 			TrackLoad: opt.Placement == PriorityAware,
+			Load:      &f.loads[i],
 			Retry:     opt.Faults.Retry,
 			OnEvict:   func(rs fabric.Resubmit) { f.recover(i, rs) },
 		})
@@ -561,13 +566,13 @@ func (f *fleet) choose(j *Job, minW int) int {
 		var score float64
 		switch f.opt.Placement {
 		case LeastLoaded:
-			score = float64(f.scheds[i].CommittedLoad()) / float64(spec.Wavelengths)
+			score = float64(f.loads[i].Committed()) / float64(spec.Wavelengths)
 		case BestFit:
 			want := desire
 			if want == 0 || want > spec.Wavelengths {
 				want = spec.Wavelengths
 			}
-			free := f.scheds[i].FreeWavelengths()
+			free := f.loads[i].Free
 			switch {
 			case free >= want:
 				// Tightest fit for the full appetite.
@@ -577,7 +582,7 @@ func (f *fleet) choose(j *Job, minW int) int {
 				score = 1e6 + float64(free-minW)
 			default:
 				// Must queue: fall back to least load.
-				score = 1e12 + float64(f.scheds[i].CommittedLoad())/float64(spec.Wavelengths)
+				score = 1e12 + float64(f.loads[i].Committed())/float64(spec.Wavelengths)
 			}
 		case PriorityAware:
 			alone, err := f.aloneSec(i, j, spec)

@@ -11,6 +11,13 @@
 // by one flat slab; events due at the current instant skip the heap and
 // queue in a FIFO lane, which the clock drains before it advances. A
 // steady-state Run executes zero per-event heap allocations.
+//
+// Popping the heap's root leaves a hole there instead of sifting the last
+// event down at once. A handler usually schedules a future event before
+// the next pop; that push fills the hole with one sift-down (a fused
+// replace-top) where a pop then a push would sift twice. A hole still open
+// at the next pop is closed the ordinary way first. Execution order is a
+// total order on (time, seq), so the heap's shape never shows.
 package sim
 
 import (
@@ -52,6 +59,9 @@ type Engine struct {
 	// 4-ary layout halves the tree depth of a binary heap, trading slightly
 	// more comparisons per level for far fewer cache-missing swaps.
 	heap []event
+	// hole is 1 while heap[0] is the stale slot of a popped root (see the
+	// package comment), else 0: the heap holds len(heap)-hole events.
+	hole int
 	// lane[head:] are the pending events scheduled at the current instant,
 	// in scheduling order. They never enter the heap: every lane event is
 	// due now, and the clock only advances once the lane drains. Heap
@@ -67,7 +77,7 @@ type Engine struct {
 func (e *Engine) Now() float64 { return e.now }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.head }
+func (e *Engine) Pending() int { return len(e.heap) - e.hole + len(e.lane) - e.head }
 
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() int64 { return e.nsteps }
@@ -110,10 +120,16 @@ func (e *Engine) Schedule(t float64, h HandlerID, arg int32) {
 	}
 }
 
-// push sifts a future event into the heap.
+// push sifts a future event into the heap. An open hole at the root takes
+// the event with one sift-down.
 //
 //wrht:noalloc
 func (e *Engine) push(ev event) {
+	if e.hole != 0 {
+		e.hole = 0
+		e.siftDown(ev)
+		return
+	}
 	e.heap = append(e.heap, ev)
 	i := len(e.heap) - 1
 	for i > 0 {
@@ -132,53 +148,107 @@ func (e *Engine) push(ev event) {
 //
 //wrht:noalloc
 func (e *Engine) next() event {
-	if e.head < len(e.lane) && (len(e.heap) == 0 || e.heap[0].time > e.now) {
+	if e.head < len(e.lane) && e.minTime() > e.now {
 		ev := e.lane[e.head]
 		if e.head++; e.head == len(e.lane) {
 			e.lane, e.head = e.lane[:0], 0
 		}
 		return ev
 	}
+	if e.hole != 0 {
+		e.closeHole()
+	}
 	return e.pop()
 }
 
-// pop removes and returns the heap's earliest event.
+// minTime is the earliest future event's time (+Inf with none). With a
+// hole open it is the earliest of the root's children, so lane events run
+// without closing the hole: the future event they schedule fills it.
+//
+//wrht:noalloc
+func (e *Engine) minTime() float64 {
+	h := e.heap
+	if e.hole == 0 {
+		if len(h) == 0 {
+			return math.Inf(1)
+		}
+		return h[0].time
+	}
+	if len(h) >= 5 {
+		return min(h[1].time, h[2].time, h[3].time, h[4].time)
+	}
+	t := math.Inf(1)
+	for c := 1; c < len(h); c++ {
+		t = min(t, h[c].time)
+	}
+	return t
+}
+
+// pop returns the heap's earliest event and leaves a hole in its place;
+// the hole must be closed before the heap is read again.
 //
 //wrht:noalloc
 func (e *Engine) pop() event {
-	top := e.heap[0]
+	e.hole = 1
+	return e.heap[0]
+}
+
+// closeHole removes the hole at the root: the last event takes its place
+// and sifts down.
+//
+//wrht:noalloc
+func (e *Engine) closeHole() {
+	e.hole = 0
 	n := len(e.heap) - 1
 	last := e.heap[n]
 	e.heap = e.heap[:n]
-	if n == 0 {
-		return top
+	if n > 0 {
+		e.siftDown(last)
 	}
-	// Sift down from the root.
+}
+
+// siftDown places ev at the root of a non-empty heap whose root slot is
+// free and sifts it down to its place.
+//
+//wrht:noalloc
+func (e *Engine) siftDown(ev event) {
+	h := e.heap
+	n := len(h)
 	i := 0
 	for {
 		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		// Pick the smallest of up to four children.
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.heap[c].before(e.heap[min]) {
-				min = c
+		var m int
+		if first+4 <= n {
+			// A full set of children: a two-round tournament.
+			c := h[first : first+4 : first+4]
+			a, b := 0, 2
+			if c[1].before(c[0]) {
+				a = 1
 			}
-		}
-		if !e.heap[min].before(last) {
+			if c[3].before(c[2]) {
+				b = 3
+			}
+			if c[b].before(c[a]) {
+				a = b
+			}
+			m = first + a
+		} else if first < n {
+			m = first
+			for c := first + 1; c < n; c++ {
+				if h[c].before(h[m]) {
+					m = c
+				}
+			}
+		} else {
 			break
 		}
-		e.heap[i] = e.heap[min]
-		i = min
+		if !h[m].before(ev) {
+			break
+		}
+		h[i] = h[m]
+		i = m
 	}
-	e.heap[i] = last
-	return top
+	h[i] = ev
 }
 
 // Grow preallocates heap capacity for n additional pending future events,
@@ -193,7 +263,7 @@ func (e *Engine) Grow(n int) {
 
 // drop discards every pending event, keeping both slabs for reuse.
 func (e *Engine) drop() {
-	e.heap = e.heap[:0]
+	e.heap, e.hole = e.heap[:0], 0
 	e.lane, e.head = e.lane[:0], 0
 }
 
