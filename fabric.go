@@ -236,7 +236,7 @@ type FabricResult struct {
 // jobBytes resolves the buffer size of a job spec.
 func jobBytes(cfg Config, spec JobSpec) (int64, error) {
 	if spec.Model != "" {
-		m, err := dnn.ByName(spec.Model)
+		m, err := dnn.Lookup(spec.Model)
 		if err != nil {
 			return 0, err
 		}

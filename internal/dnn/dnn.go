@@ -16,6 +16,8 @@ package dnn
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 )
 
 // Layer is one parameterized layer (convolution, batch-norm, fully connected
@@ -284,24 +286,104 @@ func GPT2XL() Model {
 	return Transformer("GPT-2-XL", 48, 1600, 50257, 1024)
 }
 
+// catalog names every model constructor in catalog order: the paper's four
+// evaluation networks in Figure-2 order, then the transformer extensions.
+// It is the one name list: PaperModels, ExtensionModels, ByName, Lookup
+// and the "have …" list of the unknown-model error all read it.
+var catalog = []struct {
+	name  string
+	build func() Model
+}{
+	{"AlexNet", AlexNet},
+	{"VGG16", VGG16},
+	{"ResNet50", ResNet50},
+	{"GoogLeNet", GoogLeNet},
+	{"BERT-Large", BERTLarge},
+	{"GPT-2-XL", GPT2XL},
+}
+
+// numPaper is how many leading catalog entries are the paper's networks.
+const numPaper = 4
+
 // PaperModels returns the four evaluation networks in the paper's Figure-2
 // order.
 func PaperModels() []Model {
-	return []Model{AlexNet(), VGG16(), ResNet50(), GoogLeNet()}
+	return buildAll(0, numPaper)
 }
 
 // ExtensionModels returns the transformer workloads added beyond the paper.
 func ExtensionModels() []Model {
-	return []Model{BERTLarge(), GPT2XL()}
+	return buildAll(numPaper, len(catalog))
+}
+
+// buildAll builds catalog entries [lo, hi) afresh.
+func buildAll(lo, hi int) []Model {
+	out := make([]Model, 0, hi-lo)
+	for _, c := range catalog[lo:hi] {
+		out = append(out, c.build())
+	}
+	return out
 }
 
 // ByName looks a model up case-sensitively by its catalog name (the paper's
-// four plus the transformer extensions).
+// four plus the transformer extensions) and builds only that one. Every
+// call returns fresh layers, so callers may keep or modify them.
 func ByName(name string) (Model, error) {
-	for _, m := range append(PaperModels(), ExtensionModels()...) {
-		if m.Name == name {
-			return m, nil
+	for _, c := range catalog {
+		if c.name == name {
+			return c.build(), nil
 		}
 	}
-	return Model{}, fmt.Errorf("dnn: unknown model %q (have AlexNet, VGG16, ResNet50, GoogLeNet, BERT-Large, GPT-2-XL)", name)
+	return Model{}, unknownModel(name)
+}
+
+// unknownModel is the error of a catalog miss.
+func unknownModel(name string) error {
+	have := make([]string, len(catalog))
+	for i, c := range catalog {
+		have[i] = c.name
+	}
+	return fmt.Errorf("dnn: unknown model %q (have %s)", name, strings.Join(have, ", "))
+}
+
+// Entry is a catalog model's scalars: all a name lookup needs to size a
+// gradient, without the layer table.
+type Entry struct {
+	Name   string
+	Params int64
+	Layers int
+}
+
+// GradientBytes is Model.GradientBytes of the entry's model.
+func (e Entry) GradientBytes(bytesPerElem int) int64 {
+	return e.Params * int64(bytesPerElem)
+}
+
+// entries builds every catalog model once, on first use, and keeps only its
+// scalars (about 200 B), so name lookups on request paths neither rebuild
+// layer tables nor retain them.
+var entries = sync.OnceValue(func() []Entry {
+	models := append(PaperModels(), ExtensionModels()...)
+	out := make([]Entry, len(models))
+	for i, m := range models {
+		out[i] = Entry{Name: m.Name, Params: m.TotalParams(), Layers: len(m.Layers)}
+	}
+	return out
+})
+
+// PaperEntries returns the entries of the paper's four networks in Figure-2
+// order. The slice is shared and read-only.
+func PaperEntries() []Entry {
+	return entries()[:numPaper:numPaper]
+}
+
+// Lookup returns the named model's catalog entry; a miss returns ByName's
+// error.
+func Lookup(name string) (Entry, error) {
+	for _, e := range entries() {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	return Entry{}, unknownModel(name)
 }

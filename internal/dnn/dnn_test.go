@@ -71,6 +71,49 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestCatalogEntriesMatchModels: the catalog's names are its models' names,
+// and each entry holds its model's scalars.
+func TestCatalogEntriesMatchModels(t *testing.T) {
+	models := append(PaperModels(), ExtensionModels()...)
+	if len(models) != len(catalog) || len(entries()) != len(catalog) {
+		t.Fatalf("%d models, %d entries, catalog of %d", len(models), len(entries()), len(catalog))
+	}
+	for i, m := range models {
+		if catalog[i].name != m.Name {
+			t.Errorf("catalog name %q builds %q", catalog[i].name, m.Name)
+		}
+		want := Entry{Name: m.Name, Params: m.TotalParams(), Layers: len(m.Layers)}
+		if e, err := Lookup(m.Name); err != nil || e != want {
+			t.Errorf("Lookup(%s) = %+v, %v; want %+v", m.Name, e, err, want)
+		}
+		if i < numPaper && PaperEntries()[i] != want {
+			t.Errorf("PaperEntries()[%d] = %+v, want %+v", i, PaperEntries()[i], want)
+		}
+	}
+	const miss = `dnn: unknown model "LeNet" (have AlexNet, VGG16, ResNet50, GoogLeNet, BERT-Large, GPT-2-XL)`
+	if _, err := Lookup("LeNet"); err == nil || err.Error() != miss {
+		t.Errorf("Lookup miss: %v", err)
+	}
+	if _, err := ByName("LeNet"); err == nil || err.Error() != miss {
+		t.Errorf("ByName miss: %v", err)
+	}
+}
+
+// TestByNameBuildsOnlyTheNamedModel: ByName costs what its constructor
+// costs, and every call returns layers of its own.
+func TestByNameBuildsOnlyTheNamedModel(t *testing.T) {
+	byName := testing.AllocsPerRun(10, func() { _, _ = ByName("AlexNet") })
+	direct := testing.AllocsPerRun(10, func() { _ = AlexNet() })
+	if byName != direct {
+		t.Fatalf("ByName(AlexNet) makes %.0f allocations, AlexNet() %.0f", byName, direct)
+	}
+	a, _ := ByName("ResNet50")
+	a.Layers[0].Params = -1
+	if b, _ := ByName("ResNet50"); b.Layers[0].Params <= 0 {
+		t.Fatal("ByName shares layers between calls")
+	}
+}
+
 func TestLayersHavePositiveParams(t *testing.T) {
 	for _, m := range PaperModels() {
 		if len(m.Layers) < 5 {

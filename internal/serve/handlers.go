@@ -7,6 +7,7 @@ import (
 	"runtime"
 
 	"wrht"
+	"wrht/internal/dnn"
 )
 
 // Request payload limits. The service answers untrusted JSON, so every axis
@@ -111,14 +112,14 @@ func badf(format string, args ...any) error {
 	return badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// resolveModelBytes maps a catalog model name to its gradient byte size.
+// resolveModelBytes maps a catalog model name to its FP32 gradient byte
+// size (the width wrht.DefaultConfig prices).
 func resolveModelBytes(name string) (int64, error) {
-	for _, m := range wrht.Models() {
-		if m.Name == name {
-			return m.Bytes, nil
-		}
+	m, err := dnn.Lookup(name)
+	if err != nil {
+		return 0, badf("unknown model %q", name)
 	}
-	return 0, badf("unknown model %q", name)
+	return m.GradientBytes(4), nil
 }
 
 // buildConfig assembles the pricing config shared by the point and fabric
@@ -251,9 +252,24 @@ func (r *SweepRequest) normalize() error {
 			}
 		}
 	}
+	// An unknown model would fail every cell it names inside a 200; reject
+	// it up front, as the other endpoints do.
+	for _, name := range r.Spec.Models {
+		if _, err := resolveModelBytes(name); err != nil {
+			return err
+		}
+	}
 	for _, mix := range r.Spec.FabricMixes {
 		if len(mix.Jobs) > maxFabricJobs {
 			return badf("mix %q: %d jobs exceeds limit %d", mix.Name, len(mix.Jobs), maxFabricJobs)
+		}
+		for _, j := range mix.Jobs {
+			if j.Model == "" {
+				continue
+			}
+			if _, err := resolveModelBytes(j.Model); err != nil {
+				return err
+			}
 		}
 	}
 	// The server owns the worker budget; client parallelism hints are
@@ -274,7 +290,7 @@ func requestKey(endpoint string, normalized any) string {
 // shardOf maps a key onto one of n session shards.
 func shardOf(key string, n int) int {
 	h := fnv.New32a()
-	fmt.Fprint(h, key)
+	h.Write([]byte(key))
 	return int(h.Sum32() % uint32(n))
 }
 

@@ -258,9 +258,25 @@ func serveOne[T any](s *Server, path string, class Class,
 	}
 	defer s.leave()
 	status := serveAdmitted(s, path, class, norm, deadline, run, w, r)
-	s.rec.Add(fmt.Sprintf("serve.%s.%d", class, status), 1)
-	s.rec.Hist("serve.latency." + class.String()).Observe(s.cfg.Now().Sub(t0).Seconds())
+	names := &classMetrics[class]
+	if status == http.StatusOK {
+		s.rec.Add(names.ok, 1)
+	} else {
+		s.rec.Add(fmt.Sprintf("serve.%s.%d", class, status), 1)
+	}
+	s.rec.Hist(names.latency).Observe(s.cfg.Now().Sub(t0).Seconds())
 }
+
+// classMetrics holds each class's per-request metric names, formatted once:
+// the success counter serve.<class>.200 and the histogram
+// serve.latency.<class>.
+var classMetrics = func() (m [numClasses]struct{ ok, latency string }) {
+	for c := range numClasses {
+		m[c].ok = fmt.Sprintf("serve.%s.%d", c, http.StatusOK)
+		m[c].latency = "serve.latency." + c.String()
+	}
+	return m
+}()
 
 // serveAdmitted runs the post-drain-gate pipeline and returns the HTTP
 // status it wrote.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wrht/internal/dnn"
 )
 
 // postJSON issues one request and returns (status, decoded body map).
@@ -576,5 +578,85 @@ func TestLoadgenClosedLoop(t *testing.T) {
 	}
 	if rep.P50Millis <= 0 || rep.QPS <= 0 {
 		t.Fatalf("quantiles missing: %+v", rep)
+	}
+}
+
+// catalogNames lists every model name the catalog resolves, from the model
+// constructors themselves.
+func catalogNames() []string {
+	var names []string
+	for _, m := range append(dnn.PaperModels(), dnn.ExtensionModels()...) {
+		names = append(names, m.Name)
+	}
+	return names
+}
+
+// TestEveryEndpointResolvesEveryModel: the four endpoints share one model
+// catalog, so each accepts all six names and rejects an unknown one with
+// 400.
+func TestEveryEndpointResolvesEveryModel(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bodies := map[string]string{
+		"/v1/commtime": `{"Nodes": 8, "Model": %q}`,
+		"/v1/fabric": `{"Nodes": 8, "Wavelengths": 4, "Jobs": [{"Name": "a", "Model": %q}],
+			"Policy": {"Kind": "first-fit"}}`,
+		"/v1/fleet": `{"Fabrics": [{"Name": "f0", "Nodes": 8, "Wavelengths": 4}],
+			"Shapes": [{"Model": %q}], "Jobs": [{"Name": "j0", "Shape": 0, "Affinity": -1}]}`,
+		"/v1/sweep": `{"Spec": {"Nodes": [8], "Models": [%q], "Algorithms": ["wrht"]}}`,
+	}
+	for _, path := range []string{"/v1/commtime", "/v1/fabric", "/v1/fleet", "/v1/sweep"} {
+		for _, name := range catalogNames() {
+			if status, m := postJSON(t, ts.URL+path, fmt.Sprintf(bodies[path], name)); status != http.StatusOK {
+				t.Errorf("%s %s: status = %d, body %v", path, name, status, m)
+			}
+		}
+		status, m := postJSON(t, ts.URL+path, fmt.Sprintf(bodies[path], "LeNet"))
+		if msg, _ := m["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, `unknown model "LeNet"`) {
+			t.Errorf("%s LeNet: status = %d, error %q; want 400 naming the model", path, status, msg)
+		}
+	}
+	// A sweep's fabric mixes name models too.
+	status, m := postJSON(t, ts.URL+"/v1/sweep",
+		`{"Spec": {"Nodes": [8], "Wavelengths": [4], "FabricMixes": [{"Jobs": [{"Name": "a", "Model": "LeNet"}]}]}}`)
+	if msg, _ := m["error"].(string); status != http.StatusBadRequest || msg != `unknown model "LeNet"` {
+		t.Errorf("sweep mix LeNet: status = %d, error %q; want 400 naming the model", status, msg)
+	}
+}
+
+// TestCommTimeNormalizeModelBytes: a named model normalizes to the FP32
+// gradient of the layer-accurate model, byte for byte.
+func TestCommTimeNormalizeModelBytes(t *testing.T) {
+	for _, name := range catalogNames() {
+		r := CommTimeRequest{Nodes: 16, Model: name}
+		if err := r.normalize(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m, _ := dnn.ByName(name)
+		if want := m.GradientBytes(4); r.Bytes != want || r.Model != "" {
+			t.Errorf("%s: normalized to Bytes %d Model %q, want %d and no model", name, r.Bytes, r.Model, want)
+		}
+	}
+	r := CommTimeRequest{Nodes: 16, Model: "LeNet"}
+	if err := r.normalize(); err == nil || err.Error() != `unknown model "LeNet"` {
+		t.Fatalf("unknown model: error %v", err)
+	}
+}
+
+// TestWarmCommTimeHitAllocs bounds the allocations of a warm /v1/commtime
+// hit that names a model: decode, normalize, key, shard, cache hit, encode.
+// Resolving the name must not rebuild catalog models.
+func TestWarmCommTimeHitAllocs(t *testing.T) {
+	h := New(Config{}).Handler()
+	hit := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/commtime", strings.NewReader(`{"Nodes": 64, "Model": "VGG16"}`))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", w.Code, w.Body)
+		}
+	}
+	hit()
+	if allocs := testing.AllocsPerRun(50, hit); allocs > 64 {
+		t.Fatalf("warm commtime hit: %.0f allocs, want <= 64", allocs)
 	}
 }

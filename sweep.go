@@ -392,7 +392,7 @@ func (spec SweepSpec) pointConfig(pt SweepCell) Config {
 // the point's raw message size.
 func (spec SweepSpec) pointBytes(cfg Config, pt SweepCell) (int64, error) {
 	if pt.Model != "" {
-		m, err := dnn.ByName(pt.Model)
+		m, err := dnn.Lookup(pt.Model)
 		if err != nil {
 			return 0, err
 		}

@@ -235,33 +235,29 @@ type ModelSpec struct {
 }
 
 // Models returns the paper's four evaluation networks (AlexNet, VGG16,
-// ResNet50, GoogLeNet) with layer-accurate parameter counts.
+// ResNet50, GoogLeNet) with layer-accurate parameter counts. Each call
+// returns a fresh slice.
 func Models() []ModelSpec {
-	var out []ModelSpec
-	for _, m := range dnn.PaperModels() {
-		out = append(out, ModelSpec{
-			Name:   m.Name,
-			Params: m.TotalParams(),
-			Bytes:  m.GradientBytes(4),
-			Layers: len(m.Layers),
-		})
+	paper := dnn.PaperEntries()
+	out := make([]ModelSpec, len(paper))
+	for i, e := range paper {
+		out[i] = modelSpec(e)
 	}
 	return out
 }
 
-// MustModel returns the named catalog model or panics; use for the four
-// known names.
+// MustModel returns the named catalog model (the paper's four or the
+// BERT-Large and GPT-2-XL extensions) or panics; use for known names.
 func MustModel(name string) ModelSpec {
-	m, err := dnn.ByName(name)
+	e, err := dnn.Lookup(name)
 	if err != nil {
 		panic(err)
 	}
-	return ModelSpec{
-		Name:   m.Name,
-		Params: m.TotalParams(),
-		Bytes:  m.GradientBytes(4),
-		Layers: len(m.Layers),
-	}
+	return modelSpec(e)
+}
+
+func modelSpec(e dnn.Entry) ModelSpec {
+	return ModelSpec{Name: e.Name, Params: e.Params, Bytes: e.GradientBytes(4), Layers: e.Layers}
 }
 
 // wrhtOptions lowers the configuration to planner options for alg (striping

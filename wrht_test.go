@@ -3,9 +3,11 @@ package wrht
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"wrht/internal/collective"
+	"wrht/internal/dnn"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -32,11 +34,67 @@ func TestModelsCatalog(t *testing.T) {
 
 func TestMustModelPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("MustModel of unknown name did not panic")
+		}
+		if err, _ := r.(error); err == nil || err.Error() != unknownNope {
+			t.Fatalf("MustModel panic = %v, want %s", r, unknownNope)
 		}
 	}()
 	MustModel("nope")
+}
+
+// unknownNope is the catalog-miss error every name lookup returns for "nope".
+const unknownNope = `dnn: unknown model "nope" (have AlexNet, VGG16, ResNet50, GoogLeNet, BERT-Large, GPT-2-XL)`
+
+// TestCatalogLookupsMatchModels: every name lookup reads the catalog table,
+// and each must size the gradient exactly as the layer-accurate model does,
+// at every element width (the sweep's 0 defaulting to FP32).
+func TestCatalogLookupsMatchModels(t *testing.T) {
+	for _, dm := range append(dnn.PaperModels(), dnn.ExtensionModels()...) {
+		spec := MustModel(dm.Name)
+		if spec.Name != dm.Name || spec.Params != dm.TotalParams() || spec.Layers != len(dm.Layers) || spec.Bytes != dm.GradientBytes(4) {
+			t.Errorf("MustModel(%s) = %+v, model has %d params in %d layers", dm.Name, spec, dm.TotalParams(), len(dm.Layers))
+		}
+		cfg := DefaultConfig(16)
+		for _, bpe := range []int{1, 2, 4, 8} {
+			cfg.BytesPerElem = bpe
+			want := dm.GradientBytes(bpe)
+			if got, err := jobBytes(cfg, JobSpec{Name: "j", Model: dm.Name}); err != nil || got != want {
+				t.Errorf("jobBytes(%s, %d B/elem) = %d, %v; want %d", dm.Name, bpe, got, err, want)
+			}
+			if got, err := (SweepSpec{}).pointBytes(cfg, SweepCell{Model: dm.Name}); err != nil || got != want {
+				t.Errorf("pointBytes(%s, %d B/elem) = %d, %v; want %d", dm.Name, bpe, got, err, want)
+			}
+		}
+		// A sweep prices an unset width as FP32.
+		cfg.BytesPerElem = 0
+		if got, err := (SweepSpec{}).pointBytes(cfg, SweepCell{Model: dm.Name}); err != nil || got != dm.GradientBytes(4) {
+			t.Errorf("pointBytes(%s, unset width) = %d, %v; want %d", dm.Name, got, err, dm.GradientBytes(4))
+		}
+	}
+	if _, err := jobBytes(DefaultConfig(16), JobSpec{Model: "nope"}); err == nil || err.Error() != unknownNope {
+		t.Errorf("jobBytes miss: %v", err)
+	}
+	if _, err := (SweepSpec{}).pointBytes(DefaultConfig(16), SweepCell{Model: "nope"}); err == nil || err.Error() != unknownNope {
+		t.Errorf("pointBytes miss: %v", err)
+	}
+}
+
+// TestModelsReturnsAFreshSlice: writing into Models' result must not reach
+// the catalog.
+func TestModelsReturnsAFreshSlice(t *testing.T) {
+	first := Models()
+	want := append([]ModelSpec(nil), first...)
+	first[0] = ModelSpec{Name: "scribbled"}
+	first[len(first)-1].Bytes = 0
+	if got := Models(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Models() after a write = %+v, want %+v", got, want)
+	}
+	if m := MustModel("AlexNet"); m != want[0] {
+		t.Fatalf("MustModel after a write = %+v, want %+v", m, want[0])
+	}
 }
 
 func TestCommunicationTimeAllAlgorithms(t *testing.T) {
